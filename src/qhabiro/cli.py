@@ -46,12 +46,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _size(text: str) -> int:
+    """argparse type for sizes: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % n)
+    return n
+
+
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the ValueError of its parameter checks
+    reported as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _default_prec() -> int:
     env = os.environ.get("QHABIRO_PREC")
     if env:
         try:
-            return int(env)
-        except ValueError:
+            return _size(env)
+        except argparse.ArgumentTypeError:
             pass
     return 40
 
@@ -231,8 +251,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_surgery(args) -> int:
     spec = knots.get_knot(args.knot)
-    params = surgery.SurgeryParams(p=args.p, a=args.a, prec=args.prec,
-                                   method=args.method.upper())
+    params = _checked(surgery.SurgeryParams, p=args.p, a=args.a,
+                      prec=args.prec, method=args.method.upper())
     result = surgery.zhat(spec, params)
     extra = {"delta": str(result.delta), "note": result.sign_convention}
     print(_series_out(result.series, args.json, extra))
@@ -242,9 +262,11 @@ def _cmd_surgery(args) -> int:
 def _cmd_park_poly(args) -> int:
     out = {}
     if args.method in ("explicit", "both"):
-        out["explicit"] = surgery.park_poly_explicit(args.p, args.a, args.k)
+        out["explicit"] = _checked(surgery.park_poly_explicit,
+                                   args.p, args.a, args.k)
     if args.method in ("residue", "both"):
-        out["residue"] = surgery.park_poly_residue(args.p, args.a, args.k)
+        out["residue"] = _checked(surgery.park_poly_residue,
+                                  args.p, args.a, args.k)
     if args.json:
         print(json.dumps({name: s.to_json() for name, s in out.items()},
                          sort_keys=True))
@@ -335,26 +357,26 @@ def _build_parser() -> _Parser:
     p = add("knot", _cmd_knot, help="print stored coefficient sequences")
     p.add_argument("--name", required=True)
     p.add_argument("--side", choices=("f", "a"), default="a")
-    p.add_argument("--index", type=int, default=5)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--index", type=_size, default=5)
+    p.add_argument("--prec", type=_size, default=None)
 
     p = add("transform", _cmd_transform, help="run the coefficient transforms")
     p.add_argument("--knot", required=True)
     p.add_argument("--direction", choices=("f-from-a", "a-from-f"),
                    default="f-from-a")
-    p.add_argument("--index", type=int, default=5)
+    p.add_argument("--index", type=_size, default=5)
     p.add_argument("--method", choices=("solve", "closed"), default="solve")
 
     p = add("residues", _cmd_residues, help="residues r_j of a knot")
     p.add_argument("--knot", required=True)
     p.add_argument("-j", type=int, default=None)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--prec", type=int, default=prec_default)
+    p.add_argument("--window", type=_size, default=2)
+    p.add_argument("--prec", type=_size, default=prec_default)
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("verify", _cmd_verify, help="run a named identity suite")
     p.add_argument("suite", choices=VERIFY_SUITES + ("all",))
-    p.add_argument("--prec", type=int, default=prec_default)
+    p.add_argument("--prec", type=_size, default=prec_default)
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("surgery", _cmd_surgery, help="surgery q-series invariant")
@@ -363,7 +385,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-a", type=int, default=0)
     p.add_argument("--method", choices=("fk", "residues", "ihcoef"),
                    default="fk")
-    p.add_argument("--prec", type=int, default=prec_default)
+    p.add_argument("--prec", type=_size, default=prec_default)
 
     p = add("park-poly", _cmd_park_poly, help="Park polynomials")
     p.add_argument("-p", type=int, required=True)
@@ -375,16 +397,16 @@ def _build_parser() -> _Parser:
     p = add("connect-sum", _cmd_connect_sum,
             help="connected-sum coefficients via the ring product")
     p.add_argument("--knots", nargs="+", required=True)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--prec", type=int, default=prec_default)
+    p.add_argument("--depth", type=_size, default=8)
+    p.add_argument("--prec", type=_size, default=prec_default)
 
     p = add("asympt", _cmd_asympt, help="numerical asymptotics")
     p.add_argument("--knot", default="4_1")
     p.add_argument("--mode", choices=("period", "growth", "phi",
                                       "quotient", "csv"), required=True)
-    p.add_argument("--n-max", type=int, default=100)
-    p.add_argument("--bits", type=int, default=256)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--n-max", type=_size, default=100)
+    p.add_argument("--bits", type=_size, default=256)
+    p.add_argument("--depth", type=_size, default=2)
     p.add_argument("--jobs", type=int, default=1)
 
     return top

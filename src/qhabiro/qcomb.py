@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .series import ExpLike, QAlgebraError, QSeries, RemainderError
+from .series import ExpLike, QAlgebraError, QSeries
 
 HALF = Fraction(1, 2)
 
@@ -41,20 +41,6 @@ def qfact(k: int) -> QSeries:
     if k == 0:
         return QSeries.one()
     return qfact(k - 1) * qint(k)
-
-
-def _div_one_minus_qj(coeffs: list, j: int) -> list:
-    """Exact division of sum(coeffs[i] q^i) by (1 - q^j)."""
-    m = len(coeffs) - j
-    if m < 0:
-        raise RemainderError("division by (1-q^j) leaves a remainder")
-    quo = [0] * m
-    for i in range(m):
-        quo[i] = coeffs[i] + (quo[i - j] if i >= j else 0)
-    for i in range(m, len(coeffs)):
-        if coeffs[i] + (quo[i - j] if i - j >= 0 else 0) != 0:
-            raise RemainderError("division by (1-q^j) leaves a remainder")
-    return quo
 
 
 _GAUSS_ROWS = [((1,),)]  # row n holds unbalanced [n choose k] for k = 0..n

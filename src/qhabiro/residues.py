@@ -6,6 +6,10 @@ nonabelian branches).
 
 All series are truncated at a caller-chosen precision; summation windows
 are derived from the LBC constant so reported coefficients are certified.
+
+Inverse q-Pochhammer symbols come from one in-place kernel, division by
+(1 - q^m) as strided prefix sums; residue_series carries
+1/((q)_{k-j}(q)_{k+j}) from term to term with it.
 """
 
 from __future__ import annotations
@@ -13,18 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Optional, Union
+from itertools import accumulate
+from operator import add
+from typing import Union
 
 from .series import (
     DegreeBound,
     ExpLike,
     PrecisionError,
     QSeries,
-    series_invert_unit,
     series_sum_bounded,
 )
-from .qcomb import qpoch
 from .transform import CoeffSeq, LbcError, LbcReport, fk_degree_check
 
 INF = math.inf
@@ -34,59 +37,39 @@ def _binom2(n: int) -> Fraction:
     return Fraction(n * (n - 1), 2)
 
 
-_PREC_BUCKET = 64
+def _div_one_minus_qm(c: list, m: int) -> None:
+    """c <- c / (1 - q^m) in place, truncated at len(c) (m >= 1).
+
+    The quotient's coefficients are prefix sums along each residue class
+    mod m: per class when the classes are few, else block by block."""
+    n = len(c)
+    if m * m <= n:
+        for r in range(m):
+            c[r::m] = accumulate(c[r::m])
+    else:
+        for b in range(m, n, m):
+            c[b : b + m] = map(add, c[b : b + m], c[b - m : b])
 
 
-def _bucket(prec: Fraction) -> int:
-    n = int(math.ceil(prec))
-    return ((n + _PREC_BUCKET - 1) // _PREC_BUCKET) * _PREC_BUCKET
-
-
-@lru_cache(maxsize=None)
-def _qpoch_inf_trunc(prec_int: int) -> QSeries:
-    """(q)_inf to O(q^prec_int) via the pentagonal-number expansion."""
-    coeffs = [0] * prec_int
-    n = 0
-    while True:
-        hit = False
-        for e, s in ((n * (3 * n - 1) // 2, (-1) ** n),
-                     (n * (3 * n + 1) // 2, (-1) ** n)):
-            if e < prec_int:
-                coeffs[e] = s
-                hit = True
-        if not hit:
-            break
-        n += 1
-    return QSeries(coeffs, 0, 1, prec_int)
-
-
-@lru_cache(maxsize=None)
-def _inv_qpoch(m, prec_int: int) -> QSeries:
-    """1/(q)_m to O(q^prec_int); m a nonnegative integer or math.inf."""
-    if prec_int <= 0:
-        return QSeries.zero(prec_int)
-    if m == INF:
-        return series_invert_unit(_qpoch_inf_trunc(prec_int), prec_int)
-    if m == 0:
-        return QSeries.one().truncate(prec_int)
-    geom = QSeries([1 if i % m == 0 else 0 for i in range(prec_int)],
-                   0, 1, prec_int)
-    return (_inv_qpoch(m - 1, prec_int) * geom).truncate(prec_int)
+def _truncated(c: list, prec: Fraction) -> QSeries:
+    """sum c_i q^i to O(q^prec); len(c) >= ceil(prec)."""
+    if prec <= 0:
+        return QSeries.zero(prec)
+    n = math.ceil(prec)
+    s = QSeries(c[:n], 0, 1, n)
+    return s if n == prec else s.truncate(prec)
 
 
 def _inv_poch_product(indices: tuple, prec: ExpLike) -> QSeries:
-    """1/prod_m (q)_m to O(q^prec), computed on a cached precision grid."""
+    """1/prod_m (q)_m to O(q^prec); each m a nonnegative integer or
+    math.inf.  Factors (1 - q^i) with i >= ceil(prec) do not matter."""
     prec = Fraction(prec)
-    if prec <= 0:
-        return QSeries.zero(prec)
-    pb = _bucket(prec)
-    acc = QSeries.one().truncate(pb)
-    for m in sorted(indices, reverse=True):
-        # build the 1/(q)_m chain iteratively to keep recursion shallow
-        for mm in range(1, m + 1 if m != INF else 1):
-            _inv_qpoch(mm, pb)
-        acc = (acc * _inv_qpoch(m, pb)).truncate(pb)
-    return acc.truncate(prec)
+    c = [1] + [0] * (math.ceil(prec) - 1)
+    n = len(c)
+    for m in indices:
+        for i in range(1, n if m == INF else min(m, n - 1) + 1):
+            _div_one_minus_qm(c, i)
+    return _truncated(c, prec)
 
 
 @dataclass(frozen=True)
@@ -157,18 +140,43 @@ class ResidueFamily:
 
 def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     """r_j = -sum_{k>=|j|} a_{-k-1} (-1)^{k+j}
-    q^{binom(k+1,2)+binom(j+1,2)} / ((q)_{k+j}(q)_{k-j}), to O(q^prec)."""
+    q^{binom(k+1,2)+binom(j+1,2)} / ((q)_{k+j}(q)_{k-j}), to O(q^prec).
+
+    u_k = 1/((q)_{k-j}(q)_{k+j}) = u_{k-1}/((1 - q^{k-j})(1 - q^{k+j})) is
+    kept at the length ceil(prec - binom(j+1,2) - k - C) that the LBC
+    certifies for term k."""
     C = _lbc_constant(C)
     target = Fraction(prec)
+    bound = DegreeBound(lambda k: _binom2(j + 1) + k + C)
+    u = []
+    last = -1
 
     def term(k: int) -> QSeries:
-        atom = residue_sigma(k, j)
+        nonlocal last
+        # u holds term k-1's state, so series_sum_bounded must ask for
+        # k = 0, 1, 2, ... in order
+        assert k == last + 1, "residue terms requested out of order"
+        last = k
         ak = a[k]
-        if atom.is_zero or (ak.is_zero and ak.is_exact):
+        if k < abs(j):
             return QSeries.zero(target)
-        return (ak * atom.to_series(target - ak.delta_lb())).truncate(target)
+        n = math.ceil(target - bound.bound(k))  # >= 1 below the stop
+        if k == abs(j):
+            u[:] = [1] + [0] * (n - 1)
+            for i in range(1, 2 * k + 1):
+                _div_one_minus_qm(u, i)
+        else:
+            del u[n:]
+            _div_one_minus_qm(u, k - j)
+            _div_one_minus_qm(u, k + j)
+        if ak.is_zero and ak.is_exact:
+            return QSeries.zero(target)
+        atom = residue_sigma(k, j)
+        # u is long enough unless a_k violates the LBC; the term is then
+        # known to less precision, and series_sum_bounded rejects it
+        inv = _truncated(u, min(target - ak.delta_lb() - atom.exponent, len(u)))
+        return (ak * (QSeries.monomial(atom.exponent, atom.sign) * inv)).truncate(target)
 
-    bound = DegreeBound(lambda k: _binom2(j + 1) + k + C)
     return series_sum_bounded(term, bound, target)
 
 

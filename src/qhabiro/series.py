@@ -574,91 +574,9 @@ def series_sum(terms) -> QSeries:
     return QSeries(out, lo, s, prec)
 
 
-_PACK_CACHE: dict = {}
-_PACK_CACHE_LIMIT = 4096
-_PACK_CACHE_MIN_LEN = 32  # only cache operands long enough to be worth it
-
-
-def _packed_signed_mpz(coeffs: tuple, stride: int, bits: int):
-    """coeffs spread onto every stride-th slot, packed as a signed mpz.
-
-    Long operands (the reusable ones: cached binomials, factorials) are
-    memoized; short ones are cheap to pack on the fly.
-    """
-    key = (coeffs, stride, bits)
-    cached = len(coeffs) >= _PACK_CACHE_MIN_LEN
-    if cached:
-        try:
-            return _PACK_CACHE[key]
-        except KeyError:
-            pass
-    n = (len(coeffs) - 1) * stride + 1
-    pos = [0] * n
-    neg = [0] * n
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * stride] = c
-        elif c < 0:
-            neg[i * stride] = -c
-    val = gmpy2.pack(pos, bits) - gmpy2.pack(neg, bits)
-    if cached and len(_PACK_CACHE) < _PACK_CACHE_LIMIT:
-        _PACK_CACHE[key] = val
-    return val
-
-
 def series_dot(pairs) -> QSeries:
-    """sum(x * y for x, y in pairs) as one fused operation.
-
-    For exact operands the products and the sum are carried out on packed
-    big integers (one limb array per series), which is much faster than
-    materializing each intermediate product.  Truncated operands fall back
-    to the generic product-then-sum path with its usual prec propagation.
-    """
-    pairs = list(pairs)
-    if _mpz is None or any(x.prec is not None or y.prec is not None for x, y in pairs):
-        return series_sum(x * y for x, y in pairs)
-    items = [(x, y) for x, y in pairs if x.coeffs and y.coeffs]
-    if not items:
-        return QSeries.zero()
-    s = 1
-    for x, y in items:
-        s = lcm(s, lcm(x.scale, y.scale))
-    max_bits = 0
-    overlap = 0
-    spans = []
-    for x, y in items:
-        fx = s // x.scale
-        fy = s // y.scale
-        bx = max(map(int.bit_length, x.coeffs))
-        by = max(map(int.bit_length, y.coeffs))
-        max_bits = max(max_bits, bx + by)
-        overlap += min(len(x.coeffs), len(y.coeffs))
-        o = x.offset * fx + y.offset * fy
-        spans.append((o, o + (len(x.coeffs) - 1) * fx + (len(y.coeffs) - 1) * fy + 1))
-    bits = 64
-    need = max_bits + overlap.bit_length() + 2
-    while bits < need:
-        bits *= 2
-    if bits > 1024:  # coefficients too large for fixed-slot packing
-        return series_sum(x * y for x, y in pairs)
-    lo = min(o for o, _ in spans)
-    hi = max(h for _, h in spans)
-    acc = _mpz(0)
-    for x, y in items:
-        fx = s // x.scale
-        fy = s // y.scale
-        px = _packed_signed_mpz(x.coeffs, fx, bits)
-        py = _packed_signed_mpz(y.coeffs, fy, bits)
-        acc += (px * py) << ((x.offset * fx + y.offset * fy - lo) * bits)
-    n = hi - lo
-    half = 1 << (bits - 1)
-    acc += gmpy2.pack([half] * n, bits)
-    out = [int(c) - half for c in gmpy2.unpack(acc, bits)]
-    return QSeries(out, lo, s)
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
+    """sum(x * y for x, y in pairs)."""
+    return series_sum(x * y for x, y in pairs)
 
 
 def series_delta(a: QSeries):

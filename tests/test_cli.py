@@ -51,6 +51,38 @@ class TestExitCodes:
         code, _, err = run(capsys, "knot", "--name", "9_42")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("surgery", "--knot", "3_1l", "-p", "-3", "-a", "5"),
+        ("surgery", "--knot", "3_1l", "-p", "0"),
+        ("park-poly", "-p", "-2", "-k", "2"),
+        ("park-poly", "-p", "2", "-k", "-1"),
+    ])
+    def test_bad_parameters_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("knot", "--name", "4_1", "--index", "-2"),
+        ("knot", "--name", "4_1", "--prec", "-1"),
+        ("transform", "--knot", "4_1", "--index", "-1"),
+        ("residues", "--knot", "4_1", "--prec", "-5"),
+        ("residues", "--knot", "4_1", "--window", "-1"),
+        ("verify", "pentagonal", "--prec", "-3"),
+        ("surgery", "--knot", "4_1", "-p", "-2", "--prec", "-4"),
+        ("connect-sum", "--knots", "3_1l", "3_1r", "--depth", "-1"),
+        ("connect-sum", "--knots", "3_1l", "--prec", "-2"),
+        ("asympt", "--mode", "quotient", "--depth", "-1"),
+        ("asympt", "--mode", "period", "--n-max", "-3"),
+        ("asympt", "--mode", "growth", "--bits", "-5"),
+    ])
+    def test_negative_sizes_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error: ") and "nonnegative" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_pentagonal(self, capsys):
@@ -136,6 +168,12 @@ class TestEnvironment:
         code, out, _ = run(capsys, "residues", "--knot", "4_1", "-j", "0")
         assert code == 0
         assert "O(q^7)" in out
+
+    def test_negative_env_falls_back(self, capsys, monkeypatch):
+        monkeypatch.setenv("QHABIRO_PREC", "-5")
+        code, out, _ = run(capsys, "residues", "--knot", "4_1", "-j", "0")
+        assert code == 0
+        assert "O(q^40)" in out
 
     def test_bad_env_falls_back(self, capsys, monkeypatch):
         monkeypatch.setenv("QHABIRO_PREC", "many")

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qhabiro import (
+    CoeffSeq,
+    DegreeBound,
+    DegreeBoundError,
     LbcError,
     QSeries,
     branch_coeffs_41,
@@ -14,6 +17,8 @@ from qhabiro import (
     f_from_a,
     f_from_residues,
     get_knot,
+    omega_from_a,
+    omega_mul,
     qpoch,
     residue_family,
     residue_series,
@@ -23,16 +28,34 @@ from qhabiro import (
     residues_from_f,
     residues_from_f as theta_route,
     series_invert_unit,
+    series_sum_bounded,
     sign_constancy,
     tail_check,
     trefoil_recurrence_check,
 )
+
+from qhabiro.residues import _inv_poch_product
 
 from conftest import seq_from_list
 
 
 def inv_qpoch_inf(prec):
     return series_invert_unit(qpoch(math.inf, prec), prec)
+
+
+def atom_sum(a, j, prec, C):
+    """The atom-by-atom reference for r_j: sum over the LBC window of
+    a_{-k-1} * residue_sigma(k, j) to O(q^(prec - delta(a_{-k-1})))."""
+    target = Fraction(prec)
+    acc = QSeries.zero(target)
+    k = 0
+    while Fraction(j * (j + 1), 2) + k + C < target:
+        ak = a[k]
+        atom = residue_sigma(k, j)
+        if not atom.is_zero and not (ak.is_zero and ak.is_exact):
+            acc = acc + ak * atom.to_series(target - ak.delta_lb())
+        k += 1
+    return acc.truncate(target)
 
 
 class TestAtoms:
@@ -214,3 +237,125 @@ class TestTails:
         _, _, small = tail_check("even", 3, 20)
         _, _, large = tail_check("even", 9, 20)
         assert large >= small
+
+
+class TestRunningResidueSum:
+    """residue_series carries 1/((q)_{k-j}(q)_{k+j}) from term to term;
+    it must equal the atom-by-atom sum in coefficients and precision."""
+
+    @pytest.mark.parametrize("name,C", [("3_1l", -2), ("3_1r", 0),
+                                        ("4_1", -1), ("unknot", -1)])
+    @pytest.mark.parametrize("prec", [-3, 0, 1, Fraction(23, 2), 30])
+    def test_knots_all_j(self, name, C, prec):
+        a = get_knot(name).a
+        for j in range(-5, 6):
+            assert residue_series(a, j, prec, C) == \
+                atom_sum(a, j, prec, Fraction(C)), j
+
+    @pytest.mark.parametrize("name,C", [("3_1l", -2), ("3_1r", 0),
+                                        ("4_1", -1), ("unknot", -1)])
+    def test_tight_constant(self, name, C):
+        # with C + 1 some terms sit exactly at the residue bound, so the
+        # carried list is exactly as long as they need
+        a = get_knot(name).a
+        for j in range(-4, 5):
+            for prec in (9, Fraction(47, 3)):
+                got = residue_series(a, j, prec, C + 1)
+                assert got == atom_sum(a, j, prec, C + 1), (j, prec)
+                assert got == residue_series(a, j, prec, C), (j, prec)
+
+    def test_fractional_constant(self):
+        # a weaker, fractional LBC constant widens the window and
+        # lengthens the carried list; the sum is unchanged
+        a = get_knot("3_1l").a
+        C = Fraction(-5, 2)
+        for j in (-3, 0, 2):
+            got = residue_series(a, j, Fraction(35, 3), C)
+            assert got == atom_sum(a, j, Fraction(35, 3), C), j
+            assert got == residue_series(a, j, Fraction(35, 3), -2), j
+
+    @pytest.mark.parametrize("cut", [4, Fraction(13, 2), 16])
+    def test_truncated_long_coefficients(self, cut):
+        # connected-sum coefficients: long, and truncated at O(q^cut)
+        el = omega_mul(omega_from_a(get_knot("3_1l").a, 12),
+                       omega_from_a(get_knot("3_1r").a, 12), 12, prec=cut)
+        assert any(len(el.a[k].coeffs) > 30 for k in range(12))
+        assert not el.a[3].is_exact
+        for j in range(-3, 4):
+            for prec in (6, Fraction(19, 2)):
+                assert residue_series(el.a, j, prec, -1) == \
+                    atom_sum(el.a, j, prec, -1), (j, prec)
+
+    def test_half_integer_grid_and_exact_zeros(self):
+        def gen(k):
+            if k % 3 == 0:
+                return QSeries.zero()
+            return (QSeries.monomial(Fraction(2 * k * k - 3 * k + 1, 2), (-1) ** k)
+                    + QSeries.monomial(Fraction(2 * k * k - k + 6, 2), 2))
+        a = CoeffSeq("P", gen)
+        assert a[1].scale == 2 and a[3].is_zero and a[3].is_exact
+        for j in range(-4, 5):
+            for prec in (Fraction(3, 2), Fraction(31, 2), 30):
+                got = residue_series(a, j, prec, Fraction(-3, 2))
+                assert got == atom_sum(a, j, prec, Fraction(-3, 2)), (j, prec)
+
+    def test_truncated_zero_coefficients(self):
+        def gen(k):
+            if k % 2:
+                return QSeries.zero(k * k)
+            return QSeries.monomial(k * (k - 1) // 2 - 1).truncate(k * k + 4)
+        a = CoeffSeq("P", gen)
+        for j in range(-3, 4):
+            for prec in (9, Fraction(31, 2)):
+                assert residue_series(a, j, prec, -5) == \
+                    atom_sum(a, j, prec, -5), (j, prec)
+
+    def test_bound_violation_still_raises(self):
+        # a_{-4} = q^{-10} sits far below the declared constant C = 0
+        a = CoeffSeq("P", lambda k: QSeries.monomial(-10 if k == 3 else k * k))
+        for j in (-2, 0, 3):
+            with pytest.raises(DegreeBoundError, match="k=3"):
+                residue_series(a, j, 12, 0)
+
+    def test_engine_requests_terms_in_order(self):
+        # residue_series's running state relies on this order
+        asked = []
+
+        def term(k):
+            asked.append(k)
+            return QSeries.zero(10)
+
+        series_sum_bounded(term, DegreeBound(lambda k: k), 10)
+        assert asked == list(range(10))
+
+
+class TestInversePochhammer:
+    """_inv_poch_product against series_invert_unit of the product."""
+
+    @pytest.mark.parametrize("indices", [(0,), (1,), (3,), (7,), (5, 2, 0),
+                                         (12, 12), (40,)])
+    @pytest.mark.parametrize("prec", [1, Fraction(1, 3), Fraction(23, 2),
+                                      12, 13, 65])
+    def test_finite(self, indices, prec):
+        den = QSeries.one()
+        for m in indices:
+            den = den * qpoch(m)
+        assert _inv_poch_product(indices, prec) == \
+            series_invert_unit(den, prec)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("prec", [1, Fraction(7, 2), 40, 90])
+    def test_infinite(self, power, prec):
+        expected = series_invert_unit(qpoch(math.inf, prec) ** power, prec)
+        assert _inv_poch_product((math.inf,) * power, prec) == expected
+
+    def test_mixed(self):
+        prec = Fraction(45, 2)
+        den = qpoch(4) * qpoch(math.inf, prec)
+        assert _inv_poch_product((4, math.inf), prec) == \
+            series_invert_unit(den, prec)
+
+    @pytest.mark.parametrize("prec", [0, -4, Fraction(-1, 2)])
+    def test_nonpositive_precision(self, prec):
+        for indices in ((), (3,), (math.inf,), (math.inf,) * 3):
+            assert _inv_poch_product(indices, prec) == QSeries.zero(prec)
