@@ -19,11 +19,7 @@ from .series import (
     QSeries,
     RemainderError,
     exact_div,
-    series_add,
-    series_delta,
     series_invert_unit,
-    series_mirror,
-    series_subst_qpow,
     series_sum_bounded,
 )
 from .qcomb import (

@@ -377,7 +377,6 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify, help="run a named identity suite")
     p.add_argument("suite", choices=VERIFY_SUITES + ("all",))
     p.add_argument("--prec", type=_size, default=prec_default)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("surgery", _cmd_surgery, help="surgery q-series invariant")
     p.add_argument("--knot", required=True)
@@ -407,7 +406,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=_size, default=100)
     p.add_argument("--bits", type=_size, default=256)
     p.add_argument("--depth", type=_size, default=2)
-    p.add_argument("--jobs", type=int, default=1)
 
     return top
 

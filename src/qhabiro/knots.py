@@ -13,7 +13,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .series import ExactnessError, QAlgebraError, QSeries, series_mirror
+from .series import ExactnessError, QAlgebraError, QSeries
 from .qcomb import jacobi_symbol, qbinom
 from .transform import CoeffSeq, a_from_f, f_from_a
 
@@ -214,7 +214,7 @@ def mirror(knot) -> KnotSpec:
         a = knot.a_coeff(k)
         if not a.is_exact:
             raise ExactnessError("mirror requires exact coefficients")
-        return series_mirror(a)
+        return a.mirror()
 
     return KnotSpec(knot.name + "!", gen, max_index=knot.a.max_index,
                     meta=dict(knot.meta, mirror_of=knot.name))

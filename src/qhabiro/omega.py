@@ -6,6 +6,11 @@ Elements are finite Z[q^{+-1}]-combinations of symbols sigma_n with
 n <= 0.  The sigma_0 component is kept separate from the negative-index
 coefficients because the knot-facing machinery (transforms, residues)
 consumes only the latter.
+
+The multiplication identity makes the x = 0 expansion
+E(el) = sigma0 + x/(1-x) F(x), F = sum_i f_i x^i with f = f_from_a(el.a),
+a ring map, unit-triangular in the sigma basis; omega_mul computes
+E^{-1}(E(a) E(b)) through the transforms.
 """
 
 from __future__ import annotations
@@ -13,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, lcm
 from typing import Optional
 
-from .series import ExpLike, QSeries, series_mirror
+from .series import ExpLike, QSeries, series_dot
 from .qcomb import curly_poch, qbinom
-from .transform import CoeffSeq, LbcError, LbcReport, lbc_check, lbc_margin
+from .transform import (CoeffSeq, LbcError, LbcReport, a_from_f, f_from_a,
+                        lbc_check, lbc_margin)
 
 
 @lru_cache(maxsize=None)
@@ -46,14 +53,6 @@ class OmegaElement:
         if self.a.side != "P":
             raise ValueError("OmegaElement coefficients must be P-side")
 
-    def coeff(self, m: int) -> QSeries:
-        """Coefficient of sigma_m, m <= 0."""
-        if m > 0:
-            raise ValueError("positive sigma indices are not supported")
-        if m == 0:
-            return self.sigma0
-        return self.a[-m - 1]
-
 
 def omega_unit() -> OmegaElement:
     """The multiplicative unit 1 * sigma_0."""
@@ -64,6 +63,14 @@ def omega_unit() -> OmegaElement:
 def omega_from_a(a: CoeffSeq, K: int) -> OmegaElement:
     """Wrap a P-side sequence (a knot's coefficients) with its LBC audit."""
     return OmegaElement(a, QSeries.zero(), lbc_check(a, K))
+
+
+def _gamma_valuation2(m: int, n: int, i: int) -> Optional[int]:
+    """Twice the valuation of gamma^i_{m,n} for m, n <= 0, None where it
+    vanishes: {m}_i gives im - i(i-1)/2, [m+n+1 choose i] i(m+n+2)."""
+    if i and not (m and n):
+        return None
+    return i * (2 * (m + n) + 3 - i)
 
 
 def omega_mul(
@@ -78,64 +85,82 @@ def omega_mul(
 
         c_l = sum_{m+n >= l, m,n <= 0} gamma^{m+n-l}_{m,n} a_m b_n.
 
-    Each c_l is a finite sum.  Inputs must carry an LBC certificate
-    unless ``force`` is set.
-
+    Inputs must carry an LBC certificate unless ``force`` is set.
     ``prec`` may be a single precision for every coefficient or a
     callable mapping the coefficient index k (for sigma_{-k-1}) to a
-    precision; consumers that weight a_{-k-1} by q^{binom(k+1,2)}-scale
-    prefactors can pass a decaying profile and skip most of the work.
+    precision p_l, l = -k-1; consumers that weight a_{-k-1} by
+    q^{binom(k+1,2)}-scale prefactors can pass a decaying profile.
+
+    Values come from the ring map E (module docstring): E(c) = E(a) E(b)
+    reads f^c_i = s_a f^b_i + s_b f^a_i + sum_{j<i} sum_{i1+i2=j}
+    f^a_{i1} f^b_{i2} (s the sigma0 parts), run through both transforms
+    on the inputs' known terms as exact polynomials.  The exact c_l is
+    then cut where the sum above certifies it: at min(p_l, prec(a_m b_n)
+    + v) over the pairs (m, n) whose a_m and b_n have terms, whose gamma
+    (valuation v) is nonzero and whose lowest term v + delta(a_m) +
+    delta(b_n) lies below p_l; prec(a_m b_n) is as QSeries multiplication
+    gives it.  With no such pair c_l is exact zero; a coefficient that is
+    zero only to its precision has no terms.
     """
     if not force and (a.lbc is None or b.lbc is None):
         raise LbcError("LBC required")
 
-    def coef(el: OmegaElement, m: int) -> QSeries:
-        return el.sigma0 if m == 0 else el.a[-m - 1]
+    def known(s: QSeries) -> QSeries:
+        return QSeries(s.coeffs, s.offset, s.scale)
 
-    def gamma_below(m: int, n: int, i: int, U) -> QSeries:
-        """gamma(m, n, i) with everything at or above exponent U dropped;
-        the factors are top-truncated before multiplying so the high
-        degrees (discarded anyway) are never produced."""
-        A = curly_poch(m, i)
-        B = curly_poch(n, i)
-        Q = qbinom(m + n + 1, i)
-        if A.is_zero or B.is_zero or Q.is_zero:
-            return QSeries.zero()
-        dA, dB, dQ = A.delta(), B.delta(), Q.delta()
-        if dA + dB + dQ >= U:
-            return QSeries.zero()
-        AB = (A.truncate(U - dB - dQ) * B.truncate(U - dA - dQ)).truncate(U - dQ)
-        if AB.is_zero and AB.is_exact:
-            return QSeries.zero()
-        return (AB * Q.truncate(U - AB.delta_lb())).truncate(U)
+    fa, fb = (f_from_a(CoeffSeq("P", lambda k, el=el: known(el.a[k]), L - 1))
+              for el in (a, b))
+    sa, sb = known(a.sigma0), known(b.sigma0)
+    conv = [QSeries.zero()]  # conv[i]: the double sum over j < i
+
+    def f_product(i: int) -> QSeries:
+        while len(conv) <= i:
+            j = len(conv) - 1
+            conv.append(conv[j] + series_dot((fa[t], fb[j - t])
+                                             for t in range(j + 1)))
+        return sa * fb[i] + sb * fa[i] + conv[i]
+
+    exact = a_from_f(CoeffSeq("F", f_product, L - 1))
+
+    # the precision scan runs on integers, in units of 1/unit
+    rows = [[el.sigma0] + el.a.prefix(L - 1) for el in (a, b)]
+    unit = 2 * lcm(*(s.scale for row in rows for s in row))
+
+    def units(s: QSeries):
+        """(delta, prec) of s in units of 1/unit, None if s has no terms."""
+        if not s.is_zero:
+            u = unit // s.scale
+            return s.offset * u, None if s.prec is None else s.prec * u
+
+    ta, tb = ([units(s) for s in row] for row in rows)
 
     def gen(kk: int) -> QSeries:
         l = -kk - 1
         p_k = prec(kk) if callable(prec) else prec
-        acc = QSeries.zero()
+        P = cap = None if p_k is None else ceil(Fraction(p_k) * unit)
+        hit = False
         for m in range(l, 1):
-            am = coef(a, m)
-            if am.is_zero:
+            am = ta[-m]
+            if am is None:
                 continue
             for n in range(l - m, 1):
-                bn = coef(b, n)
-                if bn.is_zero:
+                bn, v = tb[-n], _gamma_valuation2(m, n, m + n - l)
+                if bn is None or v is None:
                     continue
-                i = m + n - l
-                t = am * bn
-                if p_k is not None:
-                    g = gamma_below(m, n, i, Fraction(p_k) - t.delta_lb())
-                    if g.is_zero and g.is_exact:
-                        continue
-                    acc = (acc + g * t).truncate(p_k)
-                else:
-                    g = gamma(m, n, i)
-                    if g.is_zero:
-                        continue
-                    acc = acc + g * t
-        return acc
+                v *= unit // 2
+                if cap is not None and v + am[0] + bn[0] >= cap:
+                    continue
+                hit = True
+                for p, d in ((am[1], bn[0]), (bn[1], am[0])):
+                    if p is not None and (P is None or p + d + v < P):
+                        P = p + d + v
+        if not hit:
+            return QSeries.zero()
+        out = exact[kk] if P is None else exact[kk].truncate(Fraction(P, unit))
+        return out if p_k is None else out.truncate(p_k)
 
-    c = CoeffSeq("P", gen, L - 1)
+    # computed here, so that the exact intermediates die with this call
+    c = CoeffSeq("P", [gen(kk) for kk in range(L)].__getitem__, L - 1)
     s0 = a.sigma0 * b.sigma0
     if prec is not None:
         s0 = s0.truncate(prec(0) if callable(prec) else prec)
@@ -144,11 +169,11 @@ def omega_mul(
 
 def omega_mirror(el: OmegaElement, K: Optional[int] = None) -> OmegaElement:
     """Coefficientwise q -> q^{-1}; coefficients must be exact."""
-    seq = CoeffSeq("P", lambda k: series_mirror(el.a[k]), el.a.max_index)
+    seq = CoeffSeq("P", lambda k: el.a[k].mirror(), el.a.max_index)
     report = None
     if K is not None:
         report = lbc_check(seq, K)
-    return OmegaElement(seq, series_mirror(el.sigma0), report)
+    return OmegaElement(seq, el.sigma0.mirror(), report)
 
 
 def sigma0_partial_sums(k: int, x_order: int) -> list:

@@ -542,10 +542,6 @@ def _fmt_term(e: Fraction, c: int, first: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
 def series_sum(terms) -> QSeries:
     """Sum of many series with one accumulator allocation, avoiding the
     per-addition canonicalization of repeated ``+``."""
@@ -577,18 +573,6 @@ def series_sum(terms) -> QSeries:
 def series_dot(pairs) -> QSeries:
     """sum(x * y for x, y in pairs)."""
     return series_sum(x * y for x, y in pairs)
-
-
-def series_delta(a: QSeries):
-    return a.delta()
-
-
-def series_subst_qpow(a: QSeries, m: int) -> QSeries:
-    return a.subst_qpow(m)
-
-
-def series_mirror(a: QSeries) -> QSeries:
-    return a.mirror()
 
 
 def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:

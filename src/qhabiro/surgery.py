@@ -339,11 +339,6 @@ def zhat(knot, params: SurgeryParams) -> ZhatResult:
     return route(knot, params)
 
 
-def _shifted_poch(start: int, n: int) -> QSeries:
-    """(q^start; q)_n as an exact polynomial."""
-    return poch(start, n)
-
-
 def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
     """-q^{a(p-a)/p} (q^{k+1};q)_k sum_{j=1}^k (-1)^{k+j} (1-q^{-j})
     q^{binom(j+1,2)-binom(k,2)} / ((q)_{k+j}(q)_{k-j}) *
@@ -361,7 +356,7 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
         for n in range(j):
             u = n * p + a
             inner = inner + QSeries.monomial(Fraction(u * u, p) - j * u)
-        cof = _shifted_poch(k - j + 1, j) * _shifted_poch(k + j + 1, k - j)
+        cof = poch(k - j + 1, j) * poch(k + j + 1, k - j)
         e = Fraction(j * (j + 1), 2) - Fraction(k * (k - 1), 2)
         piece = (QSeries.one() - QSeries.monomial(-j)) \
             * QSeries.monomial(e) * cof * inner
@@ -370,7 +365,7 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
     # need not be polynomial, the full product is
     den = qpoch(k) * qpoch(2 * k)
     out = -QSeries.monomial(Fraction(a * (p - a), p)) \
-        * exact_div(_shifted_poch(k + 1, k) * num, den)
+        * exact_div(poch(k + 1, k) * num, den)
     if out.scale != 1:
         raise FractionalExponentError("fractional exponent did not cancel")
     return out
@@ -397,7 +392,7 @@ def park_poly_residue(p: int, a: int, k: int, prec=None) -> QSeries:
         prec = 2 * k * k + 3 * k + 2 * p + 24
     prec = Fraction(prec)
     pref_exp = -k * k + Fraction(a * (p - a), p)
-    pref = _shifted_poch(k + 1, k)
+    pref = poch(k + 1, k)
     # residue sum pairs x^{k+j} (from the inverse product) with x^{-(k+j)-1}
     acc = QSeries.zero()
     target = prec - pref_exp - pref.delta()

@@ -83,6 +83,16 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and "nonnegative" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "pentagonal", "--jobs", "2"),
+        ("asympt", "--mode", "period", "--jobs", "2"),
+    ])
+    def test_jobs_only_on_residues(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error: ") and "--jobs" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_pentagonal(self, capsys):

@@ -1,5 +1,7 @@
 """Ring structure on inverted Habiro elements."""
 
+from fractions import Fraction
+
 import pytest
 
 from qhabiro import (
@@ -7,20 +9,83 @@ from qhabiro import (
     LbcError,
     OmegaElement,
     QSeries,
+    curly_poch,
     gamma,
     get_knot,
+    lbc_check,
     lbc_product_bound,
     omega_from_a,
     omega_mirror,
     omega_mul,
     omega_unit,
+    qbinom,
     sigma0_x_expansion,
     verify_sigma_product,
     x_expansion,
 )
+from qhabiro.omega import _gamma_valuation2
 
 DEPTH = 8
 PREC = 30
+
+
+def gamma_omega_mul(a, b, L, prec=None, force=False):
+    """The reference product: one truncated gamma^i_{m,n} a_m b_n per index
+    triple, c_l = sum_{m+n >= l} gamma^{m+n-l}_{m,n} a_m b_n, each gamma cut
+    below what can still reach O(q^prec)."""
+    if not force and (a.lbc is None or b.lbc is None):
+        raise LbcError("LBC required")
+
+    def coef(el, m):
+        return el.sigma0 if m == 0 else el.a[-m - 1]
+
+    def gamma_below(m, n, i, U):
+        """gamma(m, n, i) with everything at or above exponent U dropped;
+        the factors are top-truncated before multiplying."""
+        A = curly_poch(m, i)
+        B = curly_poch(n, i)
+        Q = qbinom(m + n + 1, i)
+        if A.is_zero or B.is_zero or Q.is_zero:
+            return QSeries.zero()
+        dA, dB, dQ = A.delta(), B.delta(), Q.delta()
+        if dA + dB + dQ >= U:
+            return QSeries.zero()
+        AB = (A.truncate(U - dB - dQ) * B.truncate(U - dA - dQ)).truncate(U - dQ)
+        if AB.is_zero and AB.is_exact:
+            return QSeries.zero()
+        return (AB * Q.truncate(U - AB.delta_lb())).truncate(U)
+
+    def gen(kk):
+        l = -kk - 1
+        p_k = prec(kk) if callable(prec) else prec
+        acc = QSeries.zero()
+        for m in range(l, 1):
+            am = coef(a, m)
+            if am.is_zero:
+                continue
+            for n in range(l - m, 1):
+                bn = coef(b, n)
+                if bn.is_zero:
+                    continue
+                i = m + n - l
+                t = am * bn
+                if p_k is not None:
+                    g = gamma_below(m, n, i, Fraction(p_k) - t.delta_lb())
+                    if g.is_zero and g.is_exact:
+                        continue
+                    acc = (acc + g * t).truncate(p_k)
+                else:
+                    g = gamma(m, n, i)
+                    if g.is_zero:
+                        continue
+                    acc = acc + g * t
+        return acc
+
+    c = CoeffSeq("P", gen, L - 1)
+    s0 = a.sigma0 * b.sigma0
+    if prec is not None:
+        s0 = s0.truncate(prec(0) if callable(prec) else prec)
+    return OmegaElement(c, s0, lbc_check(c, L - 1))
 
 
 def elements_equal(a, b, depth=DEPTH, prec=PREC):
@@ -30,17 +95,113 @@ def elements_equal(a, b, depth=DEPTH, prec=PREC):
                for k in range(depth))
 
 
-def random_element(rng, depth=6):
+def random_element(rng, depth=6, grid=1, sigma0=None, cut=None):
     """Element whose negative-index coefficients satisfy the lower-bound
-    condition by construction (each a_k is q^{margin} * polynomial)."""
+    condition by construction (each a_k is q^{margin} * polynomial on the
+    grid (1/grid)Z, known to O(q^{margin + cut}) when ``cut`` is given)."""
     from qhabiro import lbc_margin
 
     data = []
     for k in range(depth):
-        poly = {lbc_margin(k) + j: rng.randint(-3, 3) for j in range(3)}
-        data.append(QSeries.from_terms(poly))
+        poly = {lbc_margin(k) + Fraction(j, grid): rng.randint(-3, 3)
+                for j in range(3)}
+        s = QSeries.from_terms(poly)
+        data.append(s if cut is None else s.truncate(lbc_margin(k) + cut))
     seq = CoeffSeq("P", lambda k, d=data: d[k] if k < len(d) else QSeries.zero())
-    return omega_from_a(seq, depth + 2)
+    el = omega_from_a(seq, depth + 2)
+    return el if sigma0 is None else OmegaElement(el.a, sigma0, el.lbc)
+
+
+def assert_matches_oracle(x, y, L, prec=None, force=False):
+    """omega_mul equals the gamma-triple reference in sigma0 and in the
+    coefficients for indices 0..L-1, prec included."""
+    got = omega_mul(x, y, L, prec, force)
+    want = gamma_omega_mul(x, y, L, prec, force)
+    assert got.sigma0 == want.sigma0
+    for k in range(L):
+        assert got.a[k] == want.a[k], k
+
+
+def knot_element(name, K=60):
+    return omega_from_a(get_knot(name).a, K)
+
+
+def decaying(top):
+    return lambda k: top + k - k * (k - 1) // 2
+
+
+class TestGammaOracle:
+    """omega_mul against the gamma-triple reference, coefficients and
+    prec alike."""
+
+    @pytest.mark.parametrize("left,right,L,top", [
+        ("3_1l", "3_1r", 32, 35),
+        ("3_1r", "3_1l", 32, 35),
+        ("3_1l", "3_1r", 32, 55),
+        pytest.param("3_1l", "3_1r", 52, 55, marks=pytest.mark.slow),
+    ])
+    def test_connected_sum_profiles(self, left, right, L, top):
+        # top 35 is the benchmark's connected sum, top 55 (at L = 52) test_03's
+        assert_matches_oracle(knot_element(left), knot_element(right), L,
+                              decaying(top))
+
+    @pytest.mark.parametrize("left,right,L,prec", [
+        ("3_1l", "3_1r", 14, None),
+        ("3_1l", "3_1l", 10, 40),
+        ("3_1r", "3_1r", 10, 40),
+        ("4_1", "4_1", 10, 30),
+        ("4_1", "3_1l", 10, 30),
+    ])
+    def test_knot_products(self, left, right, L, prec):
+        assert_matches_oracle(knot_element(left), knot_element(right), L, prec)
+
+    def test_lowest_terms_at_the_cut(self):
+        # at these precisions some pair's lowest term lands exactly on
+        # O(q^prec), where it no longer contributes
+        for prec in range(-6, 2):
+            for left, right in (("3_1l", "4_1"), ("3_1r", "4_1"), ("4_1", "4_1")):
+                assert_matches_oracle(knot_element(left), knot_element(right),
+                                      6, prec)
+
+    def test_chained_connected_sum(self):
+        inner = omega_mul(knot_element("3_1l"), knot_element("3_1r"), 20, 35)
+        f41 = knot_element("4_1")
+        for prec in (25, lambda k: 30 - k, None):
+            assert_matches_oracle(inner, f41, 12, prec)
+            assert_matches_oracle(f41, inner, 12, prec)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    def test_random_elements(self, rng, grid):
+        sigmas = (None, QSeries.from_terms({0: 1, 1: -2}),
+                  QSeries.from_terms({0: 1, 2: 3}, prec=6))
+        for s0, cut in zip(sigmas, (Fraction(1, 2), None, 3)):
+            x = random_element(rng, grid=grid, sigma0=s0, cut=cut)
+            for y_cut in (None, 1):
+                y = random_element(rng, grid=2, cut=y_cut)
+                for p in (None, 10, 20, Fraction(61, 3)):
+                    assert_matches_oracle(x, y, 8, p)
+                    assert_matches_oracle(y, x, 8, p)
+            z = random_element(rng)
+            # truncated inputs from inner products
+            for p in (20, 35, 50):
+                xy = omega_mul(x, y, 8, p)
+                for outer in (30, lambda k: Fraction(40 - 3 * k, 2 + k % 3)):
+                    assert_matches_oracle(xy, z, 8, outer)
+                    assert_matches_oracle(z, xy, 8, outer)
+
+    def test_forced_without_certificate(self):
+        bare = OmegaElement(CoeffSeq("P", lambda k: QSeries.one()))
+        assert_matches_oracle(bare, omega_unit(), 4, force=True)
+        assert_matches_oracle(bare, bare, 6, 10, force=True)
+
+    def test_gamma_valuation_closed_form(self):
+        for m in range(-7, 1):
+            for n in range(-7, 1):
+                for i in range(12):
+                    g, v2 = gamma(m, n, i), _gamma_valuation2(m, n, i)
+                    assert (v2 is None) == g.is_zero, (m, n, i)
+                    if v2 is not None:
+                        assert Fraction(v2, 2) == g.delta(), (m, n, i)
 
 
 class TestStructureConstants:
