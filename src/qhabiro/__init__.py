@@ -47,7 +47,6 @@ from .transform import (
     fk_degree_check,
     lbc_check,
     lbc_margin,
-    sigma_tilde_x_expansion,
 )
 from .omega import (
     OmegaElement,

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import asympt, knots, omega, residues, surgery, transform
@@ -142,14 +141,7 @@ def _cmd_residues(args) -> int:
     if isinstance(js, int):
         js = [js]
 
-    def one(j):
-        return j, residues.residue_series(spec.a, j, args.prec, C)
-
-    if args.jobs > 1 and len(js) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(one, js))
-    else:
-        results = dict(one(j) for j in js)
+    results = {j: residues.residue_series(spec.a, j, args.prec, C) for j in js}
     if args.json:
         print(json.dumps({"knot": spec.name, "prec": args.prec,
                           "residues": {str(j): results[j].to_json()
@@ -372,7 +364,6 @@ def _build_parser() -> _Parser:
     p.add_argument("-j", type=int, default=None)
     p.add_argument("--window", type=_size, default=2)
     p.add_argument("--prec", type=_size, default=prec_default)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("verify", _cmd_verify, help="run a named identity suite")
     p.add_argument("suite", choices=VERIFY_SUITES + ("all",))

@@ -3,6 +3,12 @@ Pochhammer symbols, truncated theta functions, Jacobi symbol.
 
 Balanced quantities live on the half-integer exponent grid (v = q^{1/2});
 results that happen to lie in Z[q^{+-1}] come back scale-normalized.
+
+Every q-Pochhammer quotient is computed by one in-place kernel on a
+coefficient list c_0 + c_1 q + ..., truncated at its length: multiplying
+by (1 - q^m) is one shifted subtraction, dividing by it is a prefix sum
+along each residue class mod m.  Gaussian binomials, poch and the inverse
+Pochhammer products of residues.py are chains of these two steps.
 """
 
 from __future__ import annotations
@@ -10,11 +16,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Optional, Union
 
 from .series import ExpLike, QAlgebraError, QSeries
 
 HALF = Fraction(1, 2)
+
+
+def _mul_one_minus_qm(c: list, m: int) -> None:
+    """c <- c (1 - q^m) in place, truncated at len(c) (m >= 1)."""
+    c[m:] = map(sub, c[m:], c[:-m])
+
+
+def _div_one_minus_qm(c: list, m: int) -> None:
+    """c <- c / (1 - q^m) in place, truncated at len(c) (m >= 1).
+
+    The quotient's coefficients are prefix sums along each residue class
+    mod m: per class when the classes are few, else block by block."""
+    n = len(c)
+    if m * m <= n:
+        for r in range(m):
+            c[r::m] = accumulate(c[r::m])
+    else:
+        for b in range(m, n, m):
+            c[b : b + m] = map(add, c[b : b + m], c[b - m : b])
 
 
 class DivergentPochhammerError(QAlgebraError):
@@ -43,33 +70,13 @@ def qfact(k: int) -> QSeries:
     return qfact(k - 1) * qint(k)
 
 
-_GAUSS_ROWS = [((1,),)]  # row n holds unbalanced [n choose k] for k = 0..n
-
-
-def _gauss_row(n: int) -> tuple:
-    """Row n of the Gaussian-binomial triangle as raw coefficient tuples,
-    built by the Pascal recurrence C(n,k) = C(n-1,k-1) + q^k C(n-1,k)
-    (shared across the whole row, far cheaper than per-entry products)."""
-    while len(_GAUSS_ROWS) <= n:
-        m = len(_GAUSS_ROWS)
-        prev = _GAUSS_ROWS[-1]
-        row = [(1,)]
-        for k in range(1, m):
-            a = prev[k]      # shifted by q^k
-            b = prev[k - 1]
-            out = [0] * (k * (m - k) + 1)
-            out[: len(b)] = b
-            for i, c in enumerate(a):
-                out[k + i] += c
-            row.append(tuple(out))
-        row.append((1,))
-        _GAUSS_ROWS.append(tuple(row))
-    return _GAUSS_ROWS[n]
-
-
 @lru_cache(maxsize=None)
 def qbinom(n: int, k: int) -> QSeries:
-    """Balanced q-binomial [n choose k]; n any integer, k >= 0."""
+    """Balanced q-binomial [n choose k]; n any integer, k >= 0.
+
+    With k' = min(k, n-k), the unbalanced [n choose k] is the product of
+    (1 - q^{n-k'+i})/(1 - q^i) over i = 1..k'; the partial product after
+    factor i is [n-k'+i choose i], so every division is exact."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -79,8 +86,15 @@ def qbinom(n: int, k: int) -> QSeries:
         return sign * qbinom(k - n - 1, k)
     if n < k:
         return QSeries.zero()
-    num = _gauss_row(n)[k]
-    return QSeries(num).shift(-Fraction(k * (n - k), 2))
+    kk = min(k, n - k)
+    deg = kk * (n - kk)
+    half = deg // 2 + 1  # the coefficients past the middle mirror these
+    c = [1]
+    for i in range(1, kk + 1):
+        c += [0] * (min(i * (n - kk) + 1, half) - len(c))
+        _mul_one_minus_qm(c, n - kk + i)
+        _div_one_minus_qm(c, i)
+    return QSeries(c + c[: deg + 1 - half][::-1]).shift(-Fraction(deg, 2))
 
 
 def curly(n: int) -> QSeries:
@@ -122,7 +136,8 @@ def poch(
     """q-Pochhammer (q^{a_exp}; q)_n, exact for finite n.
 
     For n = math.inf the product is truncated at O(q^prec); it diverges
-    (as a q-series) unless a_exp > 0.
+    (as a q-series) unless a_exp > 0.  A factor 1 - q^0 makes the product
+    0; a factor 1 - q^e with e < 0 is taken as -q^e (1 - q^{-e}).
     """
     a_exp = Fraction(a_exp)
     if n == math.inf:
@@ -130,20 +145,27 @@ def poch(
             raise ValueError("infinite Pochhammer needs a precision")
         if a_exp <= 0:
             raise DivergentPochhammerError("divergent Pochhammer")
-        out = QSeries.one()
-        j = 0
-        while a_exp + j < prec:
-            out = (out * QSeries.from_terms({0: 1, a_exp + j: -1})).truncate(prec)
-            j += 1
-        return out.truncate(prec)
-    if not isinstance(n, int) or n < 0:
+        n = max(0, math.ceil(prec - a_exp))  # the factors below O(q^prec)
+    elif not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer or math.inf")
-    out = QSeries.one()
-    for j in range(n):
-        out = out * QSeries.from_terms({0: 1, a_exp + j: -1})
-        if prec is not None:
-            out = out.truncate(prec)
-    return out
+    elif n == 0:
+        return QSeries.one()
+    # exponents in units of 1/den on the grid of a_exp and prec
+    den = a_exp.denominator if prec is None else math.lcm(
+        a_exp.denominator, Fraction(prec).denominator)
+    exps = [int((a_exp + j) * den) for j in range(n)]
+    shift = sum(e for e in exps if e < 0)
+    size = sum(map(abs, exps)) + 1
+    if prec is not None:
+        size = min(size, int(prec * den) - shift)
+    if 0 in exps:
+        c = []
+    else:
+        c = [(-1) ** sum(e < 0 for e in exps)] + [0] * (size - 1)
+        for e in exps:
+            _mul_one_minus_qm(c, abs(e))
+    out = QSeries(c, shift, den)
+    return out if prec is None else out.truncate(prec)
 
 
 def qpoch(n: Union[int, float], prec: Optional[ExpLike] = None) -> QSeries:

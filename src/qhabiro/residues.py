@@ -7,8 +7,8 @@ nonabelian branches).
 All series are truncated at a caller-chosen precision; summation windows
 are derived from the LBC constant so reported coefficients are certified.
 
-Inverse q-Pochhammer symbols come from one in-place kernel, division by
-(1 - q^m) as strided prefix sums; residue_series carries
+Inverse q-Pochhammer symbols come from qcomb's in-place kernel, division
+by (1 - q^m) as strided prefix sums; residue_series carries
 1/((q)_{k-j}(q)_{k+j}) from term to term with it.
 """
 
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
 from typing import Union
 
 from .series import (
@@ -28,6 +26,7 @@ from .series import (
     QSeries,
     series_sum_bounded,
 )
+from .qcomb import _div_one_minus_qm
 from .transform import CoeffSeq, LbcError, LbcReport, fk_degree_check
 
 INF = math.inf
@@ -35,20 +34,6 @@ INF = math.inf
 
 def _binom2(n: int) -> Fraction:
     return Fraction(n * (n - 1), 2)
-
-
-def _div_one_minus_qm(c: list, m: int) -> None:
-    """c <- c / (1 - q^m) in place, truncated at len(c) (m >= 1).
-
-    The quotient's coefficients are prefix sums along each residue class
-    mod m: per class when the classes are few, else block by block."""
-    n = len(c)
-    if m * m <= n:
-        for r in range(m):
-            c[r::m] = accumulate(c[r::m])
-    else:
-        for b in range(m, n, m):
-            c[b : b + m] = map(add, c[b : b + m], c[b - m : b])
 
 
 def _truncated(c: list, prec: Fraction) -> QSeries:

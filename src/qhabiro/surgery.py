@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .series import QAlgebraError, QSeries, exact_div
 from .qcomb import poch, qbinom, qpoch
-from .transform import CoeffSeq, f_from_a, lbc_check
+from .transform import f_from_a, lbc_check
 from .residues import _binom2, residue_series, residue_sigma
 from .knots import KnotSpec, get_knot
 

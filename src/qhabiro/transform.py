@@ -128,23 +128,15 @@ def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
     return LbcReport(K, Fraction(best), tuple(indeterminate))
 
 
-def sigma_tilde_x_expansion(k: int, x_order: int) -> list:
-    """Taylor coefficients of x^k..x^{k+x_order} of the normalized basis
-    function with k+1 inverted factors; entry j is [2k+j choose j]."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return [qbinom(2 * k + j, j) for j in range(x_order + 1)]
-
-
 _HEADROOM = 32  # spare slot bits, so that widening repacks stay rare
 
 
 class _Cascade:
     """Row-by-row transform through the factors (1 - q^l x), |l| <= k.
 
-    By the q-binomial theorem in balanced form (see
-    ``sigma_tilde_x_expansion``), sum_j [2k+j choose j] x^j =
-    1/prod_{l=-k}^{k} (1 - q^l x), so with F(x) = sum_i f_i x^i
+    The x-expansion of the basis function with k+1 inverted factors is
+    sum_j [2k+j choose j] x^j = 1/prod_{l=-k}^{k} (1 - q^l x) (the
+    q-binomial theorem in balanced form), so with F(x) = sum_i f_i x^i
 
         F = 1/(1-x) (a_{-1} + x/((1-q^-1 x)(1-q x)) (a_{-2} + x/(...) (...))).
 

@@ -86,8 +86,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("verify", "pentagonal", "--jobs", "2"),
         ("asympt", "--mode", "period", "--jobs", "2"),
+        ("residues", "--knot", "4_1", "--jobs", "2"),
     ])
-    def test_jobs_only_on_residues(self, capsys, argv):
+    def test_jobs_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error: ") and "--jobs" in err
@@ -125,7 +126,7 @@ class TestResidues:
 
     def test_window_with_jobs(self, capsys):
         code, out, _ = run(capsys, "residues", "--knot", "4_1",
-                           "--window", "1", "--prec", "10", "--jobs", "3")
+                           "--window", "1", "--prec", "10")
         assert code == 0
         assert "r_-1" in out and "r_0" in out and "r_1" in out
 

@@ -1,6 +1,7 @@
 """Balanced q-combinatorics."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,49 @@ from qhabiro import (
 )
 
 small = st.integers(min_value=0, max_value=12)
+
+
+def gauss_triangle(n_max: int) -> list:
+    """Rows 0..n_max of the unbalanced Gaussian-binomial triangle as
+    coefficient tuples, by the Pascal recurrence
+    C(n,k) = C(n-1,k-1) + q^k C(n-1,k); the reference for qbinom."""
+    rows = [((1,),)]
+    for m in range(1, n_max + 1):
+        prev = rows[-1]
+        row = [(1,)]
+        for k in range(1, m):
+            a = prev[k]      # shifted by q^k
+            b = prev[k - 1]
+            out = [0] * (k * (m - k) + 1)
+            out[: len(b)] = b
+            for i, c in enumerate(a):
+                out[k + i] += c
+            row.append(tuple(out))
+        row.append((1,))
+        rows.append(tuple(row))
+    return rows
+
+
+def reference_qbinom(rows: list, n: int, k: int) -> QSeries:
+    if k == 0:
+        return QSeries.one()
+    if n < 0:
+        return (-1) ** k * reference_qbinom(rows, k - n - 1, k)
+    if n < k:
+        return QSeries.zero()
+    return QSeries(rows[n][k]).shift(-Fraction(k * (n - k), 2))
+
+
+def reference_poch(a, n, prec) -> QSeries:
+    """(q^a; q)_n multiplied out factor by factor, then truncated."""
+    if n == 0:
+        return QSeries.one()
+    if n == math.inf:
+        n = max(0, math.ceil(prec - a))
+    out = QSeries.one()
+    for j in range(n):
+        out = out * (QSeries.one() - QSeries.monomial(a + j))
+    return out if prec is None else out.truncate(prec)
 
 
 class TestQInt:
@@ -76,6 +120,20 @@ class TestQBinom:
     def test_out_of_range(self):
         assert qbinom(3, 5).is_zero
 
+    def test_against_pascal_triangle(self):
+        rows = gauss_triangle(66)
+        for n in range(-6, 61):
+            for k in range(0, max(n, 6) + 3):
+                assert qbinom(n, k) == reference_qbinom(rows, n, k), (n, k)
+
+    def test_large_entry(self):
+        # uncached, so the kernel runs
+        start = time.perf_counter()
+        s = qbinom.__wrapped__(200, 100)
+        assert time.perf_counter() - start < 1.0
+        assert sum(s.coeffs) == math.comb(200, 100)
+        assert s == s.mirror()
+
 
 class TestFactorials:
     def test_qfact(self):
@@ -121,6 +179,36 @@ class TestPochhammer:
     def test_shifted(self):
         assert poch(3, 2) == QSeries.from_terms({0: 1, 3: -1}) * \
             QSeries.from_terms({0: 1, 4: -1})
+
+    def test_factor_one_minus_q0_is_zero(self):
+        assert poch(0, 1) == QSeries.zero()
+        assert poch(-1, 3) == QSeries.zero()
+        assert poch(-2, 4, 5) == QSeries.zero(5)
+
+    def test_negative_exponents(self):
+        # 1 - q^e = -q^e (1 - q^-e) for e < 0
+        assert poch(-2, 2) == QSeries.from_terms(
+            {-3: 1, -2: -1, -1: -1, 0: 1})
+        assert poch(Fraction(-1, 2), 1, 1) == QSeries.from_terms(
+            {Fraction(-1, 2): -1, 0: 1}, prec=1)
+        # known to the full precision, not to prec + e
+        assert poch(-2, 2, 5) == poch(-2, 2).truncate(5)
+
+    def test_empty_product_is_exact(self):
+        assert poch(Fraction(2, 3), 0, 5) == QSeries.one()
+        assert poch(-4, 0) == QSeries.one()
+
+    def test_against_factor_by_factor(self):
+        for a in (1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3),
+                  Fraction(7, 3), 0, -1, -3, Fraction(-3, 2),
+                  Fraction(-1, 3)):
+            for n in list(range(0, 9)) + [math.inf]:
+                for prec in (None, 0, 1, Fraction(5, 2), 7, Fraction(23, 3),
+                             30):
+                    if n == math.inf and (prec is None or a <= 0):
+                        continue
+                    assert poch(a, n, prec) == reference_poch(a, n, prec), \
+                        (a, n, prec)
 
 
 class TestJacobiSymbol:
