@@ -38,7 +38,6 @@ from .qcomb import (
 )
 from .transform import (
     CoeffSeq,
-    IntegralityError,
     LbcError,
     LbcReport,
     a_from_f,
@@ -61,7 +60,6 @@ from .omega import (
     x_expansion,
 )
 from .knots import (
-    ClosedFormError,
     CompositeCycleError,
     ExponentIntegralityError,
     KnotError,
@@ -112,6 +110,7 @@ from .asympt import (
     QUOTIENT_TABLE_PREFIX,
     AsymptoticsError,
     GrowthResult,
+    IntegralityError,
     PerturbSeries,
     PeriodicityReport,
     emit_csv,

@@ -29,21 +29,13 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 
 from .knots import KnotSpec, get_knot
-from .series import QAlgebraError, QSeries
+from .series import PrecisionError, QAlgebraError, QSeries
 
 DEFAULT_BITS = 256
 
 
 class AsymptoticsError(QAlgebraError):
     pass
-
-
-class PrecisionError(AsymptoticsError):
-    """Requested precision is insufficient; carries a suggested bit count."""
-
-    def __init__(self, message: str, suggested_bits: int):
-        super().__init__(message)
-        self.suggested_bits = suggested_bits
 
 
 class ExtrapolationError(AsymptoticsError):

@@ -121,7 +121,7 @@ def _cmd_transform(args) -> int:
         seq = transform.f_from_a(spec.a)
         label = "f"
     else:
-        seq = transform.a_from_f(spec.f, method=args.method)
+        seq = transform.a_from_f(spec.f)
         label = "a_-"
     out = [seq[k] for k in range(args.index + 1)]
     if args.json:
@@ -357,7 +357,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--direction", choices=("f-from-a", "a-from-f"),
                    default="f-from-a")
     p.add_argument("--index", type=_size, default=5)
-    p.add_argument("--method", choices=("solve", "closed"), default="solve")
 
     p = add("residues", _cmd_residues, help="residues r_j of a knot")
     p.add_argument("--knot", required=True)

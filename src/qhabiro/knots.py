@@ -1,9 +1,12 @@
 """Knot registry: built-in coefficient generators, user-defined knots
 from JSON files, mirrors, and composite (coefficientwise sum) entries.
 
-Each knot provides its inverted Habiro coefficients a_{-k-1} through a
-generator; GM coefficients f_k come either from a closed form (validated
-against the transform on first use) or from the transform itself.
+A knot is given by its inverted Habiro coefficients a_{-k-1} (the
+figure-eight knot and every file knot), by its GM coefficients f_k (the
+unknot, f_k = delta_{k,0}), or by both (the trefoils, whose f_k are
+monomials).  A side not given is the transform of the other.  A file
+knot's ``f_closed_form: builtin:X`` is checked against X's f when the file
+loads; it never replaces the transform.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ import threading
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .qcomb import jacobi_symbol
 from .series import ExactnessError, QAlgebraError, QSeries
-from .qcomb import jacobi_symbol, qbinom
 from .transform import CoeffSeq, a_from_f, f_from_a
 
-CROSSCHECK_PREFIX = 8
 INTEGRALITY_WINDOW = 64
 
 
@@ -41,55 +43,41 @@ class CompositeCycleError(KnotError):
     """Composite knot references form a cycle."""
 
 
-class ClosedFormError(KnotError):
-    """A closed-form f-coefficient disagrees with the transform."""
-
-
 class KnotSpec:
-    """A named knot with lazy coefficient sequences.
+    """A named knot with its two lazy, memoised coefficient sequences.
 
-    ``a_gen`` maps k >= 0 to a_{-k-1}; ``f_closed`` (optional) maps
-    k >= 0 to f_k directly and is cross-checked against the transform on
-    a short prefix the first time it is used.
+    ``a_gen`` maps k >= 0 to a_{-k-1} and ``f_gen`` maps k >= 0 to f_k;
+    at least one is given.  ``self.a`` and ``self.f`` hold both sides; a
+    side not given is ``f_from_a``/``a_from_f`` of the other.  Two given
+    sides are taken as they are (the tests pin the built-in pairs).
     """
 
     def __init__(
         self,
         name: str,
-        a_gen: Callable[[int], QSeries],
-        f_closed: Optional[Callable[[int], QSeries]] = None,
+        a_gen: Optional[Callable[[int], QSeries]] = None,
+        f_gen: Optional[Callable[[int], QSeries]] = None,
         max_index: Optional[int] = None,
         meta: Optional[dict] = None,
     ):
+        if a_gen is None and f_gen is None:
+            raise ValueError("a knot needs a_gen or f_gen")
         self.name = name
         self.meta = dict(meta or {})
-        self.a = CoeffSeq("P", a_gen, max_index)
-        self._f_transform = f_from_a(self.a)
-        self._f_closed = f_closed
-        self._f_checked = False
-        self._check_lock = threading.Lock()
+        if a_gen is not None:
+            self.a = CoeffSeq("P", a_gen, max_index)
+        if f_gen is not None:
+            self.f = CoeffSeq("F", f_gen, max_index)
+        if a_gen is None:
+            self.a = a_from_f(self.f)
+        if f_gen is None:
+            self.f = f_from_a(self.a)
 
     def a_coeff(self, k: int) -> QSeries:
         return self.a[k]
 
     def f_coeff(self, k: int) -> QSeries:
-        if self._f_closed is None:
-            return self._f_transform[k]
-        if not self._f_checked:
-            with self._check_lock:
-                if not self._f_checked:
-                    top = CROSSCHECK_PREFIX
-                    if self.a.max_index is not None:
-                        top = min(top, self.a.max_index + 1)
-                    for i in range(top):
-                        if self._f_closed(i) != self._f_transform[i]:
-                            raise ClosedFormError("closed form inconsistent")
-                    self._f_checked = True
-        return self._f_closed(k)
-
-    @property
-    def f(self) -> CoeffSeq:
-        return CoeffSeq("F", self.f_coeff, self.a.max_index)
+        return self.f[k]
 
 
 def _monomial_gen(alpha: int, beta: int, c2: Fraction, c1: Fraction, c0: Fraction):
@@ -105,38 +93,15 @@ def _monomial_gen(alpha: int, beta: int, c2: Fraction, c1: Fraction, c0: Fractio
     return gen
 
 
-def _check_monomial_integrality(c2: Fraction, c1: Fraction, c0: Fraction):
-    for k in range(INTEGRALITY_WINDOW + 1):
-        e = c2 * k * k + c1 * k + c0
-        if e.denominator != 1:
-            raise ExponentIntegralityError(
-                "monomial exponent %s is non-integral at k=%d" % (e, k)
-            )
-
-
-def _unknot_a_gen():
-    f = CoeffSeq("F", lambda i: QSeries.one() if i == 0 else QSeries.zero())
-    return a_from_f(f).__getitem__
-
-
-def _f_trefoil(chirality: str) -> Callable[[int], QSeries]:
-    sgn = -1 if chirality == "l" else 1
-
-    def f(k: int) -> QSeries:
+def _f_trefoil(sgn: int) -> Callable[[int], QSeries]:
+    """f_k = -(3|2k+1) q^{sgn (k(k+1)/6 + 1)}; sgn = +1 for 3_1r."""
+    def gen(k: int) -> QSeries:
         j = jacobi_symbol(3, 2 * k + 1)
         if j == 0:
             return QSeries.zero()
-        e = sgn * (Fraction(k * (k + 1), 6) + 1)
-        return QSeries.monomial(e, -j)
+        return QSeries.monomial(sgn * (Fraction(k * (k + 1), 6) + 1), -j)
 
-    return f
-
-
-def _f_41(n: int) -> QSeries:
-    acc = QSeries.zero()
-    for i in range(n + 1):
-        acc = acc + qbinom(n + i, 2 * i)
-    return acc
+    return gen
 
 
 _HALF = Fraction(1, 2)
@@ -155,26 +120,24 @@ def _register(spec: KnotSpec):
 def _install_builtins():
     _register(KnotSpec(
         "unknot",
-        _unknot_a_gen(),
-        lambda i: QSeries.one() if i == 0 else QSeries.zero(),
+        f_gen=lambda i: QSeries.one() if i == 0 else QSeries.zero(),
         meta={"crossings": 0},
     ))
     _register(KnotSpec(
         "3_1l",
         _monomial_gen(1, 1, _HALF, -_HALF, Fraction(-1)),
-        _f_trefoil("l"),
+        _f_trefoil(-1),
         meta={"crossings": 3, "chirality": "left"},
     ))
     _register(KnotSpec(
         "3_1r",
         _monomial_gen(1, 1, -_HALF, _HALF, Fraction(1)),
-        _f_trefoil("r"),
+        _f_trefoil(1),
         meta={"crossings": 3, "chirality": "right"},
     ))
     _register(KnotSpec(
         "4_1",
         lambda k: QSeries.one(),
-        _f_41,
         meta={"crossings": 4, "chirality": "amphichiral"},
     ))
 
@@ -258,8 +221,9 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
         c2 = _parse_fraction(exp.get("c2", 0))
         c1 = _parse_fraction(exp.get("c1", 0))
         c0 = _parse_fraction(exp.get("c0", 0))
-        _check_monomial_integrality(c2, c1, c0)
         gen = _monomial_gen(alpha, beta, c2, c1, c0)
+        for k in range(INTEGRALITY_WINDOW + 1):
+            gen(k)  # raises on a non-integral exponent
     elif kind == "list":
         coeffs = gen_spec.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
@@ -284,15 +248,24 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
     else:
         raise KnotFileError("unknown generator kind %r" % (kind,))
 
-    f_closed = None
     handle = entry.get("f_closed_form")
-    if handle is not None:
-        if not (isinstance(handle, str) and handle.startswith("builtin:")):
-            raise KnotFileError("f_closed_form must be a builtin: handle")
-        f_closed = get_knot(handle[len("builtin:"):]).f_coeff
-
-    return KnotSpec(name, gen, f_closed, max_index=max_index,
+    if handle is not None and not (
+            isinstance(handle, str) and handle.startswith("builtin:")):
+        raise KnotFileError("f_closed_form must be a builtin: handle")
+    return KnotSpec(name, gen, max_index=max_index,
                     meta=entry.get("metadata", {}))
+
+
+def _check_closed_form(spec: KnotSpec, handle: str):
+    """The file knot's f against the named knot's on f_0..f_7, or on the
+    indices both define."""
+    ref = get_knot(handle[len("builtin:"):])
+    top = min([8] + [seq.max_index + 1 for seq in (spec.f, ref.f)
+                     if seq.max_index is not None])
+    for i in range(top):
+        if spec.f[i] != ref.f[i]:
+            raise KnotFileError("knot %r disagrees with %s at f_%d"
+                                % (spec.name, handle, i))
 
 
 def _check_acyclic(entries: list, local: dict):
@@ -338,6 +311,9 @@ def load_knots(path) -> list:
         local[spec.name] = spec
         specs.append(spec)
     _check_acyclic(entries, local)
+    for entry, spec in zip(entries, specs):
+        if entry.get("f_closed_form") is not None:
+            _check_closed_form(spec, entry["f_closed_form"])
     for spec in specs:
         _register(spec)
     return specs

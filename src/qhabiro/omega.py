@@ -22,12 +22,12 @@ from math import ceil, lcm
 from typing import Optional
 
 from .series import ExpLike, QSeries, series_dot
-from .qcomb import curly_poch, qbinom
+from .qcomb import CACHE_SIZE, curly_poch, qbinom
 from .transform import (CoeffSeq, LbcError, LbcReport, a_from_f, f_from_a,
                         lbc_check, lbc_margin)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gamma(m: int, n: int, i: int) -> QSeries:
     """Structure constant gamma^i_{m,n} = {m}_i {n}_i [m+n+1 choose i]."""
     if i < 0:

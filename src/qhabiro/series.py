@@ -50,7 +50,15 @@ class RemainderError(QAlgebraError):
 
 
 class PrecisionError(QAlgebraError):
-    """Requested precision cannot be certified."""
+    """Requested precision cannot be certified.
+
+    ``suggested_bits`` is the working precision that would suffice, where
+    the raiser knows one (numerical evaluation), else None.
+    """
+
+    def __init__(self, message: str, suggested_bits: Optional[int] = None):
+        super().__init__(message)
+        self.suggested_bits = suggested_bits
 
 
 # ---------------------------------------------------------------------------

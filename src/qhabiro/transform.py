@@ -11,8 +11,9 @@ Both directions are computed from this identity without Gaussian
 binomials or products: f_from_a divides through the factors
 (1 - q^{+-(k+1)} x) by the recurrence H_j += q^c H_{j-1}, and a_from_f
 multiplies by them (H_j -= q^c H_{j-1}), each step a shift and an add on
-packed integers.  The closed-form inverse (with its exact division and
-integrality check) is kept as an alternative route for cross-validation.
+packed integers.  They are the only routes between the two sides: the
+explicit inverse a_{-k-1} = sum_i (-1)^{k+i} [2k choose k-i] [2i+1]/[k+i+1] f_i
+and the knots' closed forms serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -23,25 +24,11 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import Callable, Optional
 
-from .series import (
-    DeltaAtLeast,
-    QAlgebraError,
-    QSeries,
-    _pack,
-    _repack,
-    _unpack,
-    exact_div,
-    series_invert_unit,
-)
-from .qcomb import qbinom, qint, qfact
+from .series import DeltaAtLeast, QAlgebraError, QSeries, _pack, _repack, _unpack
 
 
 class LbcError(QAlgebraError):
     """An operation required a verified lower bound condition."""
-
-
-class IntegralityError(QAlgebraError):
-    """The closed-form transform did not divide out exactly."""
 
 
 class CoeffSeq:
@@ -273,46 +260,19 @@ def f_from_a(a: CoeffSeq, K: Optional[int] = None) -> CoeffSeq:
     return CoeffSeq("F", _Cascade(a, divide=True), _clip(a, K))
 
 
-def a_from_f(f: CoeffSeq, K: Optional[int] = None, method: str = "solve") -> CoeffSeq:
+def a_from_f(f: CoeffSeq, K: Optional[int] = None) -> CoeffSeq:
     """Inverted Habiro coefficients from GM coefficients.
 
-    method 'solve' inverts f_i = sum_k [k+i choose 2k] a_{-k-1} by
-    multiplying sum_i f_i x^i back through the factors of
-    ``f_from_a``'s identity: a_{-k-1} is the constant term after
-    multiplying by (1 - x) and, for m = 1..k, stripping the constant
-    term, dividing by x and multiplying by (1 - q^{-m} x)(1 - q^m x).
-    Exact and division-free; a_{-k-1} reads f_0..f_k only.  method
-    'closed' evaluates the explicit formula
-    a_{-k-1} = sum_i (-1)^{k+i} [2k choose k-i] [2i+1]/[k+i+1] f_i over a
-    common denominator and performs the exact division, raising
-    IntegralityError if a remainder survives.
+    Inverts f_i = sum_k [k+i choose 2k] a_{-k-1} by multiplying
+    sum_i f_i x^i back through the factors of ``f_from_a``'s identity:
+    a_{-k-1} is the constant term after multiplying by (1 - x) and, for
+    m = 1..k, stripping the constant term, dividing by x and multiplying
+    by (1 - q^{-m} x)(1 - q^m x).  Exact and division-free; a_{-k-1}
+    reads f_0..f_k only.
     """
     if f.side != "F":
         raise ValueError("a_from_f expects an F-side sequence")
-    if method not in ("solve", "closed"):
-        raise ValueError("method must be 'solve' or 'closed'")
-    max_index = _clip(f, K)
-    if method == "solve":
-        return CoeffSeq("P", _Cascade(f, divide=False), max_index)
-
-    def gen_closed(k: int) -> QSeries:
-        # common denominator D = [k+1][k+2]...[2k+1]
-        den = exact_div(qfact(2 * k + 1), qfact(k))
-        num = QSeries.zero()
-        for i in range(k + 1):
-            cof = exact_div(den, qint(k + i + 1))
-            term = qbinom(2 * k, k - i) * qint(2 * i + 1) * cof * f[i]
-            num = num + (term if (k + i) % 2 == 0 else -term)
-        if num.is_exact:
-            try:
-                return exact_div(num, den)
-            except QAlgebraError as e:
-                raise IntegralityError("transform integrality violated") from e
-        if num.prec_q is None:
-            raise IntegralityError("transform integrality violated")
-        return num * series_invert_unit(den, num.prec_q - num.delta_lb() - den.delta_lb())
-
-    return CoeffSeq("P", gen_closed, max_index)
+    return CoeffSeq("P", _Cascade(f, divide=False), _clip(f, K))
 
 
 def fk_degree_bound(i: int, C) -> Fraction:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath as raw_mp
 import pytest
 
+import qhabiro
 from qhabiro import (
     PHI_F,
     PHI_J,
@@ -59,6 +60,19 @@ class TestRootEvaluation:
         with pytest.raises(EvalPrecisionError) as exc:
             eval_root_of_unity(poly, 7, 8)
         assert exc.value.suggested_bits > 8
+
+    def test_bit_shortage_is_the_package_precision_error(self):
+        # one PrecisionError for every layer: a QAlgebraError, and no longer
+        # an AsymptoticsError
+        poly = QSeries.from_terms({i: 10 ** 9 for i in range(50)})
+        try:
+            eval_root_of_unity(poly, 7, 8)
+        except qhabiro.PrecisionError as exc:
+            assert exc.suggested_bits > 8
+            assert isinstance(exc, qhabiro.QAlgebraError)
+            assert not isinstance(exc, qhabiro.AsymptoticsError)
+        else:
+            pytest.fail("no PrecisionError for 8 bits")
 
     def test_palindromic_values_are_real(self):
         for n in (2, 3, 5, 8):

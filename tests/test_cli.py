@@ -56,6 +56,7 @@ class TestExitCodes:
         ("surgery", "--knot", "3_1l", "-p", "0"),
         ("park-poly", "-p", "-2", "-k", "2"),
         ("park-poly", "-p", "2", "-k", "-1"),
+        ("transform", "--knot", "4_1", "--method", "closed"),
     ])
     def test_bad_parameters_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ from qhabiro import (
     CompositeCycleError,
     ExponentIntegralityError,
     KnotFileError,
+    KnotSpec,
     QSeries,
     UnknownKnotError,
     get_knot,
@@ -15,6 +16,8 @@ from qhabiro import (
     load_knots,
     mirror,
 )
+
+from conftest import a_unknot_closed, f_41_closed
 
 
 class TestRegistry:
@@ -30,6 +33,19 @@ class TestRegistry:
         u = get_knot("unknot")
         assert u.f_coeff(0) == QSeries.one()
         assert u.f_coeff(3).is_zero
+
+    def test_sides_are_memoised_attributes(self):
+        spec = get_knot("4_1")
+        assert spec.f is spec.f and spec.a is spec.a
+
+    def test_a_side_is_required(self):
+        with pytest.raises(ValueError):
+            KnotSpec("test_no_side")
+
+    def test_given_sides_are_kept(self):
+        one = lambda k: QSeries.one()
+        spec = KnotSpec("test_both_sides", one, one)
+        assert spec.a[5] == spec.f[5] == QSeries.one()
 
 
 class TestMirror:
@@ -53,14 +69,28 @@ class TestMirror:
 
 
 class TestClosedForms:
+    """The built-in knots' f and a against the transform and closed forms.
+
+    The unknot's f and the trefoils' f are closed forms in the library; the
+    figure-eight knot's f and the unknot's a are the transform's, and the
+    closed forms here are their oracles."""
+
     def test_closed_forms_match_transform(self):
         from qhabiro import f_from_a
 
-        for name in ("3_1l", "3_1r", "4_1"):
+        closed = {"4_1": f_41_closed}
+        for name in ("unknot", "3_1l", "3_1r", "4_1"):
             spec = get_knot(name)
             via_transform = f_from_a(spec.a)
-            for k in range(10):
-                assert spec.f_coeff(k) == via_transform[k], (name, k)
+            for k in range(61):
+                assert spec.f[k] == via_transform[k], (name, k)
+                if name in closed:
+                    assert spec.f[k] == closed[name](k), (name, k)
+
+    def test_unknot_a_is_balanced_q_catalan(self):
+        a = get_knot("unknot").a
+        for k in range(41):
+            assert a[k] == a_unknot_closed(k), k
 
 
 def write_doc(tmp_path, doc, fname="knots.json"):
@@ -143,6 +173,51 @@ class TestLoadKnots:
         p.write_text("{not json")
         with pytest.raises(KnotFileError):
             load_knots(p)
+
+    def test_f_closed_form_loads_when_it_matches(self, tmp_path):
+        doc = [{
+            "name": "test_closed_form_41",
+            "generator": {"kind": "list",
+                          "coeffs": [QSeries.one().to_json()] * 12},
+            "f_closed_form": "builtin:4_1",
+        }]
+        (spec,) = load_knots(write_doc(tmp_path, doc))
+        for k in range(12):
+            assert spec.f_coeff(k) == get_knot("4_1").f_coeff(k), k
+
+    def test_f_closed_form_against_a_shorter_knot(self, tmp_path):
+        ones = lambda n: {"kind": "list",
+                          "coeffs": [QSeries.one().to_json()] * n}
+        load_knots(write_doc(tmp_path, [
+            {"name": "test_closed_form_short", "generator": ones(2)}]))
+        (spec,) = load_knots(write_doc(tmp_path, [{
+            "name": "test_closed_form_long", "generator": ones(12),
+            "f_closed_form": "builtin:test_closed_form_short",
+        }]))
+        assert spec.f_coeff(11) == get_knot("4_1").f_coeff(11)
+
+    def test_f_closed_form_mismatch_rejected(self, tmp_path):
+        doc = [{
+            "name": "test_closed_form_wrong",
+            "generator": {
+                "kind": "monomial",
+                "sign": {"alpha": 1, "beta": 1},
+                "exponent": {"c2": "1/2", "c1": "-1/2", "c0": -1},
+            },
+            "f_closed_form": "builtin:4_1",
+        }]
+        with pytest.raises(KnotFileError):
+            load_knots(write_doc(tmp_path, doc))
+        assert "test_closed_form_wrong" not in knot_names()
+
+    def test_f_closed_form_needs_builtin_handle(self, tmp_path):
+        doc = [{
+            "name": "test_closed_form_bare",
+            "generator": {"kind": "composite", "summands": ["4_1"]},
+            "f_closed_form": "4_1",
+        }]
+        with pytest.raises(KnotFileError):
+            load_knots(write_doc(tmp_path, doc))
 
     def test_unknown_kind_rejected(self, tmp_path):
         doc = [{"name": "test_unknown_kind", "generator": {"kind": "spline"}}]

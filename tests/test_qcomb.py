@@ -150,6 +150,22 @@ class TestFactorials:
         assert curly_poch(2, 4).is_zero  # hits {0}
 
 
+class TestCaches:
+    def test_every_cache_has_the_one_bound(self):
+        from qhabiro import gamma
+        from qhabiro.qcomb import CACHE_SIZE
+
+        for fn in (qint, qfact, qbinom, curly_fact, curly_poch, poch, gamma):
+            assert fn.cache_info().maxsize == CACHE_SIZE, fn.__name__
+
+    def test_currsize_stays_within_the_bound(self):
+        from qhabiro.qcomb import CACHE_SIZE
+
+        for n in range(CACHE_SIZE + 100):
+            assert curly_poch(n, 0) == QSeries.one()
+        assert curly_poch.cache_info().currsize <= CACHE_SIZE
+
+
 class TestPochhammer:
     def test_finite(self):
         assert qpoch(0) == QSeries.one()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qhabiro import (
     CoeffSeq,
-    IntegralityError,
     QSeries,
     a_from_f,
     f_from_a,
@@ -22,7 +21,7 @@ from qhabiro import (
     lbc_margin,
 )
 
-from conftest import random_laurent, seq_from_list
+from conftest import a_from_f_closed, f_41_closed, random_laurent, seq_from_list
 
 
 class TestLbc:
@@ -58,32 +57,27 @@ class TestRoundTrip:
 
     def test_closed_route_matches_solve(self, rng):
         f = seq_from_list("F", [random_laurent(rng) for _ in range(8)])
-        solve = a_from_f(f, method="solve")
-        closed = a_from_f(f, method="closed")
+        solve = a_from_f(f)
         for k in range(8):
-            assert solve[k] == closed[k]
+            assert solve[k] == a_from_f_closed(f, k)
 
     def test_transform_is_surjective_unit_triangular(self):
         # the system is unit-triangular, so every exact sequence has an
-        # exact preimage; the closed route's divisions always clear
+        # exact preimage; the closed inverse's divisions always clear
         f = seq_from_list("F", [QSeries.monomial(1)] + [QSeries.zero()] * 5)
-        closed = a_from_f(f, method="closed")
-        solve = a_from_f(f, method="solve")
+        solve = a_from_f(f)
         for k in range(6):
-            assert closed[k] == solve[k]
-            assert closed[k].is_exact
+            closed = a_from_f_closed(f, k)
+            assert closed == solve[k]
+            assert closed.is_exact
 
 
 class TestKnownTransforms:
     def test_41_f_from_a(self):
         # a = 1 gives f_n = sum_i [n+i choose 2i]
-        from qhabiro import qbinom
-
         f = f_from_a(get_knot("4_1").a)
         for n in range(21):
-            expected = sum((qbinom(n + i, 2 * i) for i in range(n + 1)),
-                           QSeries.zero())
-            assert f[n] == expected
+            assert f[n] == f_41_closed(n)
 
     def test_unknot_f_is_delta(self):
         f = f_from_a(get_knot("unknot").a)
@@ -159,9 +153,8 @@ class TestShiftAddRoute:
         C = 2 ** 70 + 1
         a = CoeffSeq("P", lambda k: QSeries.monomial(0, C))
         f = f_from_a(a)
-        closed = get_knot("4_1").f
         for i in range(41):
-            assert f[i] == C * closed[i], i
+            assert f[i] == C * f_41_closed(i), i
         back = a_from_f(f)
         for k in range(41):
             assert back[k] == QSeries.monomial(0, C), k
