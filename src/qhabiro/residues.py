@@ -8,8 +8,11 @@ All series are truncated at a caller-chosen precision; summation windows
 are derived from the LBC constant so reported coefficients are certified.
 
 Inverse q-Pochhammer symbols come from qcomb's in-place kernel, division
-by (1 - q^m) as strided prefix sums; residue_series carries
-1/((q)_{k-j}(q)_{k+j}) from term to term with it.
+by (1 - q^m) as strided prefix sums.  residue_series runs on plain integer
+lists: it carries 1/((q)_{k-j}(q)_{k+j}) from term to term with that
+kernel and adds each term into one coefficient list by slice-adds, with
+the checks of the certified summation (stop rule, per-term degree bound,
+result precision) and no QSeries per term.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Union
 
 from .series import (
     DegreeBound,
+    DegreeBoundError,
     ExpLike,
     PrecisionError,
     QSeries,
@@ -36,25 +42,36 @@ def _binom2(n: int) -> Fraction:
     return Fraction(n * (n - 1), 2)
 
 
-def _truncated(c: list, prec: Fraction) -> QSeries:
-    """sum c_i q^i to O(q^prec); len(c) >= ceil(prec)."""
-    if prec <= 0:
-        return QSeries.zero(prec)
-    n = math.ceil(prec)
-    s = QSeries(c[:n], 0, 1, n)
-    return s if n == prec else s.truncate(prec)
-
-
-def _inv_poch_product(indices: tuple, prec: ExpLike) -> QSeries:
-    """1/prod_m (q)_m to O(q^prec); each m a nonnegative integer or
-    math.inf.  Factors (1 - q^i) with i >= ceil(prec) do not matter."""
-    prec = Fraction(prec)
-    c = [1] + [0] * (math.ceil(prec) - 1)
-    n = len(c)
+def _inv_poch_list(indices: tuple, n: int) -> list:
+    """1/prod_m (q)_m as its first n >= 1 coefficients; each m a
+    nonnegative integer or math.inf.  Factors (1 - q^i) with i >= n do not
+    matter."""
+    c = [1] + [0] * (n - 1)
     for m in indices:
         for i in range(1, n if m == INF else min(m, n - 1) + 1):
             _div_one_minus_qm(c, i)
-    return _truncated(c, prec)
+    return c
+
+
+def _inv_poch_product(indices: tuple, prec: ExpLike) -> QSeries:
+    """1/prod_m (q)_m to O(q^prec)."""
+    prec = Fraction(prec)
+    if prec <= 0:
+        return QSeries.zero(prec)
+    n = math.ceil(prec)
+    return QSeries(_inv_poch_list(indices, n), 0, 1, n).truncate(prec)
+
+
+def _inv_poch_pair(u, k: int, j: int, n: int) -> list:
+    """1/((q)_{k-j}(q)_{k+j}) as its first n coefficients.  u is the same
+    at k - 1, at least n long, and is advanced in place by dividing by
+    (1 - q^{k-j})(1 - q^{k+j}); None builds it anew."""
+    if u is None:
+        return _inv_poch_list((k - j, k + j), n)
+    del u[n:]
+    _div_one_minus_qm(u, k - j)
+    _div_one_minus_qm(u, k + j)
+    return u
 
 
 @dataclass(frozen=True)
@@ -127,42 +144,60 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     """r_j = -sum_{k>=|j|} a_{-k-1} (-1)^{k+j}
     q^{binom(k+1,2)+binom(j+1,2)} / ((q)_{k+j}(q)_{k-j}), to O(q^prec).
 
+    The sum builds up in one integer coefficient list.  Term k's state
     u_k = 1/((q)_{k-j}(q)_{k+j}) = u_{k-1}/((1 - q^{k-j})(1 - q^{k+j})) is
-    kept at the length ceil(prec - binom(j+1,2) - k - C) that the LBC
-    certifies for term k."""
+    carried from term to term at the length ceil(prec - bound(k)) that the
+    LBC certifies, bound(k) = binom(j+1,2) + k + C; each coefficient
+    c q^x of a_{-k-1} adds c (-1)^{k+j+1} q^{x+e_k} u_k, with
+    e_k = binom(k+1,2) + binom(j+1,2), as one slice-add into the list, on
+    the finest exponent grid of the a_{-k-1} summed.
+
+    The checks are those of series_sum_bounded: the sum stops at the first
+    k with bound(k) >= prec (the bound rises by one per term, so it is
+    monotone); DegreeBoundError when delta(a_{-k-1}) + e_k < bound(k); and
+    the result is known to the least precision of its terms, which falls
+    below prec only where some a_{-k-1} is truncated."""
     C = _lbc_constant(C)
     target = Fraction(prec)
-    bound = DegreeBound(lambda k: _binom2(j + 1) + k + C)
-    u = []
-    last = -1
-
-    def term(k: int) -> QSeries:
-        nonlocal last
-        # u holds term k-1's state, so series_sum_bounded must ask for
-        # k = 0, 1, 2, ... in order
-        assert k == last + 1, "residue terms requested out of order"
-        last = k
-        ak = a[k]
-        if k < abs(j):
-            return QSeries.zero(target)
-        n = math.ceil(target - bound.bound(k))  # >= 1 below the stop
-        if k == abs(j):
-            u[:] = [1] + [0] * (n - 1)
-            for i in range(1, 2 * k + 1):
-                _div_one_minus_qm(u, i)
-        else:
-            del u[n:]
-            _div_one_minus_qm(u, k - j)
-            _div_one_minus_qm(u, k + j)
+    base = _binom2(j + 1) + C  # bound(k) = base + k
+    stop = max(math.ceil(target - base), 0)  # first k with bound(k) >= prec
+    ej = j * (j + 1) // 2
+    terms = a.prefix(stop - 1)
+    # acc[i] is the coefficient of q^((lo + i)/g), on the finest grid of the
+    # terms; bound(k) and prec are bound_g + k*g and top in units of 1/g
+    g = lcm(*(ak.scale for ak in terms[abs(j):]))
+    lo, bound_g = math.floor(base * g), math.ceil(base * g)
+    top = math.ceil(target * g)
+    acc = [0] * max(top - lo, 0)
+    cut = top  # least term precision in units of 1/g; top stands for prec
+    u = None
+    for k in range(abs(j), stop):
+        ak = terms[k]
+        n = stop - k  # >= 1
+        u = _inv_poch_pair(u, k, j, n)
         if ak.is_zero and ak.is_exact:
-            return QSeries.zero(target)
-        atom = residue_sigma(k, j)
-        # u is long enough unless a_k violates the LBC; the term is then
-        # known to less precision, and series_sum_bounded rejects it
-        inv = _truncated(u, min(target - ak.delta_lb() - atom.exponent, len(u)))
-        return (ak * (QSeries.monomial(atom.exponent, atom.sign) * inv)).truncate(target)
-
-    return series_sum_bounded(term, bound, target)
+            continue
+        f = g // ak.scale
+        e = (ej + k * (k + 1) // 2) * g
+        low = (ak.offset if ak.coeffs else ak.prec) * f + e
+        if low < bound_g + k * g:
+            raise DegreeBoundError("degree bound violated at k=%d" % k)
+        if low >= top:
+            continue
+        # u's n coefficients reach prec, as low >= bound(k)
+        if ak.prec is not None:
+            cut = min(cut, ak.prec * f + e)
+        sign = 1 if (k + j) % 2 else -1
+        for i, c in enumerate(ak.coeffs):
+            if not c:
+                continue
+            x = (ak.offset + i) * f + e
+            count = min(n, (top - x + g - 1) // g)  # entries of u below prec
+            if count <= 0:
+                break
+            s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
+            acc[s] = map(add, acc[s], map((sign * c).__mul__, u))
+    return QSeries(acc, lo, g).truncate(min(target, Fraction(cut, g)))
 
 
 def residue_family(a: CoeffSeq, J: int, prec: ExpLike, C=None) -> ResidueFamily:

@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Optional, Union
 
 from .series import QAlgebraError, QSeries, exact_div
 from .qcomb import poch, qbinom, qpoch
 from .transform import f_from_a, lbc_check
-from .residues import _binom2, residue_series, residue_sigma
+from .residues import _binom2, _inv_poch_pair, residue_series
 from .knots import KnotSpec, get_knot
 
 RUN_LENGTH = 3
@@ -144,18 +145,22 @@ class _Trend:
         return self._div >= DIV_RUN_LENGTH
 
 
-def _fk_style_sum(fk_get, p: int, a: int, prec: Fraction) -> QSeries:
-    """sum_{k == +-a mod p, k >= 0} q^{-k^2/p}(f_{k-1} - f_k) with
-    f_{-1} = 0, summed until the empirical degree trend certifies the
-    tail; raises on divergence."""
+def _fk_style_sum(diff, p: int, a: int, prec: Fraction) -> QSeries:
+    """sum_{k == +-a mod p, k >= 0} q^{-k^2/p} diff(k), summed until the
+    empirical degree trend certifies the tail; raises on divergence.
+
+    diff(k) is the difference f_{k-1} - f_k (f_{-1} = 0) to O(q^prec),
+    asked for once per in-class k in increasing order.  The routes hand
+    over the difference, not f_k, because the residue route gets it for
+    less than f_{k-1} and f_k apart: r_0 cancels, and each r_j is needed
+    once, at one precision."""
     acc = QSeries.zero(prec)
     trend = _Trend(prec)
     k = 0
     cap = _k_cap(prec, p)
     while True:
         if _in_class(k, p, a):
-            prev_f = fk_get(k - 1) if k > 0 else QSeries.zero()
-            term = (prev_f - fk_get(k)).shift(-Fraction(k * k, p))
+            term = diff(k).shift(-Fraction(k * k, p))
             acc = (acc + term).truncate(prec)
             trend.push(term.delta_lb())
             if trend.converged:
@@ -166,24 +171,25 @@ def _fk_style_sum(fk_get, p: int, a: int, prec: Fraction) -> QSeries:
                 "divergent or undecidable for these parameters")
 
 
+def _f_diffs(f):
+    """k -> f_{k-1} - f_k over a coefficient sequence, f_{-1} = 0."""
+    return lambda k: (f[k - 1] if k else QSeries.zero()) - f[k]
+
+
 def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
     """1/2 sum_{k == +-a mod p, k >= 0} q^{-k^2/p} (f_{k-1} - f_k), with
     f_{-1} = 0; convergence is detected empirically from the degree trend
     of the included terms."""
     knot = _resolve(knot)
     p, a, prec = params.p, params.a, params.prec
-    f = knot.f
-    return _normalize(_fk_style_sum(lambda k: f[k], p, a, prec), p)
+    return _normalize(_fk_style_sum(_f_diffs(knot.f), p, a, prec), p)
 
 
 def surgery_weight_poly(j: int, p: int, a: int) -> QSeries:
     """sum_{n=0}^{j-1} q^{j(np+a) - (np+a)^2/p}, the finite Laurent factor
     multiplying each residue."""
-    acc = QSeries.zero()
-    for n in range(j):
-        u = n * p + a
-        acc = acc + QSeries.monomial(j * u - Fraction(u * u, p))
-    return acc
+    return QSeries.from_terms(
+        (j * u - Fraction(u * u, p), 1) for u in range(a, a + j * p, p))
 
 
 def _weight_label(p: int, a: int) -> int:
@@ -220,7 +226,8 @@ def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
     When the termwise j-sum diverges (the weight polynomials' degrees
     fall faster than delta(r_j) grows), the unswapped iterated sum is
     evaluated instead: the k-sum of q^{-k^2/p}(f_{k-1}-f_k) with every
-    f_k reconstructed from the residue family."""
+    difference reconstructed from the residues, starting from the r_j the
+    j-sum computed."""
     knot = _resolve(knot)
     p, a, prec = params.p, params.a, params.prec
     if C is None:
@@ -228,12 +235,13 @@ def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
     a_w = _weight_label(p, a)
     acc = QSeries.zero(prec)
     trend = _Trend(prec)
+    rs = {}
     j = 1
     cap = _k_cap(prec, p)
     while True:
         poly = surgery_weight_poly(j, p, a_w)
         low = poly.delta() - j
-        rj = residue_series(knot.a, j, prec - min(Fraction(0), low), C)
+        rj = rs[j] = residue_series(knot.a, j, prec - min(Fraction(0), low), C)
         term = rj * (QSeries.one() - QSeries.monomial(-j)) * poly
         acc = (acc + term).truncate(prec)
         trend.push(term.delta_lb())
@@ -242,8 +250,7 @@ def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
             return _normalize(acc, p)
         if trend.diverging:
             out = _normalize(
-                _fk_style_sum(_fk_from_residues_getter(knot, prec, C),
-                              p, a, prec), p)
+                _fk_style_sum(_residue_diffs(knot, prec, C, rs), p, a, prec), p)
             return ZhatResult(out.delta, out.series, out.sign_convention
                               + "; termwise j-sum diverges, evaluated as "
                                 "the iterated k-sum over residue-"
@@ -254,31 +261,34 @@ def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
                 "divergent or undecidable for these parameters")
 
 
-def _fk_from_residues_getter(knot: KnotSpec, prec: Fraction, C):
-    """k -> f_k to O(q^prec), each f_k rebuilt from the residue family
-    via f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j."""
-    cache: dict = {}
+def _residue_diffs(knot: KnotSpec, prec: Fraction, C, rs: dict):
+    """k -> f_{k-1} - f_k to O(q^prec), from the residues through
+    f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j and f_{-1} = 0.
+
+    For k >= 1 r_0 cancels, and the difference is
+    sum_{j>=1} (q^{-j(k+1)} + q^{jk} - q^{-jk} - q^{j(k-1)}) r_j, which
+    needs each r_j once, to O(q^{prec + j(k+1)}).  rs maps j to the most
+    precise r_j so far; an r_j is recomputed only when a k needs more."""
 
     def rj(j: int, need: Fraction) -> QSeries:
-        have = cache.get(j)
-        if have is None or (have.prec_q is not None and have.prec_q < need):
-            have = residue_series(knot.a, j, need, C)
-            cache[j] = have
+        have = rs.get(j)
+        if have is None or have.prec_q < need:
+            have = rs[j] = residue_series(knot.a, j, need, C)
         return have
 
-    def fk(k: int) -> QSeries:
-        acc = -rj(0, prec)
+    def diff(k: int) -> QSeries:
+        acc = rj(0, prec) if k == 0 else QSeries.zero()
         j = 1
-        while True:
-            g = _binom2(j + 1) + min(-j * (k + 1), j * k) + C
-            if g >= prec and j > k + 1:
-                break
+        # the j-window of f_k, which covers f_{k-1}'s
+        while _binom2(j + 1) - j * (k + 1) + C < prec or j <= k + 1:
             r = rj(j, prec + j * (k + 1))
-            acc = acc - (r.shift(-j * (k + 1)) + r.shift(j * k))
+            acc = acc + r.shift(-j * (k + 1)) + r.shift(j * k)
+            if k:
+                acc = acc - r.shift(-j * k) - r.shift(j * (k - 1))
             j += 1
         return acc.truncate(prec)
 
-    return fk
+    return diff
 
 
 def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
@@ -286,12 +296,22 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     q^{binom(k+1,2)+binom(j+1,2)} (1-q^{-j}) weight_poly(j)
     / ((q)_{k+j}(q)_{k-j}), plus the k=0 boundary term.
 
-    Same falls back as the residue route: if the k-sum of inner j-sums
+    Each inner j-sum builds up in one coefficient list on the 1/|p| grid
+    of the weight polynomials.  Per j, u = 1/((q)_{k-j}(q)_{k+j}) is
+    carried from k-1 to k by dividing by (1 - q^{k-j})(1 - q^{k+j}), cut to
+    the length term k needs (rebuilt only if a later k needs more), and
+    w_j = (1 - q^{-j}) weight_poly(j), built once, adds into the list as
+    one slice-add of u per monomial.
+
+    Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the
     inverted Habiro coefficients through the transform."""
     knot = _resolve(knot)
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
+    g = abs(p)
+    w = [None]  # w[j]: (exponent * g, coefficient) of w_j, ascending
+    us: dict = {}  # j -> (k, u) with u = 1/((q)_{k-j}(q)_{k+j}) truncated
     acc = QSeries.zero(prec)
     trend = _Trend(prec)
     cap = _k_cap(prec, p)
@@ -301,15 +321,37 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
         inner = QSeries.zero(prec - min(Fraction(0), ak.delta_lb()))
         if not (ak.is_zero and ak.is_exact):
             target = prec - ak.delta_lb()
+            top = math.ceil(target * g)
+            while len(w) <= k:
+                wj = (QSeries.one() - QSeries.monomial(-len(w))) \
+                    * surgery_weight_poly(len(w), p, a_w)
+                f = g // wj.scale
+                w.append([((wj.offset + i) * f, c)
+                          for i, c in enumerate(wj.coeffs) if c])
+            # (j, e_{k,j} * g, number of coefficients of u below target)
+            live = []
             for j in range(1, k + 1):
-                poly = surgery_weight_poly(j, p, a_w)
-                atom = residue_sigma(k, j)
-                low = atom.exponent + poly.delta() - j
-                if low >= target:
-                    continue
-                piece = atom.to_series(target - (poly.delta() - j))
-                inner = inner + piece * (QSeries.one() - QSeries.monomial(-j)) * poly
-                inner = inner.truncate(target)
+                e = (j * (j + 1) + k * (k + 1)) // 2 * g
+                n = (top - e - w[j][0][0] + g - 1) // g
+                if n > 0:
+                    live.append((j, e, n))
+            if live:
+                lo = min(e + w[j][0][0] for j, e, _ in live)
+                coeffs = [0] * (top - lo)
+                for j, e, n in live:
+                    kj, u = us.get(j, (None, None))
+                    u = _inv_poch_pair(
+                        u if kj == k - 1 and len(u) >= n else None, k, j, n)
+                    us[j] = (k, u)
+                    sign = 1 if (k + j) % 2 else -1
+                    for x, c in w[j]:
+                        x += e
+                        count = min(n, (top - x + g - 1) // g)
+                        if count <= 0:
+                            break
+                        s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
+                        coeffs[s] = map(add, coeffs[s], map((sign * c).__mul__, u))
+                inner = QSeries(coeffs, lo, g).truncate(target)
         term = ak * inner
         acc = (acc + term).truncate(prec)
         trend.push(term.delta_lb())
@@ -317,9 +359,8 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
             acc = (acc + _boundary_term(knot, p, a)).truncate(prec)
             return _normalize(acc, p)
         if trend.diverging:
-            f = f_from_a(knot.a)
             out = _normalize(
-                _fk_style_sum(lambda i: f[i], p, a, prec), p)
+                _fk_style_sum(_f_diffs(f_from_a(knot.a)), p, a, prec), p)
             return ZhatResult(out.delta, out.series, out.sign_convention
                               + "; termwise k-sum diverges, evaluated as "
                                 "the iterated k-sum over transformed "
@@ -343,7 +384,11 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
     """-q^{a(p-a)/p} (q^{k+1};q)_k sum_{j=1}^k (-1)^{k+j} (1-q^{-j})
     q^{binom(j+1,2)-binom(k,2)} / ((q)_{k+j}(q)_{k-j}) *
     sum_n q^{(np+a)^2/p - j(np+a)}, assembled exactly over the common
-    denominator (q)_k (q)_{2k}."""
+    denominator (q)_k (q)_{2k}.
+
+    At k = 0 the j-sum is empty and the polynomial is 0 for every a; the
+    residue form (park_poly_residue) keeps the theta constant term there
+    instead."""
     if p <= 0 or not 0 <= a < p:
         raise ValueError("need p > 0 and 0 <= a < p")
     if k < 0:
@@ -383,6 +428,11 @@ def park_poly_residue(p: int, a: int, k: int, prec=None) -> QSeries:
     the result is a genuine Laurent polynomial.  Only finitely many m land
     below the working precision, which defaults to a window comfortably
     above the polynomial's top degree.
+
+    At k = 0 only j = 0 survives ([j choose j] - [j-1 choose j-1] = 0 for
+    j >= 1), which pairs m = 0 with x^{-1}: the result is 1 when a = 0,
+    where m = 0 lies in the class, and 0 otherwise.  The explicit form
+    (park_poly_explicit) is 0 at k = 0 for every a.
     """
     if p <= 0 or not 0 <= a < p:
         raise ValueError("need p > 0 and 0 <= a < p")

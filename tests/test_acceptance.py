@@ -223,7 +223,7 @@ def test_06_omega_ring_laws():
 
 
 def test_07_surgery_route_agreement():
-    with budget(300):
+    with budget(60):
         prec = 40
         for name in ("3_1l", "3_1r", "4_1"):
             for p in (-1, -2, -3):
@@ -248,12 +248,13 @@ def test_08_park_polynomials():
                     assert res.scale == 1, (p, a, k)
                     cut = res.prec_q
                     assert exp.truncate(cut) == res.truncate(cut), (p, a, k)
-                # k = 0 boundary: the explicit sum is empty while the
-                # residue form keeps the theta constant term at a = 0;
-                # observed, not asserted (open boundary convention)
-                print("k=0 note: p=%d a=%d explicit=%r residue~%r"
-                      % (p, a, park_poly_explicit(p, a, 0).is_zero,
-                         not park_poly_residue(p, a, 0).truncate(5).is_zero))
+                # k = 0 boundary: the explicit j-sum is empty, while the
+                # residue form keeps the theta constant term, which lies
+                # in the class exactly when a = 0
+                assert park_poly_explicit(p, a, 0) == QSeries.zero(), (p, a)
+                res = park_poly_residue(p, a, 0)
+                want = QSeries.one() if a == 0 else QSeries.zero()
+                assert res == want.truncate(res.prec_q), (p, a)
 
 
 def test_09_lbc_constants():

@@ -299,6 +299,19 @@ class TestRunningResidueSum:
                 got = residue_series(a, j, prec, Fraction(-3, 2))
                 assert got == atom_sum(a, j, prec, Fraction(-3, 2)), (j, prec)
 
+    def test_mixed_grids(self):
+        # integer a_{-k-1} at even k, half-integer at odd k: the list takes
+        # the finer grid, and the integer terms add at stride 2
+        def gen(k):
+            e = Fraction(-(k + 1) * (k - 2), 2) + Fraction(k % 2, 2)
+            return QSeries.monomial(e, (-1) ** k) + QSeries.monomial(e + 3, 2)
+        a = CoeffSeq("P", gen)
+        assert a[0].scale == 1 and a[1].scale == 2
+        for j in range(-3, 4):
+            for prec in (7, Fraction(29, 3)):
+                assert residue_series(a, j, prec, 0) == \
+                    atom_sum(a, j, prec, 0), (j, prec)
+
     def test_truncated_zero_coefficients(self):
         def gen(k):
             if k % 2:
@@ -318,7 +331,6 @@ class TestRunningResidueSum:
                 residue_series(a, j, 12, 0)
 
     def test_engine_requests_terms_in_order(self):
-        # residue_series's running state relies on this order
         asked = []
 
         def term(k):

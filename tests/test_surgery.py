@@ -1,21 +1,37 @@
 """Dehn-surgery series: three evaluation routes and the surgery polynomials."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from qhabiro import (
     ConvergenceError,
+    KnotSpec,
     QSeries,
     SurgeryParams,
+    f_from_a,
     laplace_monomial,
     park_poly_explicit,
     park_poly_residue,
+    residue_sigma,
     surgery_weight_poly,
     zhat,
     zhat_via_fk,
     zhat_via_ih,
     zhat_via_residues,
+)
+from qhabiro.surgery import (
+    ZhatResult,
+    _boundary_term,
+    _f_diffs,
+    _fk_style_sum,
+    _k_cap,
+    _normalize,
+    _resolve,
+    _Trend,
+    _weight_label,
 )
 
 PREC = 25
@@ -34,6 +50,15 @@ class TestLaplace:
             laplace_monomial(1, 0, 0, 0)
 
 
+def weight_poly_by_additions(j, p, a):
+    """sum_{n<j} q^{j(np+a) - (np+a)^2/p} by j successive additions."""
+    acc = QSeries.zero()
+    for n in range(j):
+        u = n * p + a
+        acc = acc + QSeries.monomial(j * u - Fraction(u * u, p))
+    return acc
+
+
 class TestWeightPoly:
     def test_empty(self):
         assert surgery_weight_poly(0, -1, 0).is_zero
@@ -42,6 +67,14 @@ class TestWeightPoly:
         # j=1, n=0: exponent a - a^2/p
         s = surgery_weight_poly(1, 3, 2)
         assert s == QSeries.monomial(Fraction(2) - Fraction(4, 3))
+
+    @pytest.mark.parametrize("p", [1, -1, 2, -2, 3, -3])
+    def test_matches_successive_additions(self, p):
+        # a + p is the label the routes use for p < 0
+        for a in sorted({*range(abs(p)), *(b + p for b in range(abs(p)))}):
+            for j in range(13):
+                assert surgery_weight_poly(j, p, a) == \
+                    weight_poly_by_additions(j, p, a), (p, a, j)
 
 
 class TestParams:
@@ -106,6 +139,148 @@ class TestRouteAgreement:
                     continue
                 rhs = zhat_via_fk(name, SurgeryParams(p, abs(p) - a, 20))
                 assert lhs.series == rhs.series, (name, p, a)
+
+
+def zhat_via_ih_by_atoms(knot, params):
+    """The ih route atom by atom: every 1/((q)_{k+j}(q)_{k-j}) from
+    ResidueAtom.to_series and every weight polynomial rebuilt per (k, j).
+    Oracle for zhat_via_ih's running per-j state."""
+    knot = _resolve(knot)
+    p, a, prec = params.p, params.a, params.prec
+    a_w = _weight_label(p, a)
+    acc = QSeries.zero(prec)
+    trend = _Trend(prec)
+    cap = _k_cap(prec, p)
+    k = 1
+    while True:
+        ak = knot.a[k]
+        inner = QSeries.zero(prec - min(Fraction(0), ak.delta_lb()))
+        if not (ak.is_zero and ak.is_exact):
+            target = prec - ak.delta_lb()
+            for j in range(1, k + 1):
+                poly = weight_poly_by_additions(j, p, a_w)
+                atom = residue_sigma(k, j)
+                low = atom.exponent + poly.delta() - j
+                if low >= target:
+                    continue
+                piece = atom.to_series(target - (poly.delta() - j))
+                inner = inner + piece * (QSeries.one() - QSeries.monomial(-j)) * poly
+                inner = inner.truncate(target)
+        term = ak * inner
+        acc = (acc + term).truncate(prec)
+        trend.push(term.delta_lb())
+        if trend.converged:
+            acc = (acc + _boundary_term(knot, p, a)).truncate(prec)
+            return _normalize(acc, p)
+        if trend.diverging:
+            out = _normalize(
+                _fk_style_sum(_f_diffs(f_from_a(knot.a)), p, a, prec), p)
+            return ZhatResult(out.delta, out.series, out.sign_convention
+                              + "; termwise k-sum diverges, evaluated as "
+                                "the iterated k-sum over transformed "
+                                "coefficients")
+        k += 1
+        if k > cap:
+            raise ConvergenceError(
+                "divergent or undecidable for these parameters")
+
+
+SURGERY_CASES = [(name, p, a) for name in ("3_1l", "3_1r", "4_1")
+                 for p in (-1, -2, -3) for a in range(abs(p))]
+ROUTES = (("fk", zhat_via_fk), ("residues", zhat_via_residues),
+          ("ih", zhat_via_ih))
+
+# sha256 of the canonical JSON (sorted keys, no spaces) of the list of
+# {"knot", "p", "a", "route", "delta": str, "series": to_json(),
+# "sign_convention"} over SURGERY_CASES x ROUTES in that order, as the
+# atom-by-atom routes computed them
+ROUTE_DIGESTS = {
+    12: "04e763674163fecdcd404d8dc1381993d63e1eb9dac30a1f8ab1e6591fb7fa94",
+    40: "4faeaf533f006dd5dff5c569c50b28b547f04998a5be77b085ea58756228a08c",
+}
+
+# the readable part at O(q^12): every route gives the same delta and series
+ROUTE_SERIES_12 = {
+    ("3_1l", -1, 0): ("-1", "1 - q - q^3 - q^7 + q^8 + O(q^13)"),
+    ("3_1l", -2, 0): ("-1", "1 - q + q^6 + q^11 + O(q^13)"),
+    ("3_1l", -2, 1): ("-1/2", "1 + q^2 - q^3 - q^7 + O(q^(25/2))"),
+    ("3_1l", -3, 0): ("-1", "1 - q + q^2 + q^5 - q^7 - q^12 + O(q^13)"),
+    ("3_1l", -3, 1): ("-2/3", "1 - q^3 + q^9 + O(q^(38/3))"),
+    ("3_1l", -3, 2): ("-2/3", "1 - q^3 + q^9 + O(q^(38/3))"),
+    ("3_1r", -1, 0): ("1", "1 - q - q^5 + q^10 + O(q^11)"),
+    ("3_1r", -2, 0): ("1", "1 - q^3 + q^10 + O(q^11)"),
+    ("3_1r", -2, 1): ("3/2", "1 - q^5 + q^6 + O(q^(21/2))"),
+    ("3_1r", -3, 0): ("1", "1 + q^4 - q^5 + O(q^11)"),
+    ("3_1r", -3, 1): ("4/3", "1 + q^2 - q^7 + O(q^(32/3))"),
+    ("3_1r", -3, 2): ("4/3", "1 + q^2 - q^7 + O(q^(32/3))"),
+    ("4_1", -1, 0): ("0", "1 + q + q^3 + q^4 + q^5 + 2*q^7 + q^8 + 2*q^9"
+                          " + q^10 + 2*q^11 + O(q^12)"),
+    ("4_1", -2, 0): ("0", "1 + q + q^2 + q^3 + q^4 + 3*q^5 + 2*q^6 + 3*q^7"
+                          " + 3*q^8 + 4*q^9 + 5*q^10 + 7*q^11 + O(q^12)"),
+    ("4_1", -2, 1): ("1/2", "1 + 2*q^2 + q^3 + 2*q^4 + q^5 + 4*q^6 + 2*q^7"
+                            " + 5*q^8 + 4*q^9 + 6*q^10 + 5*q^11"
+                            " + O(q^(23/2))"),
+    ("4_1", -3, 0): ("0", "1 + 2*q + q^2 + 3*q^3 + 4*q^4 + 6*q^5 + 5*q^6"
+                          " + 11*q^7 + 11*q^8 + 17*q^9 + 19*q^10 + 26*q^11"
+                          " + O(q^12)"),
+    ("4_1", -3, 1): ("1/3", "1 + q + 3*q^2 + 2*q^3 + 5*q^4 + 5*q^5 + 9*q^6"
+                            " + 9*q^7 + 14*q^8 + 16*q^9 + 23*q^10 + 25*q^11"
+                            " + O(q^(35/3))"),
+    ("4_1", -3, 2): ("1/3", "1 + q + 3*q^2 + 2*q^3 + 5*q^4 + 5*q^5 + 9*q^6"
+                            " + 9*q^7 + 14*q^8 + 16*q^9 + 23*q^10 + 25*q^11"
+                            " + O(q^(35/3))"),
+}
+
+# (knot, p) whose residue and ih routes take the iterated k-sum
+FALLBACKS = {("3_1r", -3)}
+
+
+class TestFrozenRoutes:
+    """All 18 cases by all three routes, pinned to the atom-by-atom
+    routes' outputs: delta, series and sign convention, byte for byte."""
+
+    @pytest.mark.parametrize("prec", sorted(ROUTE_DIGESTS))
+    def test_route_outputs(self, prec):
+        records = []
+        for name, p, a in SURGERY_CASES:
+            params = SurgeryParams(p, a, prec)
+            for route, fn in ROUTES:
+                res = fn(name, params)
+                records.append({"knot": name, "p": p, "a": a, "route": route,
+                                "delta": str(res.delta),
+                                "series": res.series.to_json(),
+                                "sign_convention": res.sign_convention})
+                fallback = "diverges" in res.sign_convention
+                assert fallback == ((name, p) in FALLBACKS
+                                    and route != "fk"), (name, p, a, route)
+                if prec == 12:
+                    assert (str(res.delta), str(res.series)) == \
+                        ROUTE_SERIES_12[name, p, a], (name, p, a, route)
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == ROUTE_DIGESTS[prec]
+
+    @pytest.mark.parametrize("name,p", [(n, p) for n in ("3_1l", "3_1r", "4_1")
+                                        for p in (-1, -2, -3)])
+    def test_ih_matches_atom_by_atom(self, name, p):
+        for a in range(abs(p)):
+            params = SurgeryParams(p, a, 20)
+            assert zhat_via_ih(name, params) == \
+                zhat_via_ih_by_atoms(name, params), (name, p, a)
+
+    def test_ih_state_rebuilt_when_a_later_k_needs_more(self):
+        # delta(a_{-4}) = 9 cuts every carried list short, and a_{-5},
+        # with delta 0 on the half-integer grid, needs them longer again
+        def gen(k):
+            if k == 3:
+                return QSeries.monomial(9)
+            return QSeries.one() - QSeries.monomial(Fraction(1, 2) if k == 4 else 2)
+
+        knot = KnotSpec("bump", gen)
+        for p in (-1, -2, -3):
+            for a in range(abs(p)):
+                params = SurgeryParams(p, a, 15)
+                assert zhat_via_ih(knot, params) == \
+                    zhat_via_ih_by_atoms(knot, params), (p, a)
 
 
 class TestParkPolynomials:
