@@ -28,7 +28,6 @@ from .qcomb import (
     curly_fact,
     curly_poch,
     jacobi_symbol,
-    jacobi_theta_coeff,
     poch,
     qbinom,
     qfact,

@@ -46,12 +46,6 @@ class IntegralityError(AsymptoticsError):
     pass
 
 
-def _resolve_knot(knot) -> KnotSpec:
-    if isinstance(knot, str):
-        return get_knot(knot)
-    return knot
-
-
 # ---------------------------------------------------------------------------
 # Exact coefficient polynomials and evaluation at roots of unity
 # ---------------------------------------------------------------------------
@@ -61,7 +55,7 @@ def f_poly_exact(knot, n: int) -> QSeries:
     """Exact integer Laurent polynomial f_n of the knot."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    poly = _resolve_knot(knot).f_coeff(n)
+    poly = get_knot(knot).f_coeff(n)
     if not poly.is_exact:
         raise AsymptoticsError("coefficient f_%d is not exact" % n)
     return poly
@@ -186,7 +180,7 @@ def periodicity_check(knot, n_max: int, bits: int = DEFAULT_BITS,
     """Detect the minimal period of the real sequence f_{n-1}(zeta_n),
     n = 1..n_max (f_n(zeta_n) is a different sequence; see the module
     docstring)."""
-    K = _resolve_knot(knot)
+    K = get_knot(knot)
     vals: List[float] = []
     for n in range(1, n_max + 1):
         v = _eval_f_at(K, n - 1, n, bits)
@@ -247,7 +241,7 @@ class GrowthResult:
 def growth_rate(knot, n_list: Sequence[int], bits: int = DEFAULT_BITS,
                 order: int = 4) -> GrowthResult:
     """Richardson-accelerated limit of (pi/n) log|f_n(zeta_{2n})|."""
-    K = _resolve_knot(knot)
+    K = get_knot(knot)
     n_list = sorted(set(n_list))
     if not n_list:
         raise ValueError("n_list must be nonempty")
@@ -373,7 +367,7 @@ def extract_phi(knot, depth: int, n_max: int,
     f_n(zeta_{2n}) * e^{-n*vol/pi} * sqrt(3), fitted as a polynomial in
     u = pi/(36*sqrt(3)*n) on the largest available n (Vandermonde solve
     with guard coefficients beyond ``depth``)."""
-    K = _resolve_knot(knot)
+    K = get_knot(knot)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     guard = 4
@@ -416,7 +410,7 @@ def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS,
     """
     import csv as _csv
 
-    K = _resolve_knot(knot)
+    K = get_knot(knot)
     writer = _csv.writer(stream)
     writer.writerow(["n", "re", "im", "modulus", "normalized"])
     with mp.workprec(bits):

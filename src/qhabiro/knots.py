@@ -145,11 +145,14 @@ def _install_builtins():
 _install_builtins()
 
 
-def get_knot(name: str) -> KnotSpec:
+def get_knot(knot) -> KnotSpec:
+    """The registered knot of that name; a KnotSpec comes back unchanged."""
+    if isinstance(knot, KnotSpec):
+        return knot
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[knot]
     except KeyError:
-        raise UnknownKnotError("unknown knot %r" % name) from None
+        raise UnknownKnotError("unknown knot %r" % knot) from None
 
 
 def knot_names() -> list:
@@ -157,21 +160,16 @@ def knot_names() -> list:
 
 
 def a_coeff(knot, k: int) -> QSeries:
-    if isinstance(knot, str):
-        knot = get_knot(knot)
-    return knot.a_coeff(k)
+    return get_knot(knot).a_coeff(k)
 
 
 def f_coeff(knot, k: int) -> QSeries:
-    if isinstance(knot, str):
-        knot = get_knot(knot)
-    return knot.f_coeff(k)
+    return get_knot(knot).f_coeff(k)
 
 
 def mirror(knot) -> KnotSpec:
     """q -> q^{-1} on every coefficient; requires exact coefficients."""
-    if isinstance(knot, str):
-        knot = get_knot(knot)
+    knot = get_knot(knot)
 
     def gen(k: int) -> QSeries:
         a = knot.a_coeff(k)

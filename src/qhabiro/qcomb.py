@@ -215,9 +215,3 @@ def theta_trunc(i: int, x_window: int, prec: ExpLike) -> dict:
         exp = base + Fraction((n + 1) * n, 2) + n * i
         out[u] = QSeries.monomial(exp, sign).truncate(prec)
     return out
-
-
-def jacobi_theta_coeff(n: int) -> tuple:
-    """Coefficient of x^n in theta(x,q) = sum (-1)^n x^n q^{n(n-1)/2},
-    as (sign, q-exponent)."""
-    return (-1 if n % 2 else 1, Fraction(n * (n - 1), 2))

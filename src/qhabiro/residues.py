@@ -10,9 +10,10 @@ are derived from the LBC constant so reported coefficients are certified.
 Inverse q-Pochhammer symbols come from qcomb's in-place kernel, division
 by (1 - q^m) as strided prefix sums.  residue_series runs on plain integer
 lists: it carries 1/((q)_{k-j}(q)_{k+j}) from term to term with that
-kernel and adds each term into one coefficient list by slice-adds, with
-the checks of the certified summation (stop rule, per-term degree bound,
-result precision) and no QSeries per term.
+kernel and adds each term into one coefficient list by slice-adds
+(_add_scaled, shared with surgery's ih route), with the checks of the
+certified summation (stop rule, per-term degree bound, result precision)
+and no QSeries per term.
 """
 
 from __future__ import annotations
@@ -72,6 +73,37 @@ def _inv_poch_pair(u, k: int, j: int, n: int) -> list:
     _div_one_minus_qm(u, k - j)
     _div_one_minus_qm(u, k + j)
     return u
+
+
+def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
+                u: list, n: int, sign: int) -> None:
+    """acc += sign * q^(e/g) * P * U below q^(top/g), one slice-add per
+    monomial of P, where acc[i] is the coefficient of q^((lo + i)/g).
+
+    monos lists P's monomials as (exponent * g, coefficient), ascending;
+    U is the integer-exponent series whose first n coefficients are u."""
+    for x, c in monos:
+        x += e
+        count = min(n, (top - x + g - 1) // g)  # entries of u below top
+        if count <= 0:
+            break
+        s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
+        acc[s] = map(add, acc[s], map((sign * c).__mul__, u))
+
+
+def _j_window(k: int, prec: Fraction, C) -> int:
+    """The largest j >= 1 with binom(j+1,2) - j(k+1) + C < prec, or 0: the
+    residues r_j that f_k needs to O(q^prec).  The bound falls until the
+    vertex at j = k + 1/2 and rises after it, so the scan runs past
+    j = k + 1 and stops at the first j there that clears prec."""
+    last = 0
+    j = 1
+    while True:
+        if _binom2(j + 1) - j * (k + 1) + C < prec:
+            last = j
+        elif j > k + 1:
+            return last
+        j += 1
 
 
 @dataclass(frozen=True)
@@ -187,16 +219,9 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
         # u's n coefficients reach prec, as low >= bound(k)
         if ak.prec is not None:
             cut = min(cut, ak.prec * f + e)
-        sign = 1 if (k + j) % 2 else -1
-        for i, c in enumerate(ak.coeffs):
-            if not c:
-                continue
-            x = (ak.offset + i) * f + e
-            count = min(n, (top - x + g - 1) // g)  # entries of u below prec
-            if count <= 0:
-                break
-            s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
-            acc[s] = map(add, acc[s], map((sign * c).__mul__, u))
+        monos = (((ak.offset + i) * f, c)
+                 for i, c in enumerate(ak.coeffs) if c)
+        _add_scaled(acc, lo, top, g, monos, e, u, n, 1 if (k + j) % 2 else -1)
     return QSeries(acc, lo, g).truncate(min(target, Fraction(cut, g)))
 
 
@@ -235,16 +260,7 @@ def residue_theorem_check(a: CoeffSeq, prec: ExpLike, C=None) -> QSeries:
 def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
     """f_k = -r_0 - sum_{j>=1} (q^{-j(k+1)} + q^{jk}) r_j."""
     target = Fraction(prec)
-    C = rf.lbc_constant
-    j_need = 0
-    j = 1
-    while True:
-        g = _binom2(j + 1) + min(-j * (k + 1), j * k) + C
-        if g < target:
-            j_need = j
-        elif j > k + 1:
-            break
-        j += 1
+    j_need = _j_window(k, target, rf.lbc_constant)
     if j_need > rf.J:
         raise PrecisionError("enlarge J")
     acc = -rf.r(0)

@@ -3,6 +3,14 @@ three computation routes for the surgered-manifold series (GM coefficient
 route, residue route, inverted-coefficient route), empirical convergence
 detection, and the surgery polynomials in two definitions.
 
+Every route is one sum stopped by one rule: a route hands its terms,
+capped by _k_cap, to _trend_sum, which returns the sum once the degree
+trend certifies the tail, None once it diverges, and raises
+ConvergenceError when the terms run out.  The GM route's terms come from
+_fk_style_sum; the residue and inverted-coefficient routes map a term(j)
+or term(k) closure over the cap and end in _finish, which adds the k=0
+boundary term or, on divergence, evaluates the GM k-sum instead.
+
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
 divide out the integer content, force a positive leading coefficient) so
@@ -12,16 +20,15 @@ routes can be compared verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from operator import add
-from typing import Optional, Union
+from typing import Optional
 
 from .series import QAlgebraError, QSeries, exact_div
 from .qcomb import poch, qbinom, qpoch
 from .transform import f_from_a, lbc_check
-from .residues import _binom2, _inv_poch_pair, residue_series
+from .residues import _add_scaled, _inv_poch_pair, _j_window, residue_series
 from .knots import KnotSpec, get_knot
 
 RUN_LENGTH = 3
@@ -100,10 +107,6 @@ def _normalize(s: QSeries, p: int) -> ZhatResult:
     return ZhatResult(delta, s, "; ".join(notes))
 
 
-def _resolve(knot: Union[str, KnotSpec]) -> KnotSpec:
-    return get_knot(knot) if isinstance(knot, str) else knot
-
-
 def _in_class(k: int, p: int, a: int) -> bool:
     return (k - a) % p == 0 or (k + a) % p == 0
 
@@ -112,63 +115,50 @@ def _k_cap(prec: Fraction, p: int) -> int:
     return max(64, 8 * (math.isqrt(int(prec * abs(p))) + 2))
 
 
-class _Trend:
-    """Empirical convergence/divergence detector over term degree bounds.
+def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
+    """The sum of the terms to O(q^prec), stopped by their degree trend.
 
-    A term sequence "converges" once RUN_LENGTH consecutive degrees sit at
-    or above the precision without decreasing, and "diverges" once
-    DIV_RUN_LENGTH consecutive degrees strictly decrease below zero."""
-
-    def __init__(self, prec: Fraction):
-        self.prec = prec
-        self._run = 0
-        self._div = 0
-        self._prev = None
-
-    def push(self, d) -> None:
-        if d >= self.prec and (self._prev is None or d >= self._prev):
-            self._run += 1
-        else:
-            self._run = 0
-        if self._prev is not None and d < self._prev and d < 0:
-            self._div += 1
-        else:
-            self._div = 0
-        self._prev = d
-
-    @property
-    def converged(self) -> bool:
-        return self._run >= RUN_LENGTH
-
-    @property
-    def diverging(self) -> bool:
-        return self._div >= DIV_RUN_LENGTH
+    The sum is returned once RUN_LENGTH consecutive terms have degree
+    bounds at or above prec without decreasing; None (divergence) once
+    DIV_RUN_LENGTH consecutive bounds strictly decrease below zero.  The
+    caller caps the terms with _k_cap; running out of them raises
+    ConvergenceError."""
+    acc = QSeries.zero(prec)
+    run = div = 0
+    prev = None
+    for term in terms:
+        d = term.delta_lb()
+        acc = (acc + term).truncate(prec)
+        run = run + 1 if d >= prec and (prev is None or d >= prev) else 0
+        div = div + 1 if prev is not None and d < prev and d < 0 else 0
+        prev = d
+        if run >= RUN_LENGTH:
+            return acc
+        if div >= DIV_RUN_LENGTH:
+            return None
+    raise ConvergenceError("divergent or undecidable for these parameters")
 
 
-def _fk_style_sum(diff, p: int, a: int, prec: Fraction) -> QSeries:
-    """sum_{k == +-a mod p, k >= 0} q^{-k^2/p} diff(k), summed until the
-    empirical degree trend certifies the tail; raises on divergence.
+def _fk_style_sum(diff, p: int, a: int, prec: Fraction):
+    """The terms q^{-k^2/p} diff(k) of the GM k-sum, over the in-class
+    k == +-a mod p with 0 <= k <= _k_cap, for _trend_sum.
 
     diff(k) is the difference f_{k-1} - f_k (f_{-1} = 0) to O(q^prec),
     asked for once per in-class k in increasing order.  The routes hand
     over the difference, not f_k, because the residue route gets it for
     less than f_{k-1} and f_k apart: r_0 cancels, and each r_j is needed
     once, at one precision."""
-    acc = QSeries.zero(prec)
-    trend = _Trend(prec)
-    k = 0
-    cap = _k_cap(prec, p)
-    while True:
+    for k in range(_k_cap(prec, p) + 1):
         if _in_class(k, p, a):
-            term = diff(k).shift(-Fraction(k * k, p))
-            acc = (acc + term).truncate(prec)
-            trend.push(term.delta_lb())
-            if trend.converged:
-                return acc.truncate(prec)
-        k += 1
-        if trend.diverging or k > cap:
-            raise ConvergenceError(
-                "divergent or undecidable for these parameters")
+            yield diff(k).shift(-Fraction(k * k, p))
+
+
+def _fk_sum(diff, p: int, a: int, prec: Fraction) -> QSeries:
+    """The trend-stopped GM k-sum; ConvergenceError when it diverges."""
+    acc = _trend_sum(_fk_style_sum(diff, p, a, prec), prec)
+    if acc is None:
+        raise ConvergenceError("divergent or undecidable for these parameters")
+    return acc
 
 
 def _f_diffs(f):
@@ -180,9 +170,9 @@ def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
     """1/2 sum_{k == +-a mod p, k >= 0} q^{-k^2/p} (f_{k-1} - f_k), with
     f_{-1} = 0; convergence is detected empirically from the degree trend
     of the included terms."""
-    knot = _resolve(knot)
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
-    return _normalize(_fk_style_sum(_f_diffs(knot.f), p, a, prec), p)
+    return _normalize(_fk_sum(_f_diffs(knot.f), p, a, prec), p)
 
 
 def surgery_weight_poly(j: int, p: int, a: int) -> QSeries:
@@ -219,6 +209,19 @@ def _boundary_term(knot: KnotSpec, p: int, a: int) -> QSeries:
     return f0 if p < 0 else -f0
 
 
+def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
+            note: str) -> ZhatResult:
+    """A swapped route's result from its trend-stopped sum acc: acc plus
+    the k=0 boundary term, or, when acc is None (the sum diverged), the GM
+    k-sum over the differences fallback() builds, with note appended to
+    the sign convention."""
+    p, a, prec = params.p, params.a, params.prec
+    if acc is not None:
+        return _normalize((acc + _boundary_term(knot, p, a)).truncate(prec), p)
+    out = _normalize(_fk_sum(fallback(), p, a, prec), p)
+    return replace(out, sign_convention=out.sign_convention + note)
+
+
 def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
     """sum_{j>=1} r_j (1 - q^{-j}) * weight_poly(j), plus the k=0
     boundary term, summed over j while the double sum converges.
@@ -228,37 +231,24 @@ def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
     evaluated instead: the k-sum of q^{-k^2/p}(f_{k-1}-f_k) with every
     difference reconstructed from the residues, starting from the r_j the
     j-sum computed."""
-    knot = _resolve(knot)
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     if C is None:
         C = lbc_check(knot.a, 24).constant
     a_w = _weight_label(p, a)
-    acc = QSeries.zero(prec)
-    trend = _Trend(prec)
     rs = {}
-    j = 1
-    cap = _k_cap(prec, p)
-    while True:
+
+    def term(j: int) -> QSeries:
         poly = surgery_weight_poly(j, p, a_w)
         low = poly.delta() - j
         rj = rs[j] = residue_series(knot.a, j, prec - min(Fraction(0), low), C)
-        term = rj * (QSeries.one() - QSeries.monomial(-j)) * poly
-        acc = (acc + term).truncate(prec)
-        trend.push(term.delta_lb())
-        if trend.converged:
-            acc = (acc + _boundary_term(knot, p, a)).truncate(prec)
-            return _normalize(acc, p)
-        if trend.diverging:
-            out = _normalize(
-                _fk_style_sum(_residue_diffs(knot, prec, C, rs), p, a, prec), p)
-            return ZhatResult(out.delta, out.series, out.sign_convention
-                              + "; termwise j-sum diverges, evaluated as "
-                                "the iterated k-sum over residue-"
-                                "reconstructed coefficients")
-        j += 1
-        if j > cap:
-            raise ConvergenceError(
-                "divergent or undecidable for these parameters")
+        return rj * (QSeries.one() - QSeries.monomial(-j)) * poly
+
+    acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
+    return _finish(acc, knot, params,
+                   lambda: _residue_diffs(knot, prec, C, rs),
+                   "; termwise j-sum diverges, evaluated as the iterated "
+                   "k-sum over residue-reconstructed coefficients")
 
 
 def _residue_diffs(knot: KnotSpec, prec: Fraction, C, rs: dict):
@@ -267,8 +257,9 @@ def _residue_diffs(knot: KnotSpec, prec: Fraction, C, rs: dict):
 
     For k >= 1 r_0 cancels, and the difference is
     sum_{j>=1} (q^{-j(k+1)} + q^{jk} - q^{-jk} - q^{j(k-1)}) r_j, which
-    needs each r_j once, to O(q^{prec + j(k+1)}).  rs maps j to the most
-    precise r_j so far; an r_j is recomputed only when a k needs more."""
+    needs each r_j once, to O(q^{prec + j(k+1)}), over the j-window of
+    f_k (it covers f_{k-1}'s).  rs maps j to the most precise r_j so far;
+    an r_j is recomputed only when a k needs more."""
 
     def rj(j: int, need: Fraction) -> QSeries:
         have = rs.get(j)
@@ -278,14 +269,11 @@ def _residue_diffs(knot: KnotSpec, prec: Fraction, C, rs: dict):
 
     def diff(k: int) -> QSeries:
         acc = rj(0, prec) if k == 0 else QSeries.zero()
-        j = 1
-        # the j-window of f_k, which covers f_{k-1}'s
-        while _binom2(j + 1) - j * (k + 1) + C < prec or j <= k + 1:
+        for j in range(1, _j_window(k, prec, C) + 1):
             r = rj(j, prec + j * (k + 1))
             acc = acc + r.shift(-j * (k + 1)) + r.shift(j * k)
             if k:
                 acc = acc - r.shift(-j * k) - r.shift(j * (k - 1))
-            j += 1
         return acc.truncate(prec)
 
     return diff
@@ -300,80 +288,61 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     of the weight polynomials.  Per j, u = 1/((q)_{k-j}(q)_{k+j}) is
     carried from k-1 to k by dividing by (1 - q^{k-j})(1 - q^{k+j}), cut to
     the length term k needs (rebuilt only if a later k needs more), and
-    w_j = (1 - q^{-j}) weight_poly(j), built once, adds into the list as
-    one slice-add of u per monomial.
+    w_j = (1 - q^{-j}) weight_poly(j), built once, adds into the list
+    through _add_scaled.
 
     Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the
     inverted Habiro coefficients through the transform."""
-    knot = _resolve(knot)
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
     g = abs(p)
     w = [None]  # w[j]: (exponent * g, coefficient) of w_j, ascending
     us: dict = {}  # j -> (k, u) with u = 1/((q)_{k-j}(q)_{k+j}) truncated
-    acc = QSeries.zero(prec)
-    trend = _Trend(prec)
-    cap = _k_cap(prec, p)
-    k = 1
-    while True:
+
+    def term(k: int) -> QSeries:
         ak = knot.a[k]
         inner = QSeries.zero(prec - min(Fraction(0), ak.delta_lb()))
-        if not (ak.is_zero and ak.is_exact):
-            target = prec - ak.delta_lb()
-            top = math.ceil(target * g)
-            while len(w) <= k:
-                wj = (QSeries.one() - QSeries.monomial(-len(w))) \
-                    * surgery_weight_poly(len(w), p, a_w)
-                f = g // wj.scale
-                w.append([((wj.offset + i) * f, c)
-                          for i, c in enumerate(wj.coeffs) if c])
-            # (j, e_{k,j} * g, number of coefficients of u below target)
-            live = []
-            for j in range(1, k + 1):
-                e = (j * (j + 1) + k * (k + 1)) // 2 * g
-                n = (top - e - w[j][0][0] + g - 1) // g
-                if n > 0:
-                    live.append((j, e, n))
-            if live:
-                lo = min(e + w[j][0][0] for j, e, _ in live)
-                coeffs = [0] * (top - lo)
-                for j, e, n in live:
-                    kj, u = us.get(j, (None, None))
-                    u = _inv_poch_pair(
-                        u if kj == k - 1 and len(u) >= n else None, k, j, n)
-                    us[j] = (k, u)
-                    sign = 1 if (k + j) % 2 else -1
-                    for x, c in w[j]:
-                        x += e
-                        count = min(n, (top - x + g - 1) // g)
-                        if count <= 0:
-                            break
-                        s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
-                        coeffs[s] = map(add, coeffs[s], map((sign * c).__mul__, u))
-                inner = QSeries(coeffs, lo, g).truncate(target)
-        term = ak * inner
-        acc = (acc + term).truncate(prec)
-        trend.push(term.delta_lb())
-        if trend.converged:
-            acc = (acc + _boundary_term(knot, p, a)).truncate(prec)
-            return _normalize(acc, p)
-        if trend.diverging:
-            out = _normalize(
-                _fk_style_sum(_f_diffs(f_from_a(knot.a)), p, a, prec), p)
-            return ZhatResult(out.delta, out.series, out.sign_convention
-                              + "; termwise k-sum diverges, evaluated as "
-                                "the iterated k-sum over transformed "
-                                "coefficients")
-        k += 1
-        if k > cap:
-            raise ConvergenceError(
-                "divergent or undecidable for these parameters")
+        if ak.is_zero and ak.is_exact:
+            return ak * inner
+        target = prec - ak.delta_lb()
+        top = math.ceil(target * g)
+        while len(w) <= k:
+            wj = (QSeries.one() - QSeries.monomial(-len(w))) \
+                * surgery_weight_poly(len(w), p, a_w)
+            f = g // wj.scale
+            w.append([((wj.offset + i) * f, c)
+                      for i, c in enumerate(wj.coeffs) if c])
+        # (j, e_{k,j} * g, number of coefficients of u below target)
+        live = []
+        for j in range(1, k + 1):
+            e = (j * (j + 1) + k * (k + 1)) // 2 * g
+            n = (top - e - w[j][0][0] + g - 1) // g
+            if n > 0:
+                live.append((j, e, n))
+        if live:
+            lo = min(e + w[j][0][0] for j, e, _ in live)
+            coeffs = [0] * (top - lo)
+            for j, e, n in live:
+                kj, u = us.get(j, (None, None))
+                u = _inv_poch_pair(
+                    u if kj == k - 1 and len(u) >= n else None, k, j, n)
+                us[j] = (k, u)
+                _add_scaled(coeffs, lo, top, g, w[j], e, u, n,
+                            1 if (k + j) % 2 else -1)
+            inner = QSeries(coeffs, lo, g).truncate(target)
+        return ak * inner
+
+    acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
+    return _finish(acc, knot, params, lambda: _f_diffs(f_from_a(knot.a)),
+                   "; termwise k-sum diverges, evaluated as the iterated "
+                   "k-sum over transformed coefficients")
 
 
 def zhat(knot, params: SurgeryParams) -> ZhatResult:
     route = {"fk": zhat_via_fk, "residues": zhat_via_residues,
-             "ih": zhat_via_ih, "ihcoef": zhat_via_ih}.get(
+             "ihcoef": zhat_via_ih}.get(
                  str(params.method).lower())
     if route is None:
         raise ValueError("method must be 'FK', 'RESIDUES' or 'IHCOEF'")

@@ -1,0 +1,52 @@
+"""The benchmark's tracer against the library it traces.
+
+perfbench/tracing.py rebinds qhabiro's layer functions by name.  A name
+that leaves src/, or a route that stops calling a layer through its module
+binding, would break ``perfbench/run.py --trace 1`` without failing any
+other test; this module catches it.  The tracer is loaded from its file
+and never modified.
+"""
+
+import importlib.util
+import os
+import sys
+
+from qhabiro import SurgeryParams, surgery
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_rebinds_existing_names_and_restores_them():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        # install() looks every name up, and fails on one that is gone
+        tracer.install()
+        assert tracer._rebound
+        for ns, attr, original in tracer._rebound:
+            assert getattr(ns, attr) is not original, (ns, attr)
+        rebound = {(getattr(ns, "__name__", None), attr)
+                   for ns, attr, _ in tracer._rebound}
+        for attr in ("zhat_via_fk", "zhat_via_residues", "zhat_via_ih",
+                     "surgery_weight_poly", "residue_series", "f_from_a"):
+            assert ("qhabiro.surgery", attr) in rebound, attr
+        for name, mod, attr in tracing.CACHES:
+            assert hasattr(sys.modules[mod], attr), name
+        # the routes reach their layers through the rebound names
+        for method in ("fk", "residues", "ihcoef"):
+            surgery.zhat("3_1l", SurgeryParams(-2, 1, 8, method=method))
+        seen = {span[0] for span in tracer.spans}
+        assert {"surgery.route_fk", "surgery.route_residues",
+                "surgery.route_ih", "surgery.weight_poly",
+                "residues.residue_series"} <= seen, seen
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()

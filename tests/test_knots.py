@@ -34,6 +34,11 @@ class TestRegistry:
         assert u.f_coeff(0) == QSeries.one()
         assert u.f_coeff(3).is_zero
 
+    def test_spec_resolves_to_itself(self):
+        spec = KnotSpec("test_unregistered", lambda k: QSeries.one())
+        assert get_knot(spec) is spec
+        assert get_knot(get_knot("4_1")) is get_knot("4_1")
+
     def test_sides_are_memoised_attributes(self):
         spec = get_knot("4_1")
         assert spec.f is spec.f and spec.a is spec.a

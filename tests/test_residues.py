@@ -34,7 +34,7 @@ from qhabiro import (
     trefoil_recurrence_check,
 )
 
-from qhabiro.residues import _inv_poch_product
+from qhabiro.residues import _inv_poch_product, _j_window
 
 from conftest import seq_from_list
 
@@ -141,6 +141,16 @@ class TestRoundTrips:
         for k in range(kmax + 1):
             got = f_from_residues(fam, k, prec)
             assert got == spec.f_coeff(k).truncate(prec), k
+
+    def test_j_window_against_brute_force(self):
+        # C >= prec + k puts j = 1 outside while a later j is inside
+        for C in (-3, 0, Fraction(5, 2), 20):
+            for prec in (1, Fraction(15, 2), 10):
+                for k in range(9):
+                    want = max([j for j in range(1, 100)
+                                if Fraction(j * (j + 1), 2) - j * (k + 1)
+                                + C < prec], default=0)
+                    assert _j_window(k, Fraction(prec), C) == want, (C, prec, k)
 
     def test_f_from_residues_window_too_small(self):
         spec = get_knot("3_1r")

@@ -9,6 +9,7 @@ import pytest
 from qhabiro import (
     ConvergenceError,
     KnotSpec,
+    get_knot,
     QSeries,
     SurgeryParams,
     f_from_a,
@@ -23,14 +24,12 @@ from qhabiro import (
     zhat_via_residues,
 )
 from qhabiro.surgery import (
-    ZhatResult,
-    _boundary_term,
+    DIV_RUN_LENGTH,
+    RUN_LENGTH,
     _f_diffs,
-    _fk_style_sum,
+    _finish,
     _k_cap,
-    _normalize,
-    _resolve,
-    _Trend,
+    _trend_sum,
     _weight_label,
 )
 
@@ -145,14 +144,11 @@ def zhat_via_ih_by_atoms(knot, params):
     """The ih route atom by atom: every 1/((q)_{k+j}(q)_{k-j}) from
     ResidueAtom.to_series and every weight polynomial rebuilt per (k, j).
     Oracle for zhat_via_ih's running per-j state."""
-    knot = _resolve(knot)
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
-    acc = QSeries.zero(prec)
-    trend = _Trend(prec)
-    cap = _k_cap(prec, p)
-    k = 1
-    while True:
+
+    def term(k):
         ak = knot.a[k]
         inner = QSeries.zero(prec - min(Fraction(0), ak.delta_lb()))
         if not (ak.is_zero and ak.is_exact):
@@ -166,23 +162,59 @@ def zhat_via_ih_by_atoms(knot, params):
                 piece = atom.to_series(target - (poly.delta() - j))
                 inner = inner + piece * (QSeries.one() - QSeries.monomial(-j)) * poly
                 inner = inner.truncate(target)
-        term = ak * inner
-        acc = (acc + term).truncate(prec)
-        trend.push(term.delta_lb())
-        if trend.converged:
-            acc = (acc + _boundary_term(knot, p, a)).truncate(prec)
-            return _normalize(acc, p)
-        if trend.diverging:
-            out = _normalize(
-                _fk_style_sum(_f_diffs(f_from_a(knot.a)), p, a, prec), p)
-            return ZhatResult(out.delta, out.series, out.sign_convention
-                              + "; termwise k-sum diverges, evaluated as "
-                                "the iterated k-sum over transformed "
-                                "coefficients")
-        k += 1
-        if k > cap:
-            raise ConvergenceError(
-                "divergent or undecidable for these parameters")
+        return ak * inner
+
+    acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
+    return _finish(acc, knot, params, lambda: _f_diffs(f_from_a(knot.a)),
+                   "; termwise k-sum diverges, evaluated as the iterated "
+                   "k-sum over transformed coefficients")
+
+
+class TestTrendSum:
+    """The stopping rule of every surgery sum, on terms with set degrees."""
+
+    PREC = Fraction(10)
+
+    def run(self, degrees):
+        """_trend_sum over monomials q^d; (its result, terms it took)."""
+        terms = iter([QSeries.monomial(d) for d in degrees])
+        out = _trend_sum(terms, self.PREC)
+        return out, len(degrees) - len(list(terms))
+
+    def test_converges_after_run_length_terms_at_prec(self):
+        out, taken = self.run([0, 3] + [10 + i for i in range(RUN_LENGTH)]
+                              + [-1])
+        assert taken == 2 + RUN_LENGTH
+        assert out == QSeries.from_terms({0: 1, 3: 1}, prec=self.PREC)
+
+    def test_dip_below_prec_resets_the_run(self):
+        head = [10] * (RUN_LENGTH - 1) + [4]
+        out, taken = self.run(head + [10] * (RUN_LENGTH + 2))
+        assert taken == len(head) + RUN_LENGTH
+        assert out == QSeries.from_terms({4: 1}, prec=self.PREC)
+
+    def test_decrease_above_prec_resets_the_run(self):
+        head = [12] * (RUN_LENGTH - 1) + [11]
+        _, taken = self.run(head + [11] * (RUN_LENGTH + 2))
+        assert taken == len(head) + RUN_LENGTH
+
+    def test_diverges_after_div_run_length_falling_negative_terms(self):
+        out, taken = self.run([0] + [-i for i in range(1, DIV_RUN_LENGTH + 1)]
+                              + [50] * 9)
+        assert out is None
+        assert taken == 1 + DIV_RUN_LENGTH
+
+    def test_shorter_falling_run_does_not_diverge(self):
+        # degree 0 is not below zero, so the run counts from -1
+        out, _ = self.run([1, 0] + [-i for i in range(1, DIV_RUN_LENGTH)]
+                          + [10] * RUN_LENGTH)
+        assert out is not None
+
+    def test_exhausted_terms_raise(self):
+        with pytest.raises(ConvergenceError):
+            self.run([0, 1, 10, 11])
+        with pytest.raises(ConvergenceError):
+            self.run([])
 
 
 SURGERY_CASES = [(name, p, a) for name in ("3_1l", "3_1r", "4_1")
