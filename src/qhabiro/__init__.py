@@ -103,28 +103,22 @@ from .surgery import (
     zhat_via_ih,
     zhat_via_residues,
 )
-from .asympt import (
-    PHI_F,
-    PHI_J,
-    QUOTIENT_TABLE_PREFIX,
-    AsymptoticsError,
-    GrowthResult,
-    IntegralityError,
-    PerturbSeries,
-    PeriodicityReport,
-    emit_csv,
-    eval_root_of_unity,
-    extract_phi,
-    f41_eval,
-    f_poly_exact,
-    growth_rate,
-    is_palindromic,
-    periodicity_check,
-    phi_quotient_check,
-    richardson,
-    series_mul,
-    series_sqrt_inv,
-    vol_41,
-)
 
 __version__ = "1.0.0"
+
+# asympt's names are served on first use (PEP 562), so that importing
+# qhabiro, and every CLI command but asympt, does without mpmath
+_ASYMPT_NAMES = frozenset("""
+    PHI_F PHI_J QUOTIENT_TABLE_PREFIX AsymptoticsError GrowthResult
+    IntegralityError PerturbSeries PeriodicityReport emit_csv
+    eval_root_of_unity extract_phi f41_eval f_poly_exact growth_rate
+    is_palindromic periodicity_check phi_quotient_check richardson
+    series_mul series_sqrt_inv vol_41
+""".split())
+
+
+def __getattr__(name):
+    if name in _ASYMPT_NAMES:
+        from . import asympt
+        return getattr(asympt, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import asympt, knots, omega, residues, surgery, transform
+from . import knots, omega, residues, surgery, transform
 from .series import QAlgebraError, QSeries
 
 VERIFY_SUITES = (
@@ -288,6 +288,8 @@ def _cmd_connect_sum(args) -> int:
 
 
 def _cmd_asympt(args) -> int:
+    from . import asympt  # loads mpmath, which no other command needs
+
     if args.mode == "period":
         rep = asympt.periodicity_check(args.knot, args.n_max, args.bits)
         if args.json:

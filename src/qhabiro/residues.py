@@ -11,9 +11,9 @@ Inverse q-Pochhammer symbols come from qcomb's in-place kernel, division
 by (1 - q^m) as strided prefix sums.  residue_series runs on plain integer
 lists: it carries 1/((q)_{k-j}(q)_{k+j}) from term to term with that
 kernel and adds each term into one coefficient list by slice-adds
-(_add_scaled, shared with surgery's ih route), with the checks of the
-certified summation (stop rule, per-term degree bound, result precision)
-and no QSeries per term.
+(_add_scaled, shared with surgery's residue and ih routes), with the
+checks of the certified summation (stop rule, per-term degree bound,
+result precision) and no QSeries per term.
 """
 
 from __future__ import annotations
@@ -92,16 +92,19 @@ def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
 
 
 def _j_window(k: int, prec: Fraction, C) -> int:
-    """The largest j >= 1 with binom(j+1,2) - j(k+1) + C < prec, or 0: the
-    residues r_j that f_k needs to O(q^prec).  The bound falls until the
-    vertex at j = k + 1/2 and rises after it, so the scan runs past
-    j = k + 1 and stops at the first j there that clears prec."""
+    """The largest j >= 1 with binom(j+1,2) - jk + C < prec, or 0: the
+    residues r_j that f_k needs to O(q^prec).  r_j's degree bound
+    binom(j+1,2) + j + C (the first term of residue_series' sum) puts
+    q^{-j(k+1)} r_j, the lowest of its shifts in f_k, at binom(j+1,2) - jk
+    + C or above.  That bound falls until the vertex at j = k - 1/2 and
+    rises after it, so the scan runs to j = k and stops at the first j
+    from there on that clears prec."""
     last = 0
     j = 1
     while True:
-        if _binom2(j + 1) - j * (k + 1) + C < prec:
+        if _binom2(j + 1) - j * k + C < prec:
             last = j
-        elif j > k + 1:
+        elif j >= k:
             return last
         j += 1
 

@@ -11,6 +11,14 @@ _fk_style_sum; the residue and inverted-coefficient routes map a term(j)
 or term(k) closure over the cap and end in _finish, which adds the k=0
 boundary term or, on divergence, evaluates the GM k-sum instead.
 
+The residue and inverted-coefficient routes run on plain integer lists:
+each weight polynomial comes from its integer exponents, turns into the
+monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
+product with a residue or a carried 1/((q)_{k-j}(q)_{k+j}) is slice-adds
+into one coefficient list (residues._add_scaled), with one QSeries per
+term.  The residue route's fallback computes each r_j once, at the
+precision that the GM k-sum's stop plans for it (_residue_diffs).
+
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
 divide out the integer content, force a positive leading coefficient) so
@@ -22,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from itertools import compress, count
+from math import gcd, lcm
 from typing import Optional
 
 from .series import QAlgebraError, QSeries, exact_div
@@ -177,9 +186,61 @@ def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
 
 def surgery_weight_poly(j: int, p: int, a: int) -> QSeries:
     """sum_{n=0}^{j-1} q^{j(np+a) - (np+a)^2/p}, the finite Laurent factor
-    multiplying each residue."""
-    return QSeries.from_terms(
-        (j * u - Fraction(u * u, p), 1) for u in range(a, a + j * p, p))
+    multiplying each residue, built from the integer exponents
+    j*u*|p| - sign(p)*u^2 (u = np + a) on the 1/|p| grid, coarsened by
+    their common factor with |p| so that the grid is already canonical."""
+    g = abs(p)
+    s = 1 if p > 0 else -1
+    exps = [j * u * g - s * u * u for u in range(a, a + j * p, p)]
+    if not exps:
+        return QSeries.zero()
+    d = gcd(g, *exps)
+    lo = min(exps)
+    coeffs = [0] * ((max(exps) - lo) // d + 1)
+    for x in exps:
+        coeffs[(x - lo) // d] += 1
+    return QSeries(coeffs, lo // d, g // d)
+
+
+def _weight_monos(j: int, p: int, a: int) -> list:
+    """w_j = (1 - q^{-j}) weight_poly(j) as its monomials
+    (exponent * |p|, coefficient), ascending."""
+    wp = surgery_weight_poly(j, p, a)
+    f = abs(p) // wp.scale
+    shift = j * abs(p)
+    acc = {}
+    for i in compress(count(), wp.coeffs):
+        x = (wp.offset + i) * f
+        c = wp.coeffs[i]
+        acc[x] = acc.get(x, 0) + c
+        acc[x - shift] = acc.get(x - shift, 0) - c
+    return sorted((x, c) for x, c in acc.items() if c)
+
+
+def _products(pairs, g: int, prec=None) -> QSeries:
+    """sum_i r_i P_i to O(q^prec), or to its own precision when prec is
+    None: each r_i a truncated series and each P_i a Laurent polynomial
+    given as its monomials (exponent * g, coefficient), ascending.
+
+    The sum is known to the least of prec and every prec(r_i) + delta(P_i),
+    as the QSeries sum of the products would be.  It builds up in one
+    coefficient list on the finest grid of the r_i, g and prec, one
+    _add_scaled per pair with r_i's grid step as the stride."""
+    cuts = [r.prec_q + Fraction(P[0][0], g) for r, P in pairs]
+    if prec is not None:
+        cuts.append(Fraction(prec))
+    cut = min(cuts)
+    G = lcm(g, cut.denominator, *(r.scale for r, _ in pairs))
+    top = cut.numerator * (G // cut.denominator)
+    lo = min([r.offset * (G // r.scale) + P[0][0] * (G // g)
+              for r, P in pairs if r.coeffs], default=top)
+    acc = [0] * max(top - lo, 0)
+    for r, P in pairs:
+        if r.coeffs:
+            f = G // r.scale
+            _add_scaled(acc, lo, top, f, [(x * (G // g), c) for x, c in P],
+                        r.offset * f, r.coeffs, len(r.coeffs), 1)
+    return QSeries(acc, min(lo, top), G, top)
 
 
 def _weight_label(p: int, a: int) -> int:
@@ -226,55 +287,93 @@ def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
     """sum_{j>=1} r_j (1 - q^{-j}) * weight_poly(j), plus the k=0
     boundary term, summed over j while the double sum converges.
 
+    Term j is r_j times the monomials of w_j = (1 - q^{-j}) weight_poly(j),
+    one _add_scaled per monomial into one coefficient list on the 1/|p|
+    grid (_products); r_j is computed to O(q^{prec - delta(w_j)}), which the
+    term needs to reach O(q^prec).
+
     When the termwise j-sum diverges (the weight polynomials' degrees
     fall faster than delta(r_j) grows), the unswapped iterated sum is
     evaluated instead: the k-sum of q^{-k^2/p}(f_{k-1}-f_k) with every
-    difference reconstructed from the residues, starting from the r_j the
-    j-sum computed."""
+    difference reconstructed from the residues (_residue_diffs), starting
+    from the r_j the j-sum computed."""
     knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     if C is None:
         C = lbc_check(knot.a, 24).constant
     a_w = _weight_label(p, a)
+    g = abs(p)
     rs = {}
 
     def term(j: int) -> QSeries:
-        poly = surgery_weight_poly(j, p, a_w)
-        low = poly.delta() - j
+        w = _weight_monos(j, p, a_w)
+        low = Fraction(w[0][0], g)
         rj = rs[j] = residue_series(knot.a, j, prec - min(Fraction(0), low), C)
-        return rj * (QSeries.one() - QSeries.monomial(-j)) * poly
+        return _products([(rj, w)], g)
 
     acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
     return _finish(acc, knot, params,
-                   lambda: _residue_diffs(knot, prec, C, rs),
+                   lambda: _residue_diffs(knot, params, C, rs),
                    "; termwise j-sum diverges, evaluated as the iterated "
                    "k-sum over residue-reconstructed coefficients")
 
 
-def _residue_diffs(knot: KnotSpec, prec: Fraction, C, rs: dict):
+def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> Optional[int]:
+    """The last in-class k that the GM k-sum over knot.f reads before its
+    trend stops it, or None when that sum raises ConvergenceError."""
+    fd = _f_diffs(knot.f)
+    last = [None]
+
+    def diff(k: int) -> QSeries:
+        last[0] = k
+        return fd(k)
+
+    try:
+        _fk_sum(diff, p, a, prec)
+    except ConvergenceError:
+        return None
+    return last[0]
+
+
+def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C, rs: dict):
     """k -> f_{k-1} - f_k to O(q^prec), from the residues through
     f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j and f_{-1} = 0.
 
     For k >= 1 r_0 cancels, and the difference is
     sum_{j>=1} (q^{-j(k+1)} + q^{jk} - q^{-jk} - q^{j(k-1)}) r_j, which
-    needs each r_j once, to O(q^{prec + j(k+1)}), over the j-window of
-    f_k (it covers f_{k-1}'s).  rs maps j to the most precise r_j so far;
-    an r_j is recomputed only when a k needs more."""
+    needs each r_j to O(q^{prec + j(k+1)}) over the j-window of f_k (it
+    covers f_{k-1}'s); each r_j adds its four monomials into one list
+    (_products).  rs maps j to the most precise r_j so far, starting from
+    the j-sum's.
+
+    The precision plan: the GM k-sum over knot.f, whose terms are the same
+    differences, stops at some in-class K (_plan_k), so an r_j the j-sum
+    left short is computed once, to O(q^{prec + j(K+1)}), the most any
+    k <= K asks of it.  The plan only sizes the r_j; the differences and
+    the stop come from the residues, and a k past K (a short plan) or no
+    plan recomputes r_j at the precision that k needs."""
+    p, a, prec = params.p, params.a, params.prec
+    K = _plan_k(knot, p, a, prec)
 
     def rj(j: int, need: Fraction) -> QSeries:
         have = rs.get(j)
         if have is None or have.prec_q < need:
+            if K is not None:
+                need = max(need, prec + j * (K + 1))
             have = rs[j] = residue_series(knot.a, j, need, C)
         return have
 
     def diff(k: int) -> QSeries:
-        acc = rj(0, prec) if k == 0 else QSeries.zero()
-        for j in range(1, _j_window(k, prec, C) + 1):
-            r = rj(j, prec + j * (k + 1))
-            acc = acc + r.shift(-j * (k + 1)) + r.shift(j * k)
-            if k:
-                acc = acc - r.shift(-j * k) - r.shift(j * (k - 1))
-        return acc.truncate(prec)
+        if k == 0:
+            pairs = [(rj(0, prec), [(0, 1)])]
+            pairs += [(rj(j, prec + j), [(-j, 1), (0, 1)])
+                      for j in range(1, _j_window(0, prec, C) + 1)]
+        else:
+            pairs = [(rj(j, prec + j * (k + 1)),
+                      [(-j * (k + 1), 1), (-j * k, -1), (j * (k - 1), -1),
+                       (j * k, 1)])
+                     for j in range(1, _j_window(k, prec, C) + 1)]
+        return _products(pairs, 1, prec)
 
     return diff
 
@@ -309,11 +408,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
         target = prec - ak.delta_lb()
         top = math.ceil(target * g)
         while len(w) <= k:
-            wj = (QSeries.one() - QSeries.monomial(-len(w))) \
-                * surgery_weight_poly(len(w), p, a_w)
-            f = g // wj.scale
-            w.append([((wj.offset + i) * f, c)
-                      for i, c in enumerate(wj.coeffs) if c])
+            w.append(_weight_monos(len(w), p, a_w))
         # (j, e_{k,j} * g, number of coefficients of u below target)
         live = []
         for j in range(1, k + 1):

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON output, environment defaults."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qhabiro
 from qhabiro import QSeries
 from qhabiro.cli import main
 
@@ -192,3 +196,30 @@ class TestEnvironment:
         code, out, _ = run(capsys, "residues", "--knot", "4_1", "-j", "0")
         assert code == 0
         assert "O(q^40)" in out
+
+
+class TestLazyMpmath:
+    """Only asympt needs mpmath: importing qhabiro and running any other
+    command leave it unloaded, and asympt's names still resolve."""
+
+    SCRIPT = """
+import sys
+import qhabiro
+from qhabiro.cli import main
+qhabiro.get_knot("3_1l")
+assert main(["surgery", "--knot", "3_1l", "-p", "-2", "--prec", "6"]) == 0
+assert "mpmath" not in sys.modules
+assert qhabiro.PHI_J.coeffs[1] == 11
+assert "mpmath" in sys.modules
+"""
+
+    def test_import_and_other_commands_leave_mpmath_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qhabiro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            qhabiro.no_such_name

@@ -148,9 +148,21 @@ class TestRoundTrips:
             for prec in (1, Fraction(15, 2), 10):
                 for k in range(9):
                     want = max([j for j in range(1, 100)
-                                if Fraction(j * (j + 1), 2) - j * (k + 1)
+                                if Fraction(j * (j + 1), 2) - j * k
                                 + C < prec], default=0)
                     assert _j_window(k, Fraction(prec), C) == want, (C, prec, k)
+
+    @pytest.mark.parametrize("name,C", [("3_1l", -2), ("3_1r", 0),
+                                        ("4_1", -1), ("unknot", -1)])
+    def test_j_window_leaves_out_nothing_below_prec(self, name, C):
+        # the first r_j past the window, at its lowest shift in f_k, has
+        # no term below prec
+        a = get_knot(name).a
+        for prec in (5, Fraction(23, 2), 20):
+            for k in range(8):
+                j = _j_window(k, Fraction(prec), C) + 1
+                r = residue_series(a, j, prec + j * (k + 1), C)
+                assert r.shift(-j * (k + 1)).delta_lb() >= prec, (prec, k)
 
     def test_f_from_residues_window_too_small(self):
         spec = get_knot("3_1r")

@@ -23,6 +23,7 @@ from qhabiro import (
     zhat_via_ih,
     zhat_via_residues,
 )
+from qhabiro import surgery
 from qhabiro.surgery import (
     DIV_RUN_LENGTH,
     RUN_LENGTH,
@@ -58,6 +59,12 @@ def weight_poly_by_additions(j, p, a):
     return acc
 
 
+def weight_poly_from_terms(j, p, a):
+    """The weight polynomial from its Fraction exponents j*u - u^2/p."""
+    return QSeries.from_terms(
+        (j * u - Fraction(u * u, p), 1) for u in range(a, a + j * p, p))
+
+
 class TestWeightPoly:
     def test_empty(self):
         assert surgery_weight_poly(0, -1, 0).is_zero
@@ -74,6 +81,18 @@ class TestWeightPoly:
             for j in range(13):
                 assert surgery_weight_poly(j, p, a) == \
                     weight_poly_by_additions(j, p, a), (p, a, j)
+
+    @pytest.mark.parametrize("p", [1, -1, 2, -2, 3, -3, 4, -4, 5, -5])
+    def test_matches_fraction_exponents(self, p):
+        # the integer-exponent build on the 1/|p| grid gives the same
+        # canonical series, field by field
+        def fields(s):
+            return s.coeffs, s.offset, s.scale, s.prec
+
+        for a in sorted({*range(abs(p)), *(b + p for b in range(abs(p)))}):
+            for j in range(31):
+                assert fields(surgery_weight_poly(j, p, a)) == \
+                    fields(weight_poly_from_terms(j, p, a)), (p, a, j)
 
 
 class TestParams:
@@ -313,6 +332,58 @@ class TestFrozenRoutes:
                 params = SurgeryParams(p, a, 15)
                 assert zhat_via_ih(knot, params) == \
                     zhat_via_ih_by_atoms(knot, params), (p, a)
+
+
+class TestResidueFallback:
+    """The residue route's iterated k-sum (3_1r at p = -3) computes each
+    r_j once, at the precision the GM k-sum's stop K plans for it."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap residue_series and _plan_k: the list gets each r_j's j,
+        with "plan" where the fallback starts."""
+        calls = []
+        series, plan = surgery.residue_series, surgery._plan_k
+
+        def traced_series(a, j, prec, C):
+            calls.append(j)
+            return series(a, j, prec, C)
+
+        def traced_plan(*args):
+            calls.append("plan")
+            return plan(*args)
+
+        monkeypatch.setattr(surgery, "residue_series", traced_series)
+        monkeypatch.setattr(surgery, "_plan_k", traced_plan)
+        return calls
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_each_residue_computed_once_after_the_j_sum(self, monkeypatch, a):
+        calls = self.record(monkeypatch)
+        res = zhat_via_residues("3_1r", SurgeryParams(-3, a, 40))
+        assert "diverges" in res.sign_convention
+        fallback = calls[calls.index("plan") + 1:]
+        assert len(fallback) == len(set(fallback)), fallback
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_short_or_missing_plan_gives_the_same_output(self, monkeypatch, a):
+        params = SurgeryParams(-3, a, 20)
+        planned = zhat_via_residues("3_1r", params)
+        K = surgery._plan_k(get_knot("3_1r"), -3, a, params.prec)
+        assert K > 2
+        series = surgery.residue_series
+        for short in (2, None):
+            calls = []
+
+            def traced(a_, j, prec, C):
+                calls.append(j)
+                return series(a_, j, prec, C)
+
+            monkeypatch.setattr(surgery, "_plan_k", lambda *args: short)
+            monkeypatch.setattr(surgery, "residue_series", traced)
+            assert zhat_via_residues("3_1r", params) == planned, short
+            # past the plan, r_j is recomputed as later k need more of it
+            assert len(calls) > len(set(calls)), short
 
 
 class TestParkPolynomials:
