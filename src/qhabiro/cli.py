@@ -290,8 +290,11 @@ def _cmd_connect_sum(args) -> int:
 def _cmd_asympt(args) -> int:
     from . import asympt  # loads mpmath, which no other command needs
 
+    if args.bits < 1:
+        raise UsageError("--bits must be positive")
     if args.mode == "period":
-        rep = asympt.periodicity_check(args.knot, args.n_max, args.bits)
+        rep = _checked(asympt.periodicity_check, args.knot, args.n_max,
+                       args.bits)
         if args.json:
             print(json.dumps({"period": rep.period,
                               "values": list(rep.values),
@@ -305,7 +308,7 @@ def _cmd_asympt(args) -> int:
     if args.mode == "growth":
         n_list = list(range(max(10, args.n_max // 4), args.n_max + 1,
                             max(1, args.n_max // 20)))
-        g = asympt.growth_rate(args.knot, n_list, args.bits)
+        g = _checked(asympt.growth_rate, args.knot, n_list, args.bits)
         if args.json:
             print(json.dumps({"growth": g.estimate, "order": g.order,
                               "flagged": g.flagged}))
@@ -314,7 +317,8 @@ def _cmd_asympt(args) -> int:
                                       " (flagged)" if g.flagged else ""))
         return 0
     if args.mode == "phi":
-        ps = asympt.extract_phi(args.knot, args.depth, args.n_max, args.bits)
+        ps = _checked(asympt.extract_phi, args.knot, args.depth, args.n_max,
+                      args.bits)
         if args.json:
             print(json.dumps({"coeffs": list(ps.coeffs),
                               "prefactor": ps.prefactor}))
@@ -322,12 +326,13 @@ def _cmd_asympt(args) -> int:
             print("c = %s (prefactor %s)" % (list(ps.coeffs), ps.prefactor))
         return 0
     if args.mode == "quotient":
-        vals = asympt.phi_quotient_check(args.depth)
+        vals = _checked(asympt.phi_quotient_check, args.depth)
         print(json.dumps(list(vals)) if args.json else
               "quotient coefficients: %s" % (list(vals),))
         return 0
     if args.mode == "csv":
-        asympt.emit_csv(sys.stdout, args.knot, args.n_max, args.bits)
+        _checked(asympt.emit_csv, sys.stdout, args.knot, args.n_max,
+                 args.bits)
         return 0
     raise UsageError("unknown asympt mode %r" % args.mode)
 
@@ -416,8 +421,7 @@ def main(argv=None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     except QAlgebraError as exc:
-        as_json = bool(argv) and "--json" in argv or "--json" in sys.argv
-        if as_json:
+        if args.json:
             print(json.dumps({"error": type(exc).__name__,
                               "message": str(exc)}))
         else:

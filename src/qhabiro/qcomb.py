@@ -7,8 +7,9 @@ results that happen to lie in Z[q^{+-1}] come back scale-normalized.
 Every q-Pochhammer quotient is computed by one in-place kernel on a
 coefficient list c_0 + c_1 q + ..., truncated at its length: multiplying
 by (1 - q^m) is one shifted subtraction, dividing by it is a prefix sum
-along each residue class mod m.  Gaussian binomials, poch and the inverse
-Pochhammer products of residues.py are chains of these two steps.
+along each residue class mod m.  Gaussian binomials, [k]!, poch (and
+through it the curly brackets {n}_k and {k}!) and the inverse Pochhammer
+products of residues.py are chains of these two steps.
 """
 
 from __future__ import annotations
@@ -67,12 +68,18 @@ def qint(n: int) -> QSeries:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def qfact(k: int) -> QSeries:
-    """[k]! = [k][k-1]...[1]."""
+    """[k]! = [k][k-1]...[1] = q^{-k(k-1)/4} prod_{i<=k} (1 - q^i)/(1 - q).
+
+    The partial product after factor i is a polynomial of degree
+    binom(i,2), so every division is exact."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return QSeries.one()
-    return qfact(k - 1) * qint(k)
+    c = [1]
+    for i in range(2, k + 1):
+        c += [0] * (i - 1)
+        _mul_one_minus_qm(c, i)
+        _div_one_minus_qm(c, 1)
+    return QSeries(c).shift(-Fraction(k * (k - 1), 4))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -112,24 +119,17 @@ def curly(n: int) -> QSeries:
 @lru_cache(maxsize=CACHE_SIZE)
 def curly_fact(k: int) -> QSeries:
     """{k}! = {k}{k-1}...{1}."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return QSeries.one()
-    return curly_fact(k - 1) * curly(k)
+    return curly_poch(k, k)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def curly_poch(n: int, k: int) -> QSeries:
-    """{n}_k = {n}{n-1}...{n-k+1}."""
+    """{n}_k = {n}{n-1}...{n-k+1} = (-1)^k q^{-k(2n-k+1)/4}
+    (q^{n-k+1}; q)_k, as {m} = -q^{-m/2} (1 - q^m)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = QSeries.one()
-    for i in range(k):
-        out = out * curly(n - i)
-        if out.is_zero:
-            return QSeries.zero()
-    return out
+    out = poch(n - k + 1, k).shift(-Fraction(k * (2 * n - k + 1), 4))
+    return -out if k % 2 else out
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -11,9 +11,10 @@ Inverse q-Pochhammer symbols come from qcomb's in-place kernel, division
 by (1 - q^m) as strided prefix sums.  residue_series runs on plain integer
 lists: it carries 1/((q)_{k-j}(q)_{k+j}) from term to term with that
 kernel and adds each term into one coefficient list by slice-adds
-(_add_scaled, shared with surgery's residue and ih routes), with the
-checks of the certified summation (stop rule, per-term degree bound,
-result precision) and no QSeries per term.
+(series._add_scaled, the schoolbook product's kernel, which surgery's
+residue and ih routes share too), with the checks of the certified
+summation (stop rule, per-term degree bound, result precision) and no
+QSeries per term.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Union
 
 from .series import (
@@ -31,6 +31,7 @@ from .series import (
     ExpLike,
     PrecisionError,
     QSeries,
+    _add_scaled,
     series_sum_bounded,
 )
 from .qcomb import _div_one_minus_qm
@@ -73,22 +74,6 @@ def _inv_poch_pair(u, k: int, j: int, n: int) -> list:
     _div_one_minus_qm(u, k - j)
     _div_one_minus_qm(u, k + j)
     return u
-
-
-def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
-                u: list, n: int, sign: int) -> None:
-    """acc += sign * q^(e/g) * P * U below q^(top/g), one slice-add per
-    monomial of P, where acc[i] is the coefficient of q^((lo + i)/g).
-
-    monos lists P's monomials as (exponent * g, coefficient), ascending;
-    U is the integer-exponent series whose first n coefficients are u."""
-    for x, c in monos:
-        x += e
-        count = min(n, (top - x + g - 1) // g)  # entries of u below top
-        if count <= 0:
-            break
-        s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
-        acc[s] = map(add, acc[s], map((sign * c).__mul__, u))
 
 
 def _j_window(k: int, prec: Fraction, C) -> int:
@@ -414,8 +399,7 @@ def branch_residue_41(
             return (QSeries.monomial(e, sign)
                     * _inv_poch_product((k + j, k - j, k), target - e)).truncate(target)
 
-        bound = DegreeBound(
-            lambda k: Fraction(3 * k * k + k - j * j + j, 2), max(1, abs(j)))
+        bound = DegreeBound(lambda k: Fraction(3 * k * k + k - j * j + j, 2))
     elif branch == "-1/2":
         def term(k: int) -> QSeries:
             if k < abs(j):
@@ -425,7 +409,7 @@ def branch_residue_41(
             return (QSeries.monomial(e, sign)
                     * _inv_poch_product((k + j, k - j, k), target - e)).truncate(target)
 
-        bound = DegreeBound(lambda k: k + Fraction(j * (3 * j + 1), 2), abs(j))
+        bound = DegreeBound(lambda k: k + Fraction(j * (3 * j + 1), 2))
     else:
         raise ValueError("branch must be '+1/2' or '-1/2'")
     return series_sum_bounded(term, bound, target)

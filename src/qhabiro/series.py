@@ -18,9 +18,7 @@ from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Union
 
 try:
-    import gmpy2
-
-    _mpz = gmpy2.mpz
+    from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
     _mpz = None
 
@@ -64,24 +62,31 @@ class PrecisionError(QAlgebraError):
 # ---------------------------------------------------------------------------
 # multiplication kernel
 #
-# Schoolbook convolution for small operands.  Large products are folded
-# into one big-integer multiplication (Kronecker substitution), which GMP
-# handles asymptotically fast.  Swap `_polymul` to change the kernel.
+# Small products are one scaled slice-add per nonzero coefficient of the
+# shorter factor (_add_scaled, also the residue and surgery sums' kernel).
+# Large products are folded into one big-integer multiplication (Kronecker
+# substitution on _pack/_unpack); with gmpy2 that one multiplication runs
+# on GMP's mpz.  Swap `_polymul` to change the kernel.
 # ---------------------------------------------------------------------------
 
 _KRONECKER_CUTOFF = 4096  # len(a)*len(b) above which packing pays off
 
 
-def _polymul_school(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    if len(a) > len(b):
-        a, b = b, a
-    lb = len(b)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        out[i : i + lb] = [x + ca * y for x, y in zip(out[i : i + lb], b)]
-    return out
+def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
+                u: list, n: int, sign: int) -> None:
+    """acc += sign * q^(e/g) * P * U below q^(top/g), one slice-add per
+    monomial of P, where acc[i] is the coefficient of q^((lo + i)/g).
+
+    monos lists P's monomials as (exponent * g, coefficient), ascending;
+    U is the integer-exponent series whose first n coefficients are u."""
+    for x, c in monos:
+        x += e
+        count = min(n, (top - x + g - 1) // g)  # entries of u below top
+        if count <= 0:
+            break
+        s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
+        k = sign * c
+        acc[s] = [y + k * z for y, z in zip(acc[s], u)]
 
 
 # Signed packing, shared by the Kronecker product and the transforms in
@@ -134,25 +139,21 @@ def _polymul_kronecker(a: list, b: list) -> list:
     bb = max(map(int.bit_length, b))
     bound_bits = ba + bb + min(len(a), len(b)).bit_length()
     bits = 8 * ((bound_bits + 9) // 8)  # bits >= bound_bits+2
-    if _mpz is not None:
-        n = len(a) + len(b) - 1
-        x = gmpy2.pack([c if c > 0 else 0 for c in a], bits) \
-            - gmpy2.pack([-c if c < 0 else 0 for c in a], bits)
-        y = gmpy2.pack([c if c > 0 else 0 for c in b], bits) \
-            - gmpy2.pack([-c if c < 0 else 0 for c in b], bits)
-        half = 1 << (bits - 1)
-        offset = gmpy2.pack([half] * n, bits)
-        data = gmpy2.unpack(x * y + offset, bits)
-        return [int(c) - half for c in data]
-    return _unpack(_pack(a, bits) * _pack(b, bits), bits)
+    x, y = _pack(a, bits), _pack(b, bits)
+    return _unpack(x * y if _mpz is None else int(_mpz(x) * y), bits)
 
 
 def _polymul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    if len(a) * len(b) <= _KRONECKER_CUTOFF:
-        return _polymul_school(a, b)
-    return _polymul_kronecker(a, b)
+    if len(a) * len(b) > _KRONECKER_CUTOFF:
+        return _polymul_kronecker(a, b)
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    _add_scaled(out, 0, len(out), 1, [(i, c) for i, c in enumerate(a) if c],
+                0, b, len(b), 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +206,10 @@ class QSeries:
                     break
         if prec is not None:
             g = gcd(g, prec)
-        if g > 1:
-            if coeffs:
-                step = [coeffs[i] for i in range(0, len(coeffs), g)]
-                # only reducible if intermediate slots are empty
-                if sum(1 for c in coeffs if c) == sum(1 for c in step if c):
-                    coeffs, offset, scale = step, offset // g, scale // g
-                    if prec is not None:
-                        prec = prec // g
-            else:
-                scale //= g
-                if prec is not None:
-                    prec //= g
+        if g > 1:  # offset and every nonzero exponent are multiples of g
+            coeffs, offset, scale = coeffs[::g], offset // g, scale // g
+            if prec is not None:
+                prec //= g
         self_set = super().__setattr__
         self_set("scale", scale)
         self_set("offset", offset)
@@ -302,11 +295,6 @@ class QSeries:
         """Certified lower bound on the valuation (inf for exact zero)."""
         d = self.delta()
         return d.bound if isinstance(d, DeltaAtLeast) else d
-
-    def top_exponent(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero series has no top exponent")
-        return Fraction(self.offset + len(self.coeffs) - 1, self.scale)
 
     def coeff(self, exp: ExpLike) -> int:
         """Coefficient of q^exp. Raises PrecisionError beyond prec."""
@@ -651,11 +639,10 @@ def exact_div(a: QSeries, b: QSeries) -> QSeries:
 
 @dataclass(frozen=True)
 class DegreeBound:
-    """Lower bound k -> delta of the k-th summand, nondecreasing for
-    k >= monotone_from (spot-checked during summation)."""
+    """Lower bound k -> delta of the k-th summand, nondecreasing in k
+    (spot-checked during summation)."""
 
     bound: Callable[[int], ExpLike]
-    monotone_from: int = 0
 
 
 def series_sum_bounded(
@@ -663,8 +650,8 @@ def series_sum_bounded(
 ) -> QSeries:
     """Sum terms(0) + terms(1) + ... truncated at O(q^prec).
 
-    Stops at the first k >= bound.monotone_from with bound(k) >= prec.
-    Each included term must satisfy delta(term) >= bound(k).
+    Stops at the first k with bound(k) >= prec.  Each included term must
+    satisfy delta(term) >= bound(k).
     """
     target = Fraction(prec)
     acc = QSeries.zero(target)
@@ -672,14 +659,11 @@ def series_sum_bounded(
     prev = None
     while True:
         bk = Fraction(bound.bound(k))
-        if k >= bound.monotone_from:
-            if prev is not None and bk < prev:
-                raise DegreeBoundError(
-                    f"declared bound is not monotone at k={k}"
-                )
-            prev = bk
-            if bk >= target:
-                break
+        if prev is not None and bk < prev:
+            raise DegreeBoundError(f"declared bound is not monotone at k={k}")
+        prev = bk
+        if bk >= target:
+            break
         t = terms(k)
         if t.delta_lb() < bk:
             raise DegreeBoundError(f"degree bound violated at k={k}")

@@ -15,7 +15,7 @@ The residue and inverted-coefficient routes run on plain integer lists:
 each weight polynomial comes from its integer exponents, turns into the
 monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
 product with a residue or a carried 1/((q)_{k-j}(q)_{k+j}) is slice-adds
-into one coefficient list (residues._add_scaled), with one QSeries per
+into one coefficient list (series._add_scaled), with one QSeries per
 term.  The residue route's fallback computes each r_j once, at the
 precision that the GM k-sum's stop plans for it (_residue_diffs).
 
@@ -34,10 +34,10 @@ from itertools import compress, count
 from math import gcd, lcm
 from typing import Optional
 
-from .series import QAlgebraError, QSeries, exact_div
+from .series import QAlgebraError, QSeries, _add_scaled, exact_div
 from .qcomb import poch, qbinom, qpoch
 from .transform import f_from_a, lbc_check
-from .residues import _add_scaled, _inv_poch_pair, _j_window, residue_series
+from .residues import _inv_poch_pair, _j_window, residue_series
 from .knots import KnotSpec, get_knot
 
 RUN_LENGTH = 3
@@ -225,7 +225,7 @@ def _products(pairs, g: int, prec=None) -> QSeries:
     The sum is known to the least of prec and every prec(r_i) + delta(P_i),
     as the QSeries sum of the products would be.  It builds up in one
     coefficient list on the finest grid of the r_i, g and prec, one
-    _add_scaled per pair with r_i's grid step as the stride."""
+    series._add_scaled per pair with r_i's grid step as the stride."""
     cuts = [r.prec_q + Fraction(P[0][0], g) for r, P in pairs]
     if prec is not None:
         cuts.append(Fraction(prec))
@@ -388,7 +388,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     carried from k-1 to k by dividing by (1 - q^{k-j})(1 - q^{k+j}), cut to
     the length term k needs (rebuilt only if a later k needs more), and
     w_j = (1 - q^{-j}) weight_poly(j), built once, adds into the list
-    through _add_scaled.
+    through series._add_scaled.
 
     Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the

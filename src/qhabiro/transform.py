@@ -84,10 +84,6 @@ class LbcReport:
     constant: Fraction
     indeterminate: tuple = ()
 
-    @property
-    def has_warnings(self) -> bool:
-        return bool(self.indeterminate)
-
 
 def lbc_margin(k: int) -> Fraction:
     """-n(n+3)/2 at n = -k-1: the LBC reference degree for a_{-k-1}."""
@@ -239,13 +235,7 @@ class _Cascade:
                        None if prec is None else int(prec * self._scale))
 
 
-def _clip(seq: CoeffSeq, K: Optional[int]) -> Optional[int]:
-    if K is None:
-        return seq.max_index
-    return K if seq.max_index is None else min(K, seq.max_index)
-
-
-def f_from_a(a: CoeffSeq, K: Optional[int] = None) -> CoeffSeq:
+def f_from_a(a: CoeffSeq) -> CoeffSeq:
     """GM coefficients from inverted Habiro coefficients:
     f_i = sum_{k=0}^{i} [k+i choose 2k] a_{-k-1}.
 
@@ -257,10 +247,10 @@ def f_from_a(a: CoeffSeq, K: Optional[int] = None) -> CoeffSeq:
     """
     if a.side != "P":
         raise ValueError("f_from_a expects a P-side sequence")
-    return CoeffSeq("F", _Cascade(a, divide=True), _clip(a, K))
+    return CoeffSeq("F", _Cascade(a, divide=True), a.max_index)
 
 
-def a_from_f(f: CoeffSeq, K: Optional[int] = None) -> CoeffSeq:
+def a_from_f(f: CoeffSeq) -> CoeffSeq:
     """Inverted Habiro coefficients from GM coefficients.
 
     Inverts f_i = sum_k [k+i choose 2k] a_{-k-1} by multiplying
@@ -272,7 +262,7 @@ def a_from_f(f: CoeffSeq, K: Optional[int] = None) -> CoeffSeq:
     """
     if f.side != "F":
         raise ValueError("a_from_f expects an F-side sequence")
-    return CoeffSeq("P", _Cascade(f, divide=False), _clip(f, K))
+    return CoeffSeq("P", _Cascade(f, divide=False), f.max_index)
 
 
 def fk_degree_bound(i: int, C) -> Fraction:

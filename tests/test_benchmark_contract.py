@@ -50,3 +50,12 @@ def test_tracer_rebinds_existing_names_and_restores_them():
     finally:
         tracer.uninstall()
     assert tracer.restored()
+
+
+def test_kernel_names_the_benchmark_reads():
+    # perfbench/sample.py records `series._mpz is not None` in every
+    # sample; the tracer splits products at `series._KRONECKER_CUTOFF`
+    from qhabiro import series
+
+    assert hasattr(series, "_mpz")
+    assert isinstance(series._KRONECKER_CUTOFF, int)

@@ -51,6 +51,14 @@ class TestExitCodes:
         obj = json.loads(out)
         assert obj["error"] == "ConvergenceError"
 
+    def test_error_format_ignores_host_argv(self, capsys, monkeypatch):
+        # main(argv) reads its own arguments, not the host process's
+        monkeypatch.setattr(sys, "argv", ["host", "--json"])
+        code, out, err = run(capsys, "surgery", "--knot", "4_1", "-p", "5",
+                             "--prec", "15")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_unknown_knot_is_domain_error(self, capsys):
         code, _, err = run(capsys, "knot", "--name", "9_42")
         assert code == 2
@@ -61,6 +69,11 @@ class TestExitCodes:
         ("park-poly", "-p", "-2", "-k", "2"),
         ("park-poly", "-p", "2", "-k", "-1"),
         ("transform", "--knot", "4_1", "--method", "closed"),
+        ("asympt", "--mode", "phi", "--n-max", "3"),
+        ("asympt", "--mode", "growth", "--n-max", "0"),
+        ("asympt", "--mode", "quotient", "--depth", "9"),
+        ("asympt", "--mode", "phi", "--bits", "0"),
+        ("asympt", "--mode", "period", "--bits", "0"),
     ])
     def test_bad_parameters_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -135,7 +135,62 @@ class TestQBinom:
         assert s == s.mirror()
 
 
+def qfact_oracle(k: int) -> QSeries:
+    """[k]! factor by factor: [1][2]...[k]."""
+    out = QSeries.one()
+    for i in range(1, k + 1):
+        out = out * qint(i)
+    return out
+
+
+def curly_fact_oracle(k: int) -> QSeries:
+    """{k}! factor by factor: {1}{2}...{k}."""
+    out = QSeries.one()
+    for i in range(1, k + 1):
+        out = out * curly(i)
+    return out
+
+
+def curly_poch_oracle(n: int, k: int) -> QSeries:
+    """{n}_k factor by factor: {n}{n-1}...{n-k+1}."""
+    out = QSeries.one()
+    for i in range(k):
+        out = out * curly(n - i)
+        if out.is_zero:
+            return QSeries.zero()
+    return out
+
+
+def raw(s: QSeries) -> tuple:
+    return s.coeffs, s.offset, s.scale, s.prec
+
+
 class TestFactorials:
+    def test_kernels_match_factor_by_factor_oracles(self):
+        for k in range(40):
+            assert raw(qfact(k)) == raw(qfact_oracle(k)), k
+            assert raw(curly_fact(k)) == raw(curly_fact_oracle(k)), k
+        for n in range(-15, 25):
+            for k in range(20):
+                assert raw(curly_poch(n, k)) == raw(curly_poch_oracle(n, k)), (n, k)
+
+    def test_gamma_matches_oracle(self):
+        from qhabiro import gamma
+
+        for m in range(-6, 1):
+            for n in range(-6, 1):
+                for i in range(8):
+                    want = (curly_poch_oracle(m, i) * curly_poch_oracle(n, i)
+                            * qbinom(m + n + 1, i))
+                    assert raw(gamma(m, n, i)) == raw(want), (m, n, i)
+
+    def test_negative_index_rejected(self):
+        for fn in (qfact, curly_fact):
+            with pytest.raises(ValueError):
+                fn(-1)
+        with pytest.raises(ValueError):
+            curly_poch(3, -1)
+
     def test_qfact(self):
         assert qfact(3) == qint(1) * qint(2) * qint(3)
 

@@ -219,11 +219,14 @@ class TestDescendants:
 
 class TestBranches:
     def test_routes_agree(self):
+        # the closed sums' placeholder terms below k = |j| sit at prec;
+        # the stop rule must still see the bound from k = 0
         for branch in ("+1/2", "-1/2"):
-            for j in (0, 1, 2):
-                closed = branch_residue_41(branch, j, 20, route="closed")
-                family = branch_residue_41(branch, j, 20, route="family")
-                assert closed == family, (branch, j)
+            for j in range(-5, 6):
+                for prec in (-2, 0, 1, Fraction(7, 2), 12, 25):
+                    closed = branch_residue_41(branch, j, prec, route="closed")
+                    family = branch_residue_41(branch, j, prec, route="family")
+                    assert closed == family, (branch, j, prec)
 
     def test_plus_branch_matches_knot_residues(self):
         # r_j^{+1/2} = q^{-j^2} * (family residue of the branch coeffs)

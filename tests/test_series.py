@@ -1,6 +1,7 @@
 """Core truncated Laurent series arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from qhabiro import (
     series_invert_unit,
     series_sum_bounded,
 )
+from qhabiro import series
 
 exps = st.integers(min_value=-8, max_value=8)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -26,6 +28,26 @@ terms = st.dictionaries(exps, coeffs, max_size=6)
 
 def mk(d, prec=None):
     return QSeries.from_terms(d, prec)
+
+
+def naive_convolution(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def signed_with_zero_runs(rng, n: int) -> list:
+    """n signed coefficients of up to 80 bits, nonzero at both ends, with
+    runs of zeros inside."""
+    c = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 8, 80)))
+         for _ in range(n)]
+    for _ in range(n // 10):
+        i, r = rng.randrange(n), rng.randrange(1, 8)
+        c[i : i + r] = [0] * len(c[i : i + r])
+    c[0], c[-1] = c[0] or 1, c[-1] or -1
+    return c
 
 
 class TestConstruction:
@@ -91,6 +113,22 @@ class TestArithmetic:
         assert sq.coeff(0) == 1
         assert sq.coeff(n - 1) == n
         assert sq.coeff(2 * n - 2) == 1
+
+    def test_polymul_against_naive_convolution(self):
+        rng = random.Random(7)
+        # both sides of the cutoff: 64*64 = 4096 is schoolbook, 65*64 packs
+        for la, lb in ((1, 1), (1, 90), (5, 40), (64, 64), (65, 64),
+                       (40, 300), (300, 300)):
+            a, b = signed_with_zero_runs(rng, la), signed_with_zero_runs(rng, lb)
+            assert series._polymul(a, b) == naive_convolution(a, b), (la, lb)
+
+    def test_kronecker_mpz_line(self, monkeypatch):
+        # the gmpy2 line, with int standing in for mpz
+        monkeypatch.setattr(series, "_mpz", int)
+        rng = random.Random(11)
+        a, b = signed_with_zero_runs(rng, 120), signed_with_zero_runs(rng, 90)
+        assert len(a) * len(b) > series._KRONECKER_CUTOFF
+        assert series._polymul(a, b) == naive_convolution(a, b)
 
     def test_mixed_scale(self):
         h = QSeries.monomial(Fraction(1, 2))
