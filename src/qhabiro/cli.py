@@ -65,6 +65,17 @@ def _checked(fn, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def _bits_checked(bits: int, fn, *args):
+    """_checked(fn, *args) for an mpmath evaluation at ``bits`` of working
+    precision, with the ZeroDivisionError that mpmath raises when that is
+    too low for a solve or a division reported as a usage error too."""
+    try:
+        return _checked(fn, *args)
+    except ZeroDivisionError as exc:
+        raise UsageError("--bits %d is too low for this evaluation (%s)"
+                         % (bits, str(exc) or "division by zero")) from exc
+
+
 def _default_prec() -> int:
     env = os.environ.get("QHABIRO_PREC")
     if env:
@@ -293,8 +304,8 @@ def _cmd_asympt(args) -> int:
     if args.bits < 1:
         raise UsageError("--bits must be positive")
     if args.mode == "period":
-        rep = _checked(asympt.periodicity_check, args.knot, args.n_max,
-                       args.bits)
+        rep = _bits_checked(args.bits, asympt.periodicity_check, args.knot,
+                            args.n_max, args.bits)
         if args.json:
             print(json.dumps({"period": rep.period,
                               "values": list(rep.values),
@@ -308,7 +319,8 @@ def _cmd_asympt(args) -> int:
     if args.mode == "growth":
         n_list = list(range(max(10, args.n_max // 4), args.n_max + 1,
                             max(1, args.n_max // 20)))
-        g = _checked(asympt.growth_rate, args.knot, n_list, args.bits)
+        g = _bits_checked(args.bits, asympt.growth_rate, args.knot, n_list,
+                          args.bits)
         if args.json:
             print(json.dumps({"growth": g.estimate, "order": g.order,
                               "flagged": g.flagged}))
@@ -317,8 +329,8 @@ def _cmd_asympt(args) -> int:
                                       " (flagged)" if g.flagged else ""))
         return 0
     if args.mode == "phi":
-        ps = _checked(asympt.extract_phi, args.knot, args.depth, args.n_max,
-                      args.bits)
+        ps = _bits_checked(args.bits, asympt.extract_phi, args.knot,
+                           args.depth, args.n_max, args.bits)
         if args.json:
             print(json.dumps({"coeffs": list(ps.coeffs),
                               "prefactor": ps.prefactor}))
@@ -331,8 +343,8 @@ def _cmd_asympt(args) -> int:
               "quotient coefficients: %s" % (list(vals),))
         return 0
     if args.mode == "csv":
-        _checked(asympt.emit_csv, sys.stdout, args.knot, args.n_max,
-                 args.bits)
+        _bits_checked(args.bits, asympt.emit_csv, sys.stdout, args.knot,
+                      args.n_max, args.bits)
         return 0
     raise UsageError("unknown asympt mode %r" % args.mode)
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 import threading
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .qcomb import jacobi_symbol
 from .series import ExactnessError, QAlgebraError, QSeries
-from .transform import CoeffSeq, a_from_f, f_from_a
+from .transform import CoeffSeq, a_from_f, f_from_a, lbc_check
 
 INTEGRALITY_WINDOW = 64
+LBC_WINDOW = 24  # indices 0..LBC_WINDOW of the a-side fix lbc_constant
 
 
 class KnotError(QAlgebraError):
@@ -50,6 +52,11 @@ class KnotSpec:
     at least one is given.  ``self.a`` and ``self.f`` hold both sides; a
     side not given is ``f_from_a``/``a_from_f`` of the other.  Two given
     sides are taken as they are (the tests pin the built-in pairs).
+
+    A knot also carries what the surgery routes share across slopes and
+    spin^c labels: ``lbc_constant``, computed on first use, and
+    ``residues``, the store of residues r_j that ``surgery._residue``
+    fills and reads, keyed by (j, LBC constant).
     """
 
     def __init__(
@@ -72,6 +79,12 @@ class KnotSpec:
             self.a = a_from_f(self.f)
         if f_gen is None:
             self.f = f_from_a(self.a)
+        self.residues: dict = {}
+
+    @cached_property
+    def lbc_constant(self) -> Fraction:
+        """The LBC constant of the a-side over indices 0..LBC_WINDOW."""
+        return lbc_check(self.a, LBC_WINDOW).constant
 
     def a_coeff(self, k: int) -> QSeries:
         return self.a[k]

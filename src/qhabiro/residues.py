@@ -14,7 +14,9 @@ kernel and adds each term into one coefficient list by slice-adds
 (series._add_scaled, the schoolbook product's kernel, which surgery's
 residue and ih routes share too), with the checks of the certified
 summation (stop rule, per-term degree bound, result precision) and no
-QSeries per term.
+QSeries per term.  It computes afresh on every call: residue_family calls
+it directly, and the surgery routes share its results across slopes and
+spin^c labels through the knot's residue store (surgery._residue).
 """
 
 from __future__ import annotations

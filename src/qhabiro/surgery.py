@@ -16,8 +16,19 @@ each weight polynomial comes from its integer exponents, turns into the
 monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
 product with a residue or a carried 1/((q)_{k-j}(q)_{k+j}) is slice-adds
 into one coefficient list (series._add_scaled), with one QSeries per
-term.  The residue route's fallback computes each r_j once, at the
-precision that the GM k-sum's stop plans for it (_residue_diffs).
+term.
+
+State that depends only on the knot is computed once per process and
+shared across routes, slopes and spin^c labels: the LBC constant
+(KnotSpec.lbc_constant), the residues r_j (_residue, which keeps the most
+precise r_j computed so far in the knot's store and serves lower
+precisions as its truncation), and the monomials of each weight
+polynomial (_weight_monos, memoised per (j, p, a)).  The residue route's
+fallback asks for each r_j at the precision that the GM k-sum's stop
+plans for it (_residue_diffs).
+
+A read past a finite coefficient sequence ends each route in a
+PrecisionError naming the last index the knot provides (_within_data).
 
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
@@ -30,13 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache, wraps
 from itertools import compress, count
 from math import gcd, lcm
 from typing import Optional
 
-from .series import QAlgebraError, QSeries, _add_scaled, exact_div
-from .qcomb import poch, qbinom, qpoch
-from .transform import f_from_a, lbc_check
+from .series import (PrecisionError, QAlgebraError, QSeries, _add_scaled,
+                     exact_div)
+from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
+from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
 from .knots import KnotSpec, get_knot
 
@@ -175,11 +188,31 @@ def _f_diffs(f):
     return lambda k: (f[k - 1] if k else QSeries.zero()) - f[k]
 
 
+def _within_data(route):
+    """The surgery route, with CoeffSeq's IndexError from a read past the
+    knot's finite coefficient sequences raised as a PrecisionError that
+    names the last index the knot provides."""
+    @wraps(route)
+    def run(knot, params: SurgeryParams, *args, **kwargs) -> ZhatResult:
+        knot = get_knot(knot)
+        try:
+            return route(knot, params, *args, **kwargs)
+        except IndexError as exc:
+            top = knot.a.max_index
+            if top is None:
+                raise
+            raise PrecisionError(
+                "knot %r provides coefficients up to index %d only; this "
+                "surgery at O(q^%s) needs more" % (knot.name, top, params.prec)
+            ) from exc
+    return run
+
+
+@_within_data
 def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
     """1/2 sum_{k == +-a mod p, k >= 0} q^{-k^2/p} (f_{k-1} - f_k), with
     f_{-1} = 0; convergence is detected empirically from the degree trend
     of the included terms."""
-    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     return _normalize(_fk_sum(_f_diffs(knot.f), p, a, prec), p)
 
@@ -202,9 +235,10 @@ def surgery_weight_poly(j: int, p: int, a: int) -> QSeries:
     return QSeries(coeffs, lo // d, g // d)
 
 
-def _weight_monos(j: int, p: int, a: int) -> list:
+@lru_cache(maxsize=CACHE_SIZE)
+def _weight_monos(j: int, p: int, a: int) -> tuple:
     """w_j = (1 - q^{-j}) weight_poly(j) as its monomials
-    (exponent * |p|, coefficient), ascending."""
+    (exponent * |p|, coefficient), ascending; memoised, so a tuple."""
     wp = surgery_weight_poly(j, p, a)
     f = abs(p) // wp.scale
     shift = j * abs(p)
@@ -214,7 +248,7 @@ def _weight_monos(j: int, p: int, a: int) -> list:
         c = wp.coeffs[i]
         acc[x] = acc.get(x, 0) + c
         acc[x - shift] = acc.get(x - shift, 0) - c
-    return sorted((x, c) for x, c in acc.items() if c)
+    return tuple(sorted((x, c) for x, c in acc.items() if c))
 
 
 def _products(pairs, g: int, prec=None) -> QSeries:
@@ -283,37 +317,61 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
     return replace(out, sign_convention=out.sign_convention + note)
 
 
+def _residue(knot: KnotSpec, j: int, prec, C, plan=None) -> QSeries:
+    """r_j of the knot to O(q^prec) with LBC constant C, from the knot's
+    residue store.
+
+    The store keeps, per (j, C), the most precise r_j computed so far and
+    the precision it was asked at.  A request at or below that precision
+    gets its truncation, which is residue_series at the lower precision
+    exactly: QSeries is canonical, and every term past the lower window
+    lies at or above that window's precision.  A request above it calls
+    residue_series (the module's binding, read at call time) at
+    max(prec, plan) and replaces the entry.  The store holds at most
+    CACHE_SIZE entries and drops the oldest first."""
+    prec = Fraction(prec)
+    store = knot.residues
+    key = (j, C)
+    have = store.get(key)
+    if have is None or have[0] < prec:
+        at = prec if plan is None else max(prec, plan)
+        if have is None and len(store) >= CACHE_SIZE:
+            store.pop(next(iter(store)), None)
+        have = store[key] = (at, residue_series(knot.a, j, at, C))
+    at, r = have
+    return r if at == prec else r.truncate(prec)
+
+
+@_within_data
 def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
     """sum_{j>=1} r_j (1 - q^{-j}) * weight_poly(j), plus the k=0
     boundary term, summed over j while the double sum converges.
 
     Term j is r_j times the monomials of w_j = (1 - q^{-j}) weight_poly(j),
     one _add_scaled per monomial into one coefficient list on the 1/|p|
-    grid (_products); r_j is computed to O(q^{prec - delta(w_j)}), which the
-    term needs to reach O(q^prec).
+    grid (_products); r_j is read to O(q^{prec - delta(w_j)}), which the
+    term needs to reach O(q^prec), from the knot's store (_residue).  C
+    defaults to the knot's LBC constant.
 
     When the termwise j-sum diverges (the weight polynomials' degrees
     fall faster than delta(r_j) grows), the unswapped iterated sum is
     evaluated instead: the k-sum of q^{-k^2/p}(f_{k-1}-f_k) with every
-    difference reconstructed from the residues (_residue_diffs), starting
-    from the r_j the j-sum computed."""
-    knot = get_knot(knot)
+    difference reconstructed from the residues (_residue_diffs)."""
     p, a, prec = params.p, params.a, params.prec
     if C is None:
-        C = lbc_check(knot.a, 24).constant
+        C = knot.lbc_constant
     a_w = _weight_label(p, a)
     g = abs(p)
-    rs = {}
 
     def term(j: int) -> QSeries:
         w = _weight_monos(j, p, a_w)
         low = Fraction(w[0][0], g)
-        rj = rs[j] = residue_series(knot.a, j, prec - min(Fraction(0), low), C)
+        rj = _residue(knot, j, prec - min(Fraction(0), low), C)
         return _products([(rj, w)], g)
 
     acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
     return _finish(acc, knot, params,
-                   lambda: _residue_diffs(knot, params, C, rs),
+                   lambda: _residue_diffs(knot, params, C),
                    "; termwise j-sum diverges, evaluated as the iterated "
                    "k-sum over residue-reconstructed coefficients")
 
@@ -335,7 +393,7 @@ def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> Optional[int]:
     return last[0]
 
 
-def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C, rs: dict):
+def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C):
     """k -> f_{k-1} - f_k to O(q^prec), from the residues through
     f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j and f_{-1} = 0.
 
@@ -343,12 +401,11 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C, rs: dict):
     sum_{j>=1} (q^{-j(k+1)} + q^{jk} - q^{-jk} - q^{j(k-1)}) r_j, which
     needs each r_j to O(q^{prec + j(k+1)}) over the j-window of f_k (it
     covers f_{k-1}'s); each r_j adds its four monomials into one list
-    (_products).  rs maps j to the most precise r_j so far, starting from
-    the j-sum's.
+    (_products).  Each r_j comes from the knot's store (_residue).
 
     The precision plan: the GM k-sum over knot.f, whose terms are the same
-    differences, stops at some in-class K (_plan_k), so an r_j the j-sum
-    left short is computed once, to O(q^{prec + j(K+1)}), the most any
+    differences, stops at some in-class K (_plan_k), so an r_j the store
+    holds short is computed once, to O(q^{prec + j(K+1)}), the most any
     k <= K asks of it.  The plan only sizes the r_j; the differences and
     the stop come from the residues, and a k past K (a short plan) or no
     plan recomputes r_j at the precision that k needs."""
@@ -356,12 +413,8 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C, rs: dict):
     K = _plan_k(knot, p, a, prec)
 
     def rj(j: int, need: Fraction) -> QSeries:
-        have = rs.get(j)
-        if have is None or have.prec_q < need:
-            if K is not None:
-                need = max(need, prec + j * (K + 1))
-            have = rs[j] = residue_series(knot.a, j, need, C)
-        return have
+        return _residue(knot, j, need, C,
+                        None if K is None else prec + j * (K + 1))
 
     def diff(k: int) -> QSeries:
         if k == 0:
@@ -378,6 +431,7 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C, rs: dict):
     return diff
 
 
+@_within_data
 def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     """sum_{k>=1} a_{-k-1} sum_{j=1}^k (-1)^{k+j+1}
     q^{binom(k+1,2)+binom(j+1,2)} (1-q^{-j}) weight_poly(j)
@@ -393,7 +447,6 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the
     inverted Habiro coefficients through the transform."""
-    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
     g = abs(p)

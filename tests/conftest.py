@@ -5,8 +5,10 @@ import pytest
 
 from qhabiro import (
     CoeffSeq,
+    KnotSpec,
     QSeries,
     exact_div,
+    get_knot,
     qbinom,
     qfact,
     qint,
@@ -21,6 +23,14 @@ def seq_from_list(side, items):
         return data[k] if k < len(data) else QSeries.zero()
 
     return CoeffSeq(side, gen)
+
+
+def fresh_knot(name: str) -> KnotSpec:
+    """An unregistered copy of a registered knot, built from its
+    generators: its coefficient memos, residue store and LBC constant start
+    empty, whatever earlier tests computed on the registered knot."""
+    ref = get_knot(name)
+    return KnotSpec(name, ref.a._gen, ref.f._gen, max_index=ref.a.max_index)
 
 
 def random_laurent(rng: random.Random, span: int = 4, lo: int = -6,

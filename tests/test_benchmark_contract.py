@@ -13,6 +13,8 @@ import sys
 
 from qhabiro import SurgeryParams, surgery
 
+from conftest import fresh_knot
+
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
 
@@ -40,9 +42,12 @@ def test_tracer_rebinds_existing_names_and_restores_them():
             assert ("qhabiro.surgery", attr) in rebound, attr
         for name, mod, attr in tracing.CACHES:
             assert hasattr(sys.modules[mod], attr), name
-        # the routes reach their layers through the rebound names
+        # the routes reach their layers through the rebound names, on a
+        # knot and weight monomials that no earlier test has memoised
+        knot = fresh_knot("3_1l")
+        surgery._weight_monos.cache_clear()
         for method in ("fk", "residues", "ihcoef"):
-            surgery.zhat("3_1l", SurgeryParams(-2, 1, 8, method=method))
+            surgery.zhat(knot, SurgeryParams(-2, 1, 8, method=method))
         seen = {span[0] for span in tracer.spans}
         assert {"surgery.route_fk", "surgery.route_residues",
                 "surgery.route_ih", "surgery.weight_poly",

@@ -74,6 +74,9 @@ class TestExitCodes:
         ("asympt", "--mode", "quotient", "--depth", "9"),
         ("asympt", "--mode", "phi", "--bits", "0"),
         ("asympt", "--mode", "period", "--bits", "0"),
+        ("asympt", "--mode", "phi", "--bits", "1"),
+        ("asympt", "--mode", "phi", "--bits", "8"),
+        ("asympt", "--mode", "period", "--bits", "1"),
     ])
     def test_bad_parameters_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)

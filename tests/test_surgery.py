@@ -10,6 +10,8 @@ from qhabiro import (
     ConvergenceError,
     KnotSpec,
     get_knot,
+    lbc_check,
+    PrecisionError,
     QSeries,
     SurgeryParams,
     f_from_a,
@@ -33,6 +35,8 @@ from qhabiro.surgery import (
     _trend_sum,
     _weight_label,
 )
+
+from conftest import fresh_knot
 
 PREC = 25
 
@@ -336,7 +340,9 @@ class TestFrozenRoutes:
 
 class TestResidueFallback:
     """The residue route's iterated k-sum (3_1r at p = -3) computes each
-    r_j once, at the precision the GM k-sum's stop K plans for it."""
+    r_j once, at the precision the GM k-sum's stop K plans for it.  Each
+    run takes a fresh copy of 3_1r, so that no residue an earlier run
+    stored on the knot hides a computation."""
 
     @staticmethod
     def record(monkeypatch):
@@ -360,7 +366,7 @@ class TestResidueFallback:
     @pytest.mark.parametrize("a", [0, 1, 2])
     def test_each_residue_computed_once_after_the_j_sum(self, monkeypatch, a):
         calls = self.record(monkeypatch)
-        res = zhat_via_residues("3_1r", SurgeryParams(-3, a, 40))
+        res = zhat_via_residues(fresh_knot("3_1r"), SurgeryParams(-3, a, 40))
         assert "diverges" in res.sign_convention
         fallback = calls[calls.index("plan") + 1:]
         assert len(fallback) == len(set(fallback)), fallback
@@ -368,7 +374,7 @@ class TestResidueFallback:
     @pytest.mark.parametrize("a", [0, 1, 2])
     def test_short_or_missing_plan_gives_the_same_output(self, monkeypatch, a):
         params = SurgeryParams(-3, a, 20)
-        planned = zhat_via_residues("3_1r", params)
+        planned = zhat_via_residues(fresh_knot("3_1r"), params)
         K = surgery._plan_k(get_knot("3_1r"), -3, a, params.prec)
         assert K > 2
         series = surgery.residue_series
@@ -381,9 +387,86 @@ class TestResidueFallback:
 
             monkeypatch.setattr(surgery, "_plan_k", lambda *args: short)
             monkeypatch.setattr(surgery, "residue_series", traced)
-            assert zhat_via_residues("3_1r", params) == planned, short
+            assert zhat_via_residues(fresh_knot("3_1r"), params) == planned, short
             # past the plan, r_j is recomputed as later k need more of it
             assert len(calls) > len(set(calls)), short
+
+
+class TestResidueStore:
+    """surgery._residue serves each r_j from the knot's store: the most
+    precise r_j so far, truncated to the precision asked."""
+
+    PRECS = [Fraction(-3), Fraction(0), Fraction(5, 2), Fraction(7),
+             Fraction(31, 3), Fraction(16)]
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    def test_every_answer_equals_a_fresh_computation(self, name, order):
+        precs = {"increasing": self.PRECS, "decreasing": self.PRECS[::-1],
+                 "shuffled": [self.PRECS[i] for i in (3, 0, 5, 2, 4, 1)]}[order]
+        knot = fresh_knot(name)
+        C = knot.lbc_constant
+        for j in range(-4, 7):
+            for prec in precs:
+                got = surgery._residue(knot, j, prec, C)
+                want = surgery.residue_series(knot.a, j, prec, C)
+                assert got.to_json() == want.to_json(), (j, prec)
+
+    def test_second_pass_computes_no_residue(self, monkeypatch):
+        knots = {name: fresh_knot(name) for name in ("3_1l", "3_1r", "4_1")}
+        cases = [(name, p, a) for name in knots for p in (-1, -2, -3)
+                 for a in range(abs(p))]
+        routes = (zhat_via_fk, zhat_via_residues, zhat_via_ih)
+
+        def run():
+            return [route(knots[name], SurgeryParams(p, a, 12))
+                    for name, p, a in cases for route in routes]
+
+        first = run()
+        calls = []
+        series = surgery.residue_series
+
+        def traced(*args):
+            calls.append(args[1])
+            return series(*args)
+
+        monkeypatch.setattr(surgery, "residue_series", traced)
+        assert run() == first
+        assert calls == []
+
+    def test_store_holds_at_most_cache_size_entries(self, monkeypatch):
+        monkeypatch.setattr(surgery, "CACHE_SIZE", 4)
+        knot = fresh_knot("3_1r")
+        C = knot.lbc_constant
+        for j in range(10):
+            got = surgery._residue(knot, j, 12, C)
+            assert got == surgery.residue_series(knot.a, j, 12, C), j
+            assert len(knot.residues) <= 4
+        assert sorted(knot.residues) == [(j, C) for j in range(6, 10)]
+
+    def test_lbc_constant_once_per_knot_and_explicit_c_wins(self):
+        knot = fresh_knot("3_1r")
+        params = SurgeryParams(-2, 1, 12)
+        default = zhat_via_residues(knot, params)
+        assert vars(knot)["lbc_constant"] == lbc_check(knot.a, 24).constant
+        C = knot.lbc_constant - 2
+        assert zhat_via_residues(knot, params, C=C) == default
+        assert {c for _, c in knot.residues} == {C + 2, C}
+
+    def test_weight_monomials_are_a_shared_tuple(self):
+        w = surgery._weight_monos(3, -2, 1)
+        assert isinstance(w, tuple)
+        assert surgery._weight_monos(3, -2, 1) is w
+
+
+class TestFiniteData:
+    @pytest.mark.parametrize("route", [zhat_via_fk, zhat_via_residues,
+                                       zhat_via_ih])
+    def test_read_past_the_data_is_a_precision_error(self, route):
+        # the a-side stops at a_{-7} (index 6); O(q^20) needs more of it
+        knot = KnotSpec("t", lambda k: get_knot("3_1l").a[k], max_index=6)
+        with pytest.raises(PrecisionError, match="up to index 6 only"):
+            route(knot, SurgeryParams(-2, 0, 20))
 
 
 class TestParkPolynomials:
