@@ -109,7 +109,6 @@ class _RootData:
 
     def __init__(self, N: int, bits: int):
         self.N = N
-        self.bits = bits
         with mp.workprec(bits):
             w = mp.expjpi(mp.mpf(2) / N)
             powers = [mp.mpc(1)]
@@ -135,14 +134,12 @@ class _RootData:
         return hi * self.prefix[r] / (self.prefix[s] * self.prefix[r - s])
 
 
-def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS,
-             root: Optional[_RootData] = None) -> "mp.mpc":
+def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS) -> "mp.mpc":
     """f_n of the figure-eight knot at q = zeta_N, via
     f_n = sum_i [n+i choose 2i] and q-Lucas reduction of each balanced
     binomial ([m choose k] = q^{-k(m-k)/2} C[m, k]; here k(m-k)/2 = i(n-i)).
     """
-    if root is None or root.N != N:
-        root = _RootData(N, bits)
+    root = _RootData(N, bits)
     with mp.workprec(bits):
         total = mp.mpc(0)
         for i in range(n + 1):
@@ -153,10 +150,9 @@ def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS,
         return total
 
 
-def _eval_f_at(knot: KnotSpec, n: int, N: int, bits: int,
-               root: Optional[_RootData] = None) -> "mp.mpc":
+def _eval_f_at(knot: KnotSpec, n: int, N: int, bits: int) -> "mp.mpc":
     if knot.name == "4_1":
-        return f41_eval(n, N, bits, root)
+        return f41_eval(n, N, bits)
     poly = f_poly_exact(knot, n)
     use_bits = max(bits, 64 + _coeff_magnitude_bits(poly))
     return eval_root_of_unity(poly, N, use_bits)

@@ -22,7 +22,7 @@ from .series import ExactnessError, QAlgebraError, QSeries
 from .transform import CoeffSeq, a_from_f, f_from_a, lbc_check
 
 INTEGRALITY_WINDOW = 64
-LBC_WINDOW = 24  # indices 0..LBC_WINDOW of the a-side fix lbc_constant
+LBC_WINDOW = 24  # lbc_constant audits the a-side over indices 0..LBC_WINDOW at most
 
 
 class KnotError(QAlgebraError):
@@ -56,7 +56,7 @@ class KnotSpec:
     A knot also carries what the surgery routes share across slopes and
     spin^c labels: ``lbc_constant``, computed on first use, and
     ``residues``, the store of residues r_j that ``surgery._residue``
-    fills and reads, keyed by (j, LBC constant).
+    fills and reads, keyed by j.
     """
 
     def __init__(
@@ -83,8 +83,11 @@ class KnotSpec:
 
     @cached_property
     def lbc_constant(self) -> Fraction:
-        """The LBC constant of the a-side over indices 0..LBC_WINDOW."""
-        return lbc_check(self.a, LBC_WINDOW).constant
+        """The knot's LBC constant: that of its a-side over indices
+        0..LBC_WINDOW, or up to the last index a finite a-side provides."""
+        top = self.a.max_index
+        return lbc_check(self.a, LBC_WINDOW if top is None
+                         else min(LBC_WINDOW, top)).constant
 
     def a_coeff(self, k: int) -> QSeries:
         return self.a[k]

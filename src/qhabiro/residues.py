@@ -79,17 +79,17 @@ def _inv_poch_pair(u, k: int, j: int, n: int) -> list:
 
 
 def _j_window(k: int, prec: Fraction, C) -> int:
-    """The largest j >= 1 with binom(j+1,2) - jk + C < prec, or 0: the
+    """The largest j >= 1 with binom(j+1,2) - jk + C + 1 < prec, or 0: the
     residues r_j that f_k needs to O(q^prec).  r_j's degree bound
-    binom(j+1,2) + j + C (the first term of residue_series' sum) puts
+    binom(j+1,2) + j + 1 + C (the first term of residue_series' sum) puts
     q^{-j(k+1)} r_j, the lowest of its shifts in f_k, at binom(j+1,2) - jk
-    + C or above.  That bound falls until the vertex at j = k - 1/2 and
+    + C + 1 or above.  That bound falls until the vertex at j = k - 1/2 and
     rises after it, so the scan runs to j = k and stops at the first j
     from there on that clears prec."""
     last = 0
     j = 1
     while True:
-        if _binom2(j + 1) - j * k + C < prec:
+        if _binom2(j + 1) - j * k + C + 1 < prec:
             last = j
         elif j >= k:
             return last
@@ -169,7 +169,8 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     The sum builds up in one integer coefficient list.  Term k's state
     u_k = 1/((q)_{k-j}(q)_{k+j}) = u_{k-1}/((1 - q^{k-j})(1 - q^{k+j})) is
     carried from term to term at the length ceil(prec - bound(k)) that the
-    LBC certifies, bound(k) = binom(j+1,2) + k + C; each coefficient
+    LBC certifies: delta(a_{-k-1}) >= -(k+1)(k-2)/2 + C and the term's
+    q^{e_k} give bound(k) = binom(j+1,2) + k + 1 + C.  Each coefficient
     c q^x of a_{-k-1} adds c (-1)^{k+j+1} q^{x+e_k} u_k, with
     e_k = binom(k+1,2) + binom(j+1,2), as one slice-add into the list, on
     the finest exponent grid of the a_{-k-1} summed.
@@ -181,7 +182,7 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     below prec only where some a_{-k-1} is truncated."""
     C = _lbc_constant(C)
     target = Fraction(prec)
-    base = _binom2(j + 1) + C  # bound(k) = base + k
+    base = _binom2(j + 1) + C + 1  # bound(k) = base + k
     stop = max(math.ceil(target - base), 0)  # first k with bound(k) >= prec
     ej = j * (j + 1) // 2
     terms = a.prefix(stop - 1)
@@ -312,8 +313,9 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
         raise ValueError("kind must be 'L' or 'R'")
     if J == 0:
         return True
+    knot = get_knot("3_1l" if kind == "L" else "3_1r")
+    fam = residue_family(knot.a, J, target, knot.lbc_constant)
     if kind == "L":
-        fam = residue_family(get_knot("3_1l").a, J, target, Fraction(-2))
         for j in range(J):
             lhs = fam.r(j + 1)
             rhs = -fam.r(j).shift(3 * j + 2)
@@ -321,7 +323,6 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
                 return False
         return True
 
-    fam = residue_family(get_knot("3_1r").a, J, target, Fraction(0))
     inv2 = _inv_poch_product((INF, INF), target)
     for j in range(J):
         p = target - (3 * j + 2)

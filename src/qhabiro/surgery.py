@@ -21,14 +21,11 @@ term.
 State that depends only on the knot is computed once per process and
 shared across routes, slopes and spin^c labels: the LBC constant
 (KnotSpec.lbc_constant), the residues r_j (_residue, which keeps the most
-precise r_j computed so far in the knot's store and serves lower
-precisions as its truncation), and the monomials of each weight
+precise r_j computed so far in the knot's store, keyed by j, and serves
+lower precisions as its truncation), and the monomials of each weight
 polynomial (_weight_monos, memoised per (j, p, a)).  The residue route's
 fallback asks for each r_j at the precision that the GM k-sum's stop
 plans for it (_residue_diffs).
-
-A read past a finite coefficient sequence ends each route in a
-PrecisionError naming the last index the knot provides (_within_data).
 
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
@@ -41,13 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm
 from typing import Optional
 
-from .series import (PrecisionError, QAlgebraError, QSeries, _add_scaled,
-                     exact_div)
+from .series import QAlgebraError, QSeries, _add_scaled, exact_div
 from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
 from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
@@ -188,31 +184,11 @@ def _f_diffs(f):
     return lambda k: (f[k - 1] if k else QSeries.zero()) - f[k]
 
 
-def _within_data(route):
-    """The surgery route, with CoeffSeq's IndexError from a read past the
-    knot's finite coefficient sequences raised as a PrecisionError that
-    names the last index the knot provides."""
-    @wraps(route)
-    def run(knot, params: SurgeryParams, *args, **kwargs) -> ZhatResult:
-        knot = get_knot(knot)
-        try:
-            return route(knot, params, *args, **kwargs)
-        except IndexError as exc:
-            top = knot.a.max_index
-            if top is None:
-                raise
-            raise PrecisionError(
-                "knot %r provides coefficients up to index %d only; this "
-                "surgery at O(q^%s) needs more" % (knot.name, top, params.prec)
-            ) from exc
-    return run
-
-
-@_within_data
 def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
     """1/2 sum_{k == +-a mod p, k >= 0} q^{-k^2/p} (f_{k-1} - f_k), with
     f_{-1} = 0; convergence is detected empirically from the degree trend
     of the included terms."""
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     return _normalize(_fk_sum(_f_diffs(knot.f), p, a, prec), p)
 
@@ -317,11 +293,10 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
     return replace(out, sign_convention=out.sign_convention + note)
 
 
-def _residue(knot: KnotSpec, j: int, prec, C, plan=None) -> QSeries:
-    """r_j of the knot to O(q^prec) with LBC constant C, from the knot's
-    residue store.
+def _residue(knot: KnotSpec, j: int, prec, plan=None) -> QSeries:
+    """r_j of the knot to O(q^prec), from the knot's residue store.
 
-    The store keeps, per (j, C), the most precise r_j computed so far and
+    The store keeps, per j, the most precise r_j computed so far and
     the precision it was asked at.  A request at or below that precision
     gets its truncation, which is residue_series at the lower precision
     exactly: QSeries is canonical, and every term past the lower window
@@ -331,47 +306,44 @@ def _residue(knot: KnotSpec, j: int, prec, C, plan=None) -> QSeries:
     CACHE_SIZE entries and drops the oldest first."""
     prec = Fraction(prec)
     store = knot.residues
-    key = (j, C)
-    have = store.get(key)
+    have = store.get(j)
     if have is None or have[0] < prec:
         at = prec if plan is None else max(prec, plan)
         if have is None and len(store) >= CACHE_SIZE:
             store.pop(next(iter(store)), None)
-        have = store[key] = (at, residue_series(knot.a, j, at, C))
+        have = store[j] = (at, residue_series(knot.a, j, at,
+                                              knot.lbc_constant))
     at, r = have
     return r if at == prec else r.truncate(prec)
 
 
-@_within_data
-def zhat_via_residues(knot, params: SurgeryParams, C=None) -> ZhatResult:
+def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
     """sum_{j>=1} r_j (1 - q^{-j}) * weight_poly(j), plus the k=0
     boundary term, summed over j while the double sum converges.
 
     Term j is r_j times the monomials of w_j = (1 - q^{-j}) weight_poly(j),
     one _add_scaled per monomial into one coefficient list on the 1/|p|
     grid (_products); r_j is read to O(q^{prec - delta(w_j)}), which the
-    term needs to reach O(q^prec), from the knot's store (_residue).  C
-    defaults to the knot's LBC constant.
+    term needs to reach O(q^prec), from the knot's store (_residue).
 
     When the termwise j-sum diverges (the weight polynomials' degrees
     fall faster than delta(r_j) grows), the unswapped iterated sum is
     evaluated instead: the k-sum of q^{-k^2/p}(f_{k-1}-f_k) with every
     difference reconstructed from the residues (_residue_diffs)."""
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
-    if C is None:
-        C = knot.lbc_constant
     a_w = _weight_label(p, a)
     g = abs(p)
 
     def term(j: int) -> QSeries:
         w = _weight_monos(j, p, a_w)
         low = Fraction(w[0][0], g)
-        rj = _residue(knot, j, prec - min(Fraction(0), low), C)
+        rj = _residue(knot, j, prec - min(Fraction(0), low))
         return _products([(rj, w)], g)
 
     acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
     return _finish(acc, knot, params,
-                   lambda: _residue_diffs(knot, params, C),
+                   lambda: _residue_diffs(knot, params),
                    "; termwise j-sum diverges, evaluated as the iterated "
                    "k-sum over residue-reconstructed coefficients")
 
@@ -393,7 +365,7 @@ def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> Optional[int]:
     return last[0]
 
 
-def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C):
+def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
     """k -> f_{k-1} - f_k to O(q^prec), from the residues through
     f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j and f_{-1} = 0.
 
@@ -410,10 +382,11 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C):
     the stop come from the residues, and a k past K (a short plan) or no
     plan recomputes r_j at the precision that k needs."""
     p, a, prec = params.p, params.a, params.prec
+    C = knot.lbc_constant
     K = _plan_k(knot, p, a, prec)
 
     def rj(j: int, need: Fraction) -> QSeries:
-        return _residue(knot, j, need, C,
+        return _residue(knot, j, need,
                         None if K is None else prec + j * (K + 1))
 
     def diff(k: int) -> QSeries:
@@ -431,7 +404,6 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams, C):
     return diff
 
 
-@_within_data
 def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     """sum_{k>=1} a_{-k-1} sum_{j=1}^k (-1)^{k+j+1}
     q^{binom(k+1,2)+binom(j+1,2)} (1-q^{-j}) weight_poly(j)
@@ -447,6 +419,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the
     inverted Habiro coefficients through the transform."""
+    knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
     g = abs(p)

@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import Callable, Optional
 
-from .series import DeltaAtLeast, QAlgebraError, QSeries, _pack, _repack, _unpack
+from .series import (DeltaAtLeast, PrecisionError, QAlgebraError, QSeries,
+                     _pack, _repack, _unpack)
 
 
 class LbcError(QAlgebraError):
@@ -35,8 +36,10 @@ class CoeffSeq:
     """Lazy, memoized family of QSeries coefficients.
 
     side 'F': index k holds f_k.  side 'P': index k holds a_{-k-1}.
-    ``max_index`` of None means the generator is defined for every k >= 0.
-    Memo reads are safe under concurrency; generation is pure.
+    ``max_index`` of None means the generator is defined for every k >= 0;
+    a read past a finite ``max_index`` raises PrecisionError, naming the
+    last index provided.  Memo reads are safe under concurrency;
+    generation is pure.
     """
 
     def __init__(
@@ -57,7 +60,8 @@ class CoeffSeq:
         if k < 0:
             raise IndexError("coefficient indices start at 0")
         if self.max_index is not None and k > self.max_index:
-            raise IndexError("index beyond provided data")
+            raise PrecisionError("coefficients provided up to index %d only; "
+                                 "index %d was read" % (self.max_index, k))
         try:
             return self._memo[k]
         except KeyError:

@@ -133,6 +133,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "fermat")
         assert code == 1
 
+    @pytest.mark.parametrize("suite", ["tails-even", "tails-odd"])
+    @pytest.mark.parametrize("prec", [0, 5, 8, 40])
+    def test_tails_at_any_precision(self, capsys, suite, prec):
+        # the tail can agree no further than the precision asked for, so
+        # below O(q^8) agreement to that precision passes
+        code, out, _ = run(capsys, "verify", suite, "--prec", str(prec))
+        assert code == 0, out
+        agree_to = int(out.split("O(q^")[1].rstrip(")\n"))
+        assert out.startswith("OK") and agree_to >= min(8, prec), out
+
 
 class TestResidues:
     def test_tabulated_row_json(self, capsys):

@@ -9,6 +9,7 @@ from qhabiro import (
     ExponentIntegralityError,
     KnotFileError,
     KnotSpec,
+    PrecisionError,
     QSeries,
     UnknownKnotError,
     get_knot,
@@ -130,7 +131,7 @@ class TestLoadKnots:
         }]
         (spec,) = load_knots(write_doc(tmp_path, doc))
         assert spec.a_coeff(1) == QSeries.monomial(2, -1)
-        with pytest.raises(IndexError):
+        with pytest.raises(PrecisionError, match="up to index 1 only"):
             spec.a_coeff(2)
 
     def test_composite_sum(self, tmp_path):

@@ -149,7 +149,7 @@ class TestRoundTrips:
                 for k in range(9):
                     want = max([j for j in range(1, 100)
                                 if Fraction(j * (j + 1), 2) - j * k
-                                + C < prec], default=0)
+                                + C + 1 < prec], default=0)
                     assert _j_window(k, Fraction(prec), C) == want, (C, prec, k)
 
     @pytest.mark.parametrize("name,C", [("3_1l", -2), ("3_1r", 0),
@@ -280,14 +280,22 @@ class TestRunningResidueSum:
     @pytest.mark.parametrize("name,C", [("3_1l", -2), ("3_1r", 0),
                                         ("4_1", -1), ("unknot", -1)])
     def test_tight_constant(self, name, C):
-        # with C + 1 some terms sit exactly at the residue bound, so the
-        # carried list is exactly as long as they need
+        # with the knot's own constant some terms sit exactly at the
+        # residue bound, so the carried list is exactly as long as they need
         a = get_knot(name).a
         for j in range(-4, 5):
             for prec in (9, Fraction(47, 3)):
-                got = residue_series(a, j, prec, C + 1)
-                assert got == atom_sum(a, j, prec, C + 1), (j, prec)
-                assert got == residue_series(a, j, prec, C), (j, prec)
+                got = residue_series(a, j, prec, C)
+                assert got == atom_sum(a, j, prec, C), (j, prec)
+                assert got == residue_series(a, j, prec, C - 1), (j, prec)
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
+    def test_constant_above_the_lbc_is_refused(self, name):
+        # the LBC bound of term k is binom(j+1,2) + k + 1 + C; one above the
+        # knot's constant, a_{-1} already sits below it
+        knot = get_knot(name)
+        with pytest.raises(DegreeBoundError, match="k=0"):
+            residue_series(knot.a, 0, 9, knot.lbc_constant + 1)
 
     def test_fractional_constant(self):
         # a weaker, fractional LBC constant widens the window and
@@ -349,11 +357,12 @@ class TestRunningResidueSum:
                     atom_sum(a, j, prec, -5), (j, prec)
 
     def test_bound_violation_still_raises(self):
-        # a_{-4} = q^{-10} sits far below the declared constant C = 0
+        # a_{-4} = q^{-10} sits far below the declared constant C = -1,
+        # which a_{-1} = 1 meets exactly
         a = CoeffSeq("P", lambda k: QSeries.monomial(-10 if k == 3 else k * k))
         for j in (-2, 0, 3):
             with pytest.raises(DegreeBoundError, match="k=3"):
-                residue_series(a, j, 12, 0)
+                residue_series(a, j, 12, -1)
 
     def test_engine_requests_terms_in_order(self):
         asked = []

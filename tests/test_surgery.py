@@ -11,6 +11,7 @@ from qhabiro import (
     KnotSpec,
     get_knot,
     lbc_check,
+    load_knots,
     PrecisionError,
     QSeries,
     SurgeryParams,
@@ -408,7 +409,7 @@ class TestResidueStore:
         C = knot.lbc_constant
         for j in range(-4, 7):
             for prec in precs:
-                got = surgery._residue(knot, j, prec, C)
+                got = surgery._residue(knot, j, prec)
                 want = surgery.residue_series(knot.a, j, prec, C)
                 assert got.to_json() == want.to_json(), (j, prec)
 
@@ -439,19 +440,20 @@ class TestResidueStore:
         knot = fresh_knot("3_1r")
         C = knot.lbc_constant
         for j in range(10):
-            got = surgery._residue(knot, j, 12, C)
+            got = surgery._residue(knot, j, 12)
             assert got == surgery.residue_series(knot.a, j, 12, C), j
             assert len(knot.residues) <= 4
-        assert sorted(knot.residues) == [(j, C) for j in range(6, 10)]
+        assert sorted(knot.residues) == list(range(6, 10))
 
-    def test_lbc_constant_once_per_knot_and_explicit_c_wins(self):
+    def test_lbc_constant_once_per_knot(self):
         knot = fresh_knot("3_1r")
-        params = SurgeryParams(-2, 1, 12)
-        default = zhat_via_residues(knot, params)
+        zhat_via_residues(knot, SurgeryParams(-2, 1, 12))
         assert vars(knot)["lbc_constant"] == lbc_check(knot.a, 24).constant
-        C = knot.lbc_constant - 2
-        assert zhat_via_residues(knot, params, C=C) == default
-        assert {c for _, c in knot.residues} == {C + 2, C}
+
+    def test_lbc_constant_of_finite_data(self):
+        # the audit stops where the a-side does
+        knot = KnotSpec("t", lambda k: get_knot("3_1l").a[k], max_index=6)
+        assert knot.lbc_constant == lbc_check(knot.a, 6).constant == -2
 
     def test_weight_monomials_are_a_shared_tuple(self):
         w = surgery._weight_monos(3, -2, 1)
@@ -467,6 +469,24 @@ class TestFiniteData:
         knot = KnotSpec("t", lambda k: get_knot("3_1l").a[k], max_index=6)
         with pytest.raises(PrecisionError, match="up to index 6 only"):
             route(knot, SurgeryParams(-2, 0, 20))
+
+
+class TestShortListKnot:
+    def test_residue_route_runs_on_seven_coefficients(self, tmp_path):
+        # a list knot file with 3_1l's a_{-1}..a_{-7}: its LBC audit stops
+        # at index 6, and O(q^3) reads no further
+        ref = get_knot("3_1l")
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps([{
+            "name": "test_short_3_1l",
+            "generator": {"kind": "list",
+                          "coeffs": [ref.a[k].to_json() for k in range(7)]},
+        }]))
+        (knot,) = load_knots(path)
+        params = SurgeryParams(-2, 0, 3)
+        got = zhat_via_residues(knot, params)
+        assert got.series == (QSeries.one() - QSeries.monomial(1)).truncate(4)
+        assert got == zhat_via_ih(knot, params) == zhat_via_residues(ref, params)
 
 
 class TestParkPolynomials:

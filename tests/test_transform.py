@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qhabiro import (
     CoeffSeq,
+    PrecisionError,
     QSeries,
     a_from_f,
     f_from_a,
@@ -19,6 +20,9 @@ from qhabiro import (
     get_knot,
     lbc_check,
     lbc_margin,
+    omega_from_a,
+    residue_family,
+    residue_series,
 )
 
 from conftest import a_from_f_closed, f_41_closed, random_laurent, seq_from_list
@@ -227,8 +231,24 @@ class TestCoeffSeq:
     def test_index_beyond_data(self):
         s = CoeffSeq("F", lambda k: QSeries.one(), max_index=4)
         s[4]
-        with pytest.raises(IndexError):
+        with pytest.raises(PrecisionError,
+                           match="up to index 4 only; index 5 was read"):
             s[5]
+        with pytest.raises(IndexError):
+            s[-1]
+
+    @pytest.mark.parametrize("read", [
+        lambda a: residue_series(a, 0, 40, -2),
+        lambda a: residue_family(a, 2, 40, -2),
+        lambda a: lbc_check(a, 10),
+        lambda a: omega_from_a(a, 10),
+        lambda a: f_from_a(a)[7],
+    ], ids=["residue_series", "residue_family", "lbc_check", "omega_from_a",
+            "f_from_a"])
+    def test_reads_past_finite_data_name_the_last_index(self, read):
+        a = CoeffSeq("P", get_knot("3_1l").a.__getitem__, max_index=6)
+        with pytest.raises(PrecisionError, match="up to index 6 only"):
+            read(a)
 
     def test_memoized(self):
         calls = []
