@@ -33,7 +33,6 @@ from .qcomb import (
     qfact,
     qint,
     qpoch,
-    theta_trunc,
 )
 from .transform import (
     CoeffSeq,

@@ -1,5 +1,5 @@
 """Balanced q-combinatorics: q-integers, q-binomials, curly brackets,
-Pochhammer symbols, truncated theta functions, Jacobi symbol.
+Pochhammer symbols, Jacobi symbol.
 
 Balanced quantities live on the half-integer exponent grid (v = q^{1/2});
 results that happen to lie in Z[q^{+-1}] come back scale-normalized.
@@ -195,23 +195,3 @@ def jacobi_symbol(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
-
-def theta_trunc(i: int, x_window: int, prec: ExpLike) -> dict:
-    """Coefficients of x^u in the truncated theta function
-
-        theta_i(x,q) = (-1)^i q^{binom(i+1,2)}
-                       (1 + sum_{n>=1} (-1)^n q^{binom(n+1,2)+n i} (x^n + x^{-n})),
-
-    for u in [-x_window, x_window], each truncated at O(q^prec).
-    """
-    if i < 0:
-        raise ValueError("i must be nonnegative")
-    sign_i = -1 if i % 2 else 1
-    base = Fraction((i + 1) * i, 2)
-    out = {}
-    for u in range(-x_window, x_window + 1):
-        n = abs(u)
-        sign = sign_i * (-1 if n % 2 else 1)
-        exp = base + Fraction((n + 1) * n, 2) + n * i
-        out[u] = QSeries.monomial(exp, sign).truncate(prec)
-    return out

@@ -6,10 +6,11 @@ detection, and the surgery polynomials in two definitions.
 Every route is one sum stopped by one rule: a route hands its terms,
 capped by _k_cap, to _trend_sum, which returns the sum once the degree
 trend certifies the tail, None once it diverges, and raises
-ConvergenceError when the terms run out.  The GM route's terms come from
-_fk_style_sum; the residue and inverted-coefficient routes map a term(j)
-or term(k) closure over the cap and end in _finish, which adds the k=0
-boundary term or, on divergence, evaluates the GM k-sum instead.
+ConvergenceError when the terms run out.  The GM k-sum is _fk_sum, which
+returns the sum and the last k it read, and raises on divergence; the
+residue and inverted-coefficient routes map a term(j) or term(k) closure
+over the cap and end in _finish, which adds the k=0 boundary term or, on
+divergence, evaluates the GM k-sum instead.
 
 The residue and inverted-coefficient routes run on plain integer lists:
 each weight polynomial comes from its integer exponents, turns into the
@@ -24,8 +25,9 @@ shared across routes, slopes and spin^c labels: the LBC constant
 precise r_j computed so far in the knot's store, keyed by j, and serves
 lower precisions as its truncation), and the monomials of each weight
 polynomial (_weight_monos, memoised per (j, p, a)).  The residue route's
-fallback asks for each r_j at the precision that the GM k-sum's stop
-plans for it (_residue_diffs).
+fallback asks for each r_j at the precision that the stop of the GM k-sum
+over the knot's f_k plans for it, and raises at once when that k-sum
+diverges (_residue_diffs).
 
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
@@ -130,7 +132,7 @@ def _in_class(k: int, p: int, a: int) -> bool:
 
 
 def _k_cap(prec: Fraction, p: int) -> int:
-    return max(64, 8 * (math.isqrt(int(prec * abs(p))) + 2))
+    return max(64, 8 * (math.isqrt(max(int(prec * abs(p)), 0)) + 2))
 
 
 def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
@@ -157,26 +159,28 @@ def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
     raise ConvergenceError("divergent or undecidable for these parameters")
 
 
-def _fk_style_sum(diff, p: int, a: int, prec: Fraction):
-    """The terms q^{-k^2/p} diff(k) of the GM k-sum, over the in-class
-    k == +-a mod p with 0 <= k <= _k_cap, for _trend_sum.
+def _fk_sum(diff, p: int, a: int, prec: Fraction):
+    """The GM k-sum sum_k q^{-k^2/p} diff(k) over the in-class
+    k == +-a mod p with 0 <= k <= _k_cap, stopped by _trend_sum, as
+    (sum, K) with K the last k it read; ConvergenceError when it diverges.
 
     diff(k) is the difference f_{k-1} - f_k (f_{-1} = 0) to O(q^prec),
     asked for once per in-class k in increasing order.  The routes hand
     over the difference, not f_k, because the residue route gets it for
     less than f_{k-1} and f_k apart: r_0 cancels, and each r_j is needed
     once, at one precision."""
-    for k in range(_k_cap(prec, p) + 1):
-        if _in_class(k, p, a):
-            yield diff(k).shift(-Fraction(k * k, p))
+    K = None
 
+    def term(k: int) -> QSeries:
+        nonlocal K
+        K = k
+        return diff(k).shift(-Fraction(k * k, p))
 
-def _fk_sum(diff, p: int, a: int, prec: Fraction) -> QSeries:
-    """The trend-stopped GM k-sum; ConvergenceError when it diverges."""
-    acc = _trend_sum(_fk_style_sum(diff, p, a, prec), prec)
+    ks = (k for k in range(_k_cap(prec, p) + 1) if _in_class(k, p, a))
+    acc = _trend_sum(map(term, ks), prec)
     if acc is None:
         raise ConvergenceError("divergent or undecidable for these parameters")
-    return acc
+    return acc, K
 
 
 def _f_diffs(f):
@@ -190,7 +194,7 @@ def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
     of the included terms."""
     knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
-    return _normalize(_fk_sum(_f_diffs(knot.f), p, a, prec), p)
+    return _normalize(_fk_sum(_f_diffs(knot.f), p, a, prec)[0], p)
 
 
 def surgery_weight_poly(j: int, p: int, a: int) -> QSeries:
@@ -289,11 +293,11 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
     p, a, prec = params.p, params.a, params.prec
     if acc is not None:
         return _normalize((acc + _boundary_term(knot, p, a)).truncate(prec), p)
-    out = _normalize(_fk_sum(fallback(), p, a, prec), p)
+    out = _normalize(_fk_sum(fallback(), p, a, prec)[0], p)
     return replace(out, sign_convention=out.sign_convention + note)
 
 
-def _residue(knot: KnotSpec, j: int, prec, plan=None) -> QSeries:
+def _residue(knot: KnotSpec, j: int, prec) -> QSeries:
     """r_j of the knot to O(q^prec), from the knot's residue store.
 
     The store keeps, per j, the most precise r_j computed so far and
@@ -301,18 +305,17 @@ def _residue(knot: KnotSpec, j: int, prec, plan=None) -> QSeries:
     gets its truncation, which is residue_series at the lower precision
     exactly: QSeries is canonical, and every term past the lower window
     lies at or above that window's precision.  A request above it calls
-    residue_series (the module's binding, read at call time) at
-    max(prec, plan) and replaces the entry.  The store holds at most
-    CACHE_SIZE entries and drops the oldest first."""
+    residue_series (the module's binding, read at call time) at prec and
+    replaces the entry.  The store holds at most CACHE_SIZE entries and
+    drops the oldest first."""
     prec = Fraction(prec)
     store = knot.residues
     have = store.get(j)
     if have is None or have[0] < prec:
-        at = prec if plan is None else max(prec, plan)
         if have is None and len(store) >= CACHE_SIZE:
             store.pop(next(iter(store)), None)
-        have = store[j] = (at, residue_series(knot.a, j, at,
-                                              knot.lbc_constant))
+        have = store[j] = (prec, residue_series(knot.a, j, prec,
+                                                knot.lbc_constant))
     at, r = have
     return r if at == prec else r.truncate(prec)
 
@@ -348,21 +351,10 @@ def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
                    "k-sum over residue-reconstructed coefficients")
 
 
-def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> Optional[int]:
+def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> int:
     """The last in-class k that the GM k-sum over knot.f reads before its
-    trend stops it, or None when that sum raises ConvergenceError."""
-    fd = _f_diffs(knot.f)
-    last = [None]
-
-    def diff(k: int) -> QSeries:
-        last[0] = k
-        return fd(k)
-
-    try:
-        _fk_sum(diff, p, a, prec)
-    except ConvergenceError:
-        return None
-    return last[0]
+    trend stops it; ConvergenceError when that sum diverges."""
+    return _fk_sum(_f_diffs(knot.f), p, a, prec)[1]
 
 
 def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
@@ -376,26 +368,26 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
     (_products).  Each r_j comes from the knot's store (_residue).
 
     The precision plan: the GM k-sum over knot.f, whose terms are the same
-    differences, stops at some in-class K (_plan_k), so an r_j the store
-    holds short is computed once, to O(q^{prec + j(K+1)}), the most any
-    k <= K asks of it.  The plan only sizes the r_j; the differences and
-    the stop come from the residues, and a k past K (a short plan) or no
-    plan recomputes r_j at the precision that k needs."""
+    differences to O(q^prec), stops at some in-class K (_plan_k) under the
+    same rule and cap, so every k <= K asks for r_j at
+    O(q^{prec + j(K+1)}), the most any of them needs, and the store
+    computes each r_j once.  The plan only sizes the r_j; the differences
+    and the stop come from the residues, and a k past K (a short plan)
+    asks for more and recomputes r_j.  When the GM k-sum over knot.f
+    diverges, so would this one, and _plan_k's ConvergenceError
+    propagates before the fallback computes any r_j."""
     p, a, prec = params.p, params.a, params.prec
     C = knot.lbc_constant
     K = _plan_k(knot, p, a, prec)
 
-    def rj(j: int, need: Fraction) -> QSeries:
-        return _residue(knot, j, need,
-                        None if K is None else prec + j * (K + 1))
-
     def diff(k: int) -> QSeries:
+        m = max(k, K) + 1
         if k == 0:
-            pairs = [(rj(0, prec), [(0, 1)])]
-            pairs += [(rj(j, prec + j), [(-j, 1), (0, 1)])
+            pairs = [(_residue(knot, 0, prec), [(0, 1)])]
+            pairs += [(_residue(knot, j, prec + j * m), [(-j, 1), (0, 1)])
                       for j in range(1, _j_window(0, prec, C) + 1)]
         else:
-            pairs = [(rj(j, prec + j * (k + 1)),
+            pairs = [(_residue(knot, j, prec + j * m),
                       [(-j * (k + 1), 1), (-j * k, -1), (j * (k - 1), -1),
                        (j * k, 1)])
                      for j in range(1, _j_window(k, prec, C) + 1)]

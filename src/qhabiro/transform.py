@@ -38,8 +38,9 @@ class CoeffSeq:
     side 'F': index k holds f_k.  side 'P': index k holds a_{-k-1}.
     ``max_index`` of None means the generator is defined for every k >= 0;
     a read past a finite ``max_index`` raises PrecisionError, naming the
-    last index provided.  Memo reads are safe under concurrency;
-    generation is pure.
+    last index provided.  Each memo write is one dict.setdefault, atomic
+    under the GIL, so concurrent readers of an index all get the value
+    stored first; generation is pure.
     """
 
     def __init__(
@@ -54,7 +55,6 @@ class CoeffSeq:
         self._gen = gen
         self.max_index = max_index
         self._memo: dict = {}
-        self._lock = threading.Lock()
 
     def __getitem__(self, k: int) -> QSeries:
         if k < 0:
@@ -66,9 +66,7 @@ class CoeffSeq:
             return self._memo[k]
         except KeyError:
             pass
-        val = self._gen(k)
-        with self._lock:
-            return self._memo.setdefault(k, val)
+        return self._memo.setdefault(k, self._gen(k))
 
     def prefix(self, K: int) -> list:
         return [self[k] for k in range(K + 1)]

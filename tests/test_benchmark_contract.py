@@ -64,3 +64,20 @@ def test_kernel_names_the_benchmark_reads():
 
     assert hasattr(series, "_mpz")
     assert isinstance(series._KRONECKER_CUTOFF, int)
+
+
+def test_tracer_counts_surgery_fallbacks():
+    # the tracer counts a fallback when "diverges" is in the result's
+    # sign_convention; 3_1r at p = -3 falls back on the residue and
+    # inverted-coefficient routes, never on the GM route
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        knot = fresh_knot("3_1r")
+        for method in ("fk", "residues", "ihcoef"):
+            surgery.zhat(knot, SurgeryParams(-3, 0, 12, method=method))
+        assert tracer.counts["surgery.fallbacks"] == 2
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()

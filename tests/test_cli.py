@@ -51,6 +51,13 @@ class TestExitCodes:
         obj = json.loads(out)
         assert obj["error"] == "ConvergenceError"
 
+    def test_divergent_residue_route_is_domain_error_json(self, capsys):
+        # the j-sum diverges, and so does the GM k-sum that would stand in
+        code, out, _ = run(capsys, "surgery", "--knot", "3_1l", "-p", "-7",
+                           "--prec", "6", "--method", "residues", "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "ConvergenceError"
+
     def test_error_format_ignores_host_argv(self, capsys, monkeypatch):
         # main(argv) reads its own arguments, not the host process's
         monkeypatch.setattr(sys, "argv", ["host", "--json"])

@@ -20,7 +20,6 @@ from qhabiro import (
     qfact,
     qint,
     qpoch,
-    theta_trunc,
 )
 
 small = st.integers(min_value=0, max_value=12)
@@ -299,17 +298,3 @@ class TestJacobiSymbol:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             jacobi_symbol(1, 4)
-
-
-class TestTheta:
-    def test_window_symmetry(self):
-        th = theta_trunc(2, 3, 40)
-        assert set(th) == set(range(-3, 4))
-        # x^u and x^{-u} carry the same series for this normalization
-        for u in range(1, 4):
-            assert th[u] == th[-u]
-
-    def test_exponents(self):
-        th = theta_trunc(1, 2, 40)
-        # constant term: (-1)^1 q^{1}
-        assert th[0] == QSeries.monomial(1, -1).truncate(40)

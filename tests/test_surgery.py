@@ -32,6 +32,8 @@ from qhabiro.surgery import (
     RUN_LENGTH,
     _f_diffs,
     _finish,
+    _fk_sum,
+    _in_class,
     _k_cap,
     _trend_sum,
     _weight_label,
@@ -148,6 +150,18 @@ class TestRouteAgreement:
     def test_positive_surgery_divergence_detected(self, name, p):
         with pytest.raises(ConvergenceError):
             zhat_via_fk(name, SurgeryParams(p, 0, 15))
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
+    def test_routes_match_at_nonpositive_precision(self, name):
+        # _k_cap reads sqrt(prec * |p|), clamped at 0 below zero
+        for p in (-1, -2, -3):
+            for prec in (Fraction(-3), Fraction(-1, 2), Fraction(0)):
+                params = SurgeryParams(p, 0, prec)
+                out = {(str(r.delta), str(r.series))
+                       for r in (zhat_via_fk(name, params),
+                                 zhat_via_residues(name, params),
+                                 zhat_via_ih(name, params))}
+                assert len(out) == 1, (name, p, prec, out)
 
     def test_spinc_conjugation(self):
         # a and |p|-a label conjugate structures with equal series
@@ -341,9 +355,10 @@ class TestFrozenRoutes:
 
 class TestResidueFallback:
     """The residue route's iterated k-sum (3_1r at p = -3) computes each
-    r_j once, at the precision the GM k-sum's stop K plans for it.  Each
-    run takes a fresh copy of 3_1r, so that no residue an earlier run
-    stored on the knot hides a computation."""
+    r_j once, at the precision the GM k-sum's stop K plans for it, and
+    raises before computing any when that GM k-sum diverges (3_1l at
+    p = -7).  Each run takes a fresh knot, so that no residue an earlier
+    run stored on the knot hides a computation."""
 
     @staticmethod
     def record(monkeypatch):
@@ -373,24 +388,44 @@ class TestResidueFallback:
         assert len(fallback) == len(set(fallback)), fallback
 
     @pytest.mark.parametrize("a", [0, 1, 2])
-    def test_short_or_missing_plan_gives_the_same_output(self, monkeypatch, a):
+    def test_short_plan_gives_the_same_output(self, monkeypatch, a):
         params = SurgeryParams(-3, a, 20)
         planned = zhat_via_residues(fresh_knot("3_1r"), params)
         K = surgery._plan_k(get_knot("3_1r"), -3, a, params.prec)
         assert K > 2
         series = surgery.residue_series
-        for short in (2, None):
-            calls = []
+        calls = []
 
-            def traced(a_, j, prec, C):
-                calls.append(j)
-                return series(a_, j, prec, C)
+        def traced(a_, j, prec, C):
+            calls.append(j)
+            return series(a_, j, prec, C)
 
-            monkeypatch.setattr(surgery, "_plan_k", lambda *args: short)
-            monkeypatch.setattr(surgery, "residue_series", traced)
-            assert zhat_via_residues(fresh_knot("3_1r"), params) == planned, short
-            # past the plan, r_j is recomputed as later k need more of it
-            assert len(calls) > len(set(calls)), short
+        monkeypatch.setattr(surgery, "_plan_k", lambda *args: 2)
+        monkeypatch.setattr(surgery, "residue_series", traced)
+        assert zhat_via_residues(fresh_knot("3_1r"), params) == planned
+        # past the plan, r_j is recomputed as later k need more of it
+        assert len(calls) > len(set(calls))
+
+    def test_divergent_plan_raises_at_once(self, monkeypatch):
+        # the j-sum diverges, and so does the GM k-sum over knot.f that
+        # plans the fallback: no r_j is computed after the plan
+        calls = self.record(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            zhat_via_residues(fresh_knot("3_1l"), SurgeryParams(-7, 0, 6))
+        assert calls[calls.index("plan") + 1:] == []
+
+    @pytest.mark.parametrize("name,p,a", SURGERY_CASES)
+    def test_plan_is_the_last_k_the_sum_reads(self, name, p, a):
+        fd = _f_diffs(get_knot(name).f)
+        seen = []
+
+        def diff(k):
+            seen.append(k)
+            return fd(k)
+
+        K = _fk_sum(diff, p, a, Fraction(12))[1]
+        assert K == seen[-1] and _in_class(K, p, a)
+        assert K == surgery._plan_k(get_knot(name), p, a, Fraction(12))
 
 
 class TestResidueStore:
