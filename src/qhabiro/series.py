@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -91,7 +92,14 @@ def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
 
 # Signed packing, shared by the Kronecker product and the transforms in
 # transform.py: a coefficient list is the int sum c_i 2^(width*i), read back
-# through an offset of 2^(width-1) per slot.
+# through an offset of 2^(width-1) per slot.  Slot i's offset bytes are the
+# two's-complement bytes of c_i with the top byte's high bit flipped, so
+# the codec moves whole byte columns (one strided slice each, the flip one
+# bytes.translate) between width-bit slots and the 8-byte cells of one
+# struct call.  Only lists with a value outside int64 take a per-slot path.
+
+_FLIP = bytes(b ^ 0x80 for b in range(256))  # offset <-> two's complement
+_SIGN = bytes(255 if b & 0x80 else 0 for b in range(256))  # sign extension
 
 
 def _slot_fill(c: int, n: int, nb: int, stride: int = 1) -> int:
@@ -100,22 +108,60 @@ def _slot_fill(c: int, n: int, nb: int, stride: int = 1) -> int:
     return int.from_bytes(cell * n, "little")
 
 
+def _columns(src, sb: int, db: int, n: int) -> bytearray:
+    """n two's-complement slots of sb bytes resized to db bytes: the low
+    byte columns are copied, the columns past sb are the sign extension,
+    and struct.error is raised when a column past db is not (a slot does
+    not fit db bytes)."""
+    k = min(sb, db)
+    sign = src[k - 1 :: sb].translate(_SIGN)
+    if any(src[b::sb] != sign for b in range(db, sb)):
+        raise struct.error("a slot does not fit %d bytes" % db)
+    out = bytearray(n * db)
+    for b in range(k):
+        out[b::db] = src[b::sb]
+    for b in range(sb, db):
+        out[b::db] = sign
+    return out
+
+
 def _pack(coeffs: list, width: int) -> int:
-    """sum c_i 2^(width*i); each |c_i| < 2^(width-1), width a multiple of 8."""
+    """sum c_i 2^(width*i), width a multiple of 8; OverflowError unless
+    every -2^(width-1) <= c_i < 2^(width-1)."""
     nb = width // 8
+    n = len(coeffs)
     half = 1 << (width - 1)
-    data = b"".join((c + half).to_bytes(nb, "little") for c in coeffs)
-    return int.from_bytes(data, "little") - _slot_fill(half, len(coeffs), nb)
+    try:
+        data = _columns(struct.pack("<%dq" % n, *coeffs), 8, nb, n)
+        data[nb - 1 :: nb] = data[nb - 1 :: nb].translate(_FLIP)
+    except struct.error:  # past int64, or past the slot (to_bytes raises)
+        data = b"".join((c + half).to_bytes(nb, "little") for c in coeffs)
+    return int.from_bytes(data, "little") - _slot_fill(half, n, nb)
+
+
+def _slots(z: int, width: int) -> tuple:
+    """(n, bytes of z + 2^(width-1) in each of n slots): the offset form of
+    enough slots to hold z; trailing zero slots may remain."""
+    nb = width // 8
+    n = abs(z).bit_length() // width + 1
+    v = z + _slot_fill(1 << (width - 1), n, nb)
+    if v.bit_length() > n * width:  # top slot 1 over negative slots
+        n += 1
+        v = z + _slot_fill(1 << (width - 1), n, nb)
+    return n, v.to_bytes(n * nb, "little")
 
 
 def _unpack(z: int, width: int) -> list:
     """Inverse of _pack; trailing zero slots may remain."""
     nb = width // 8
-    n = abs(z).bit_length() // width + 1
-    half = 1 << (width - 1)
-    data = (z + _slot_fill(half, n, nb)).to_bytes(n * nb, "little")
-    return [int.from_bytes(data[i : i + nb], "little") - half
-            for i in range(0, n * nb, nb)]
+    n, data = _slots(z, width)
+    data = bytearray(data)
+    data[nb - 1 :: nb] = data[nb - 1 :: nb].translate(_FLIP)
+    try:
+        return list(struct.unpack("<%dq" % n, _columns(data, nb, 8, n)))
+    except struct.error:  # a slot past int64
+        return [int.from_bytes(data[i : i + nb], "little", signed=True)
+                for i in range(0, n * nb, nb)]
 
 
 def _repack(z: int, old: int, new: int, stride: int) -> int:
@@ -124,13 +170,12 @@ def _repack(z: int, old: int, new: int, stride: int) -> int:
     if not z:
         return 0
     ob, nb = old // 8, new // 8
-    n = abs(z).bit_length() // old + 1
-    half = 1 << (old - 1)
-    data = (z + _slot_fill(half, n, ob)).to_bytes(n * ob, "little")
+    n, data = _slots(z, old)
     out = bytearray(((n - 1) * stride + 1) * nb)
     for b in range(ob):
         out[b :: nb * stride] = data[b :: ob]
-    return int.from_bytes(out, "little") - _slot_fill(half, n, nb, stride)
+    return int.from_bytes(out, "little") - _slot_fill(1 << (old - 1), n,
+                                                      nb, stride)
 
 
 def _polymul_kronecker(a: list, b: list) -> list:

@@ -11,7 +11,8 @@ Both directions are computed from this identity without Gaussian
 binomials or products: f_from_a divides through the factors
 (1 - q^{+-(k+1)} x) by the recurrence H_j += q^c H_{j-1}, and a_from_f
 multiplies by them (H_j -= q^c H_{j-1}), each step a shift and an add on
-packed integers.  They are the only routes between the two sides: the
+packed integers; each row is read back once, a byte column at a time
+(``series._unpack``).  They are the only routes between the two sides: the
 explicit inverse a_{-k-1} = sum_i (-1)^{k+i} [2k choose k-i] [2i+1]/[k+i+1] f_i
 and the knots' closed forms serve the tests as oracles.
 """
@@ -141,7 +142,10 @@ class _Cascade:
     scalar shadow of the cascade on l1 norms (the same filters with every
     sign +) bounds every state's l1 norm, hence every |c_i|; before a row
     whose bound outgrows the slots, or whose input needs a finer grid,
-    the states are repacked.
+    the states are repacked.  A row's input is packed once (a single
+    coefficient is its own packing) and its output read back once, both
+    by the byte-column codec of series.py: whole slot columns move in
+    strided slices, and slots that fit int64 cross in one struct call.
     """
 
     def __init__(self, source: CoeffSeq, divide: bool):
@@ -192,30 +196,29 @@ class _Cascade:
             spread = [0] * ((len(coeffs) - 1) * t + 1)
             spread[::t] = coeffs
             coeffs = spread
-        carry = (_pack(coeffs, width) if coeffs else 0, x.offset * t)
+        # a single coefficient is its own packing (every built-in knot's
+        # a-side); each factor is u +- q^c v, aligned by one left shift
+        zu = coeffs[0] if len(coeffs) == 1 else _pack(coeffs, width)
+        bu = x.offset * t
+        divide = self._divide
         for m in self._stages(i):
             st = self._state[m]
-            for j, c in enumerate((-m, m) if m else (0,)):
-                y = self._step(carry, st[j], c * scale)
-                st[j] = y if self._divide else carry
-                carry = y
-        return self._emit(i, x, carry)
-
-    def _step(self, u: tuple, v: tuple, c: int) -> tuple:
-        """u + q^c v (dividing) or u - q^c v (multiplying), c in slots."""
-        zu, bu = u
-        zv, bv = v
-        if not zv:
-            return u
-        bv += c
-        if not zu:
-            return (zv if self._divide else -zv), bv
-        if bu <= bv:
-            zv <<= (bv - bu) * self._width
-        else:
-            zu <<= (bu - bv) * self._width
-            bu = bv
-        return (zu + zv if self._divide else zu - zv), bu
+            for j, c in enumerate((-m * scale, m * scale) if m else (0,)):
+                u = zu, bu
+                zv, bv = st[j]
+                if zv:
+                    bv += c
+                    if not zu:
+                        zu, bu = (zv if divide else -zv), bv
+                    else:
+                        if bu <= bv:
+                            zv <<= (bv - bu) * width
+                        else:
+                            zu <<= (bu - bv) * width
+                            bu = bv
+                        zu = zu + zv if divide else zu - zv
+                st[j] = (zu, bu) if divide else u
+        return self._emit(i, x, (zu, bu))
 
     def _emit(self, i: int, x: QSeries, out: tuple) -> QSeries:
         # precision exactly as the sum over k of [k+i choose 2k] a_{-k-1}

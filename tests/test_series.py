@@ -50,6 +50,55 @@ def signed_with_zero_runs(rng, n: int) -> list:
     return c
 
 
+# Per-coefficient reference codec for the packed kernels, in plain integer
+# arithmetic: slot i of width w holds c_i with -2^(w-1) <= c_i < 2^(w-1).
+
+
+def ref_pack(coeffs: list, width: int) -> int:
+    half = 1 << (width - 1)
+    for c in coeffs:
+        if not -half <= c < half:
+            raise OverflowError(f"{c} does not fit a {width}-bit slot")
+    return sum(c << (width * i) for i, c in enumerate(coeffs))
+
+
+def ref_unpack(z: int, width: int) -> list:
+    """The slots of z, without trailing zero slots."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    while z:
+        c = ((z + half) & mask) - half  # the low slot, signed
+        out.append(c)
+        z = (z - c) >> width
+    return out
+
+
+def trimmed(coeffs: list) -> list:
+    """coeffs without trailing zeros (_unpack may leave some)."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return coeffs[:n]
+
+
+def strided(coeffs: list, stride: int) -> list:
+    out = [0] * ((len(coeffs) - 1) * stride + 1)
+    out[::stride] = coeffs
+    return out
+
+
+def edge_values(width: int) -> list:
+    """In-range values of a width-bit slot: its ends, 0, the int64 ends
+    when they fit, and values past int64 when the slot is wider."""
+    half = 1 << (width - 1)
+    vals = [half - 1, -(half - 1), -half, 0, 1, -1]
+    if width >= 64:
+        vals += [(1 << 63) - 1, -(1 << 63) + 1, -(1 << 63)]
+    if width > 64:
+        vals += [1 << 63, -(1 << 63) - 1, half // 3, -half // 5]
+    return vals
+
+
 class TestConstruction:
     def test_zero_one_monomial(self):
         assert QSeries.zero().is_zero
@@ -130,6 +179,22 @@ class TestArithmetic:
         assert len(a) * len(b) > series._KRONECKER_CUTOFF
         assert series._polymul(a, b) == naive_convolution(a, b)
 
+    @pytest.mark.parametrize("mpz", [False, True])
+    def test_kronecker_products_past_int64(self, monkeypatch, mpz):
+        # +-2^40-sized factors on the packed path: the product's slots
+        # exceed int64, so its read-back takes the per-slot path
+        if mpz:
+            monkeypatch.setattr(series, "_mpz", int)
+        rng = random.Random(13)
+        a = [rng.choice((-1, 1)) * ((1 << 40) - rng.randrange(1 << 20))
+             for _ in range(65)]
+        b = [rng.choice((-1, 1)) * ((1 << 40) - rng.randrange(1 << 20))
+             for _ in range(64)]
+        assert len(a) * len(b) > series._KRONECKER_CUTOFF
+        want = naive_convolution(a, b)
+        assert max(map(abs, want)) >= 1 << 63
+        assert series._polymul(a, b) == want
+
     def test_mixed_scale(self):
         h = QSeries.monomial(Fraction(1, 2))
         assert h * h == QSeries.monomial(1)
@@ -149,6 +214,82 @@ class TestArithmetic:
     def test_subst_qpow(self):
         s = mk({-1: 2, 3: -5})
         assert s.subst_qpow(3) == mk({-3: 2, 9: -5})
+
+
+class TestSlotCodec:
+    """_pack/_unpack/_repack against the reference codec, for every slot
+    width the kernels can pick up to 160 bits: the int64 fast path, the
+    per-slot path past int64 and the OverflowError for values that do not
+    fit."""
+
+    WIDTHS = range(8, 161, 8)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_edge_values_round_trip(self, width):
+        rng = random.Random(width)
+        vals = edge_values(width)
+        lists = [vals, vals[::-1]] + [[v] for v in vals]
+        lists += [[0, v, 0] for v in vals]
+        lists += [[rng.choice(vals) for _ in range(rng.randrange(1, 40))]
+                  for _ in range(20)]
+        for cs in lists:
+            z = series._pack(cs, width)
+            assert z == ref_pack(cs, width), cs
+            back = trimmed(series._unpack(z, width))
+            assert back == ref_unpack(z, width) == trimmed(cs), cs
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_out_of_range_raises(self, width):
+        half = 1 << (width - 1)
+        for bad in (half, -half - 1, 3 * half, -(1 << (width + 70))):
+            for cs in ([bad], [0, 1, bad], [bad, -1] + [5] * 30):
+                with pytest.raises(OverflowError):
+                    ref_pack(cs, width)
+                with pytest.raises(OverflowError):
+                    series._pack(cs, width)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_unpack_of_any_packed_int(self, width):
+        # sums of in-range slots with every sign pattern, read back whole
+        rng = random.Random(1000 + width)
+        for _ in range(30):
+            n = rng.randrange(1, 60)
+            cs = [rng.randrange(-(1 << (width - 1)), 1 << (width - 1))
+                  >> rng.randrange(width) for _ in range(n)]
+            z = ref_pack(cs, width)
+            assert trimmed(series._unpack(z, width)) == ref_unpack(z, width)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_top_slot_one_over_negative_slots(self, width):
+        # z is positive and one bit short of its top slot's index, so the
+        # slot count read off its bit length is one short
+        half = 1 << (width - 1)
+        for cs in ([-half, -half, 1], [-1, -half, 1],
+                   [-half + 1, -half, -half, 1]):
+            z = series._pack(cs, width)
+            assert abs(z).bit_length() == width * (len(cs) - 1) - 1
+            assert series._unpack(z, width) == cs
+            assert series._repack(z, width, width + 8, 2) == \
+                ref_pack(strided(cs, 2), width + 8)
+
+    def test_empty_and_zero(self):
+        assert series._pack([], 64) == 0
+        assert series._unpack(0, 72) == [0]
+
+    @pytest.mark.parametrize("old,new", [(8, 8), (8, 48), (48, 72), (56, 64),
+                                         (64, 64), (64, 136), (72, 160),
+                                         (128, 128)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_repack_is_pack_of_strided_unpack(self, old, new, stride):
+        rng = random.Random(old * 1000 + new * 10 + stride)
+        for _ in range(20):
+            vals = edge_values(old)
+            cs = [rng.choice(vals) >> rng.randrange(old)
+                  for _ in range(rng.randrange(1, 30))]
+            z = series._pack(cs, old)
+            want = series._pack(strided(series._unpack(z, old), stride), new)
+            assert series._repack(z, old, new, stride) == want
+            assert want == ref_pack(strided(cs, stride), new)
 
 
 class TestDelta:
