@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Numerical asymptotics at roots of unity, end to end:
+"""Numerical asymptotics at roots of unity, end to end, through
+``qhabiro asympt``:
 
-  1. periodicity of f_{n-1}(zeta_n) for the figure-eight knot,
+  1. periodicity of f_{n-1}(zeta_n) (``--mode period``, n <= 100),
   2. Richardson-accelerated exponential growth rate of f_n(zeta_{2n})
-     against the hyperbolic volume,
+     (``--mode growth``), followed for the figure-eight knot by its
+     hyperbolic volume,
   3. perturbative coefficients c_0..c_depth extracted from the normalized
-     growth sequence f_n(zeta_{2n}),
-  4. integrality of the formal quotient series,
+     growth sequence f_n(zeta_{2n}) (``--mode phi``, at least 512 bits),
+  4. integrality of the formal quotient series (``--mode quotient``),
 
 optionally followed by a CSV dump of the raw evaluations f_n(zeta_{2n})
-for plotting.
+for plotting (``--mode csv``).  Every step runs; the exit code is the
+worst of theirs.
 
 Usage:
     python scripts/run_asymptotics.py [--knot K] [--n-max N] [--bits B]
@@ -17,16 +20,11 @@ Usage:
 """
 
 import argparse
+import contextlib
 import sys
 
-from qhabiro import (
-    extract_phi,
-    emit_csv,
-    growth_rate,
-    periodicity_check,
-    phi_quotient_check,
-    vol_41,
-)
+from qhabiro import vol_41
+from qhabiro.cli import main as cli_main
 
 
 def run() -> int:
@@ -38,27 +36,24 @@ def run() -> int:
     ap.add_argument("--csv", default=None, help="write raw evaluations here")
     args = ap.parse_args()
 
-    rep = periodicity_check(args.knot, min(args.n_max, 100), bits=args.bits)
-    print("periodicity: period=%s values=%s" % (rep.period, list(rep.values)))
+    def asympt(mode, n_max=args.n_max, bits=args.bits):
+        return cli_main(["asympt", "--mode", mode, "--knot", args.knot,
+                         "--n-max", str(n_max), "--bits", str(bits),
+                         "--depth", str(args.depth)])
 
-    n_list = list(range(max(10, args.n_max // 4), args.n_max + 1,
-                        max(1, args.n_max // 10)))
-    growth = growth_rate(args.knot, n_list, bits=args.bits)
-    print("growth rate: %.10f (flagged=%s)" % (growth.estimate, growth.flagged))
+    worst = asympt("period", n_max=min(args.n_max, 100))
+    worst = max(worst, asympt("growth"))
     if args.knot == "4_1":
-        print("volume:      %.10f" % float(vol_41(args.bits)))
-
-    phi = extract_phi(args.knot, args.depth, args.n_max,
-                      bits=max(args.bits, 512))
-    print("phi coefficients:", [float(c) for c in phi.coeffs])
-
-    print("quotient integrality:", phi_quotient_check(3))
-
+        print("volume %.10f" % float(vol_41()))
+    worst = max(worst, asympt("phi", bits=max(args.bits, 512)))
+    worst = max(worst, cli_main(["asympt", "--mode", "quotient",
+                                 "--depth", "3"]))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            emit_csv(fh, args.knot, args.n_max, bits=args.bits)
+        with open(args.csv, "w") as fh, contextlib.redirect_stdout(fh):
+            code = asympt("csv")
         print("wrote", args.csv)
-    return 0
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

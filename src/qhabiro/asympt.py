@@ -138,15 +138,28 @@ def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS) -> "mp.mpc":
     """f_n of the figure-eight knot at q = zeta_N, via
     f_n = sum_i [n+i choose 2i] and q-Lucas reduction of each balanced
     binomial ([m choose k] = q^{-k(m-k)/2} C[m, k]; here k(m-k)/2 = i(n-i)).
+
+    Raises PrecisionError when ``bits`` is below
+    64 + log2(N * sum_i |term_i| / |f_n(zeta_N)|): the bits that
+    cancellation in the sum costs, with a 64-bit guard.
     """
     root = _RootData(N, bits)
     with mp.workprec(bits):
         total = mp.mpc(0)
+        size = mp.mpf(0)
         for i in range(n + 1):
             c = root.gauss_binom(n + i, 2 * i)
             if c == 0:
                 continue
             total += c * root.powers[(-i * (n - i)) % N]
+            size += abs(c)
+        if size:
+            # a sum that cancels to exactly 0 certifies no bit of it
+            lost = mp.log(N * size / abs(total), 2) if total else bits
+            needed = 64 + int(mp.ceil(lost))
+            if bits < needed:
+                raise PrecisionError("need at least %d bits for f_%d(zeta_%d)"
+                                     % (needed, n, N), needed)
         return total
 
 

@@ -3,10 +3,12 @@ verification, surgery invariants, Park polynomials, connected sums, and
 numerical asymptotics.
 
 Exit codes: 0 success, 1 usage errors, 2 domain errors (divergence, LBC
-failure, ...).  ``--json`` switches structured output; with it domain
-errors are emitted as machine-readable JSON on stdout.  The environment
-variable ``QHABIRO_PREC`` sets the default series precision; flags
-override it.  Progress/diagnostics go to stderr only.
+failure, ...).  Every command prints its result through ``_emit``: with
+``--json`` one JSON value with sorted keys, else text lines (nothing for
+an empty result).  With ``--json`` domain errors are emitted as
+machine-readable JSON on stdout too.  The environment variable
+``QHABIRO_PREC`` sets the default series precision; flags override it.
+Progress/diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import knots, omega, residues, surgery, transform
-from .series import QAlgebraError, QSeries
+from .series import PrecisionError, QAlgebraError, QSeries
 
 VERIFY_SUITES = (
     "pentagonal",
@@ -67,11 +69,14 @@ def _checked(fn, *args, **kwargs):
 
 def _bits_checked(bits: int, fn, *args):
     """_checked(fn, *args) for an mpmath evaluation at ``bits`` of working
-    precision, with the ZeroDivisionError that mpmath raises when that is
-    too low for a solve or a division reported as a usage error too."""
+    precision, with a bit shortage reported as a usage error too: the
+    PrecisionError of an evaluator that knows the bits it needs, or the
+    ZeroDivisionError that mpmath raises in a solve or a division."""
     try:
         return _checked(fn, *args)
-    except ZeroDivisionError as exc:
+    except (PrecisionError, ZeroDivisionError) as exc:
+        if getattr(exc, "suggested_bits", bits) is None:
+            raise  # a data limit, not a bit shortage
         raise UsageError("--bits %d is too low for this evaluation (%s)"
                          % (bits, str(exc) or "division by zero")) from exc
 
@@ -86,16 +91,23 @@ def _default_prec() -> int:
     return 40
 
 
-def _series_out(s: QSeries, as_json: bool, extra=None) -> str:
-    if as_json:
-        obj = {"series": s.to_json()}
-        if extra:
-            obj.update(extra)
-        return json.dumps(obj, sort_keys=True)
-    lines = [str(s)]
-    if extra:
-        lines += ["%s: %s" % (k, v) for k, v in extra.items()]
-    return "\n".join(lines)
+def _emit(args, obj, lines, code: int = 0) -> int:
+    """Print one result and return ``code``: ``obj`` as JSON with sorted
+    keys under ``--json``, else the text ``lines`` (nothing when empty)."""
+    if args.json:
+        print(json.dumps(obj, sort_keys=True))
+    elif lines:
+        print("\n".join(lines))
+    return code
+
+
+def _emit_coeffs(args, label: str, seq, **obj) -> int:
+    """_emit a coefficient list: JSON ``obj`` plus its "coeffs", text
+    lines f<k> for label "f" and a_-<k+1> for label "a"."""
+    obj["coeffs"] = [s.to_json() for s in seq]
+    return _emit(args, obj, ["f%d: %s" % (k, s) if label == "f" else
+                             "a_-%d: %s" % (k + 1, s)
+                             for k, s in enumerate(seq)])
 
 
 # ---------------------------------------------------------------------------
@@ -105,59 +117,33 @@ def _series_out(s: QSeries, as_json: bool, extra=None) -> str:
 
 def _cmd_knot(args) -> int:
     spec = knots.get_knot(args.name)
-    out = []
-    for k in range(args.index + 1):
-        s = spec.f_coeff(k) if args.side == "f" else spec.a_coeff(k)
-        if args.prec is not None:
-            s = s.truncate(args.prec)
-        out.append(s)
-    if args.json:
-        print(json.dumps({"knot": spec.name, "side": args.side,
-                          "coeffs": [s.to_json() for s in out]},
-                         sort_keys=True))
-    else:
-        label = "f" if args.side == "f" else "a_-"
-        for k, s in enumerate(out):
-            print("%s%d: %s" % (label, k if args.side == "f" else k + 1, s))
-    return 0
+    seq = spec.f if args.side == "f" else spec.a
+    out = [seq[k] if args.prec is None else seq[k].truncate(args.prec)
+           for k in range(args.index + 1)]
+    return _emit_coeffs(args, args.side, out, knot=spec.name, side=args.side)
 
 
 def _cmd_transform(args) -> int:
     spec = knots.get_knot(args.knot)
     if args.direction == "f-from-a":
-        seq = transform.f_from_a(spec.a)
-        label = "f"
+        seq, label = transform.f_from_a(spec.a), "f"
     else:
-        seq = transform.a_from_f(spec.f)
-        label = "a_-"
-    out = [seq[k] for k in range(args.index + 1)]
-    if args.json:
-        print(json.dumps({"knot": spec.name, "direction": args.direction,
-                          "coeffs": [s.to_json() for s in out]},
-                         sort_keys=True))
-    else:
-        for k, s in enumerate(out):
-            print("%s%d: %s" % (label, k if label == "f" else k + 1, s))
-    return 0
+        seq, label = transform.a_from_f(spec.f), "a"
+    return _emit_coeffs(args, label, [seq[k] for k in range(args.index + 1)],
+                        knot=spec.name, direction=args.direction)
 
 
 def _cmd_residues(args) -> int:
     spec = knots.get_knot(args.knot)
-    js = args.j if args.j is not None else list(range(-args.window, args.window + 1))
-    if isinstance(js, int):
-        js = [js]
-
+    w = args.window
+    js = [args.j] if args.j is not None else range(-w, w + 1)
     results = {j: residues.residue_series(spec.a, j, args.prec,
-                                          spec.lbc_constant) for j in js}
-    if args.json:
-        print(json.dumps({"knot": spec.name, "prec": args.prec,
-                          "residues": {str(j): results[j].to_json()
-                                       for j in sorted(results)}},
-                         sort_keys=True))
-    else:
-        for j in sorted(results):
-            print("r_%d: %s" % (j, results[j]))
-    return 0
+                                          spec.lbc_constant)
+               for j in sorted(js)}
+    return _emit(args, {"knot": spec.name, "prec": args.prec,
+                        "residues": {str(j): r.to_json()
+                                     for j, r in results.items()}},
+                 ["r_%d: %s" % (j, r) for j, r in results.items()])
 
 
 def _run_suite(name: str, prec) -> tuple:
@@ -189,17 +175,12 @@ def _run_suite(name: str, prec) -> tuple:
                 if not (direct - theta).truncate(prec).is_zero:
                     return False, "mismatch at %s, j=%d" % (kname, j)
         return True, "theta route matches direct residues to O(q^%s)" % prec
-    if name == "trefoil-recurrence-l":
-        ok = residues.trefoil_recurrence_check("L", 6, prec)
-        return ok, "recurrence holds for j=0..5" if ok else "recurrence fails"
-    if name == "trefoil-recurrence-r":
-        ok = residues.trefoil_recurrence_check("R", 6, prec)
+    if name.startswith("trefoil-recurrence-"):
+        ok = residues.trefoil_recurrence_check(name[-1].upper(), 6, prec)
         return ok, "recurrence holds for j=0..5" if ok else "recurrence fails"
     if name in ("tails-even", "tails-odd"):
-        parity = name.split("-")[1]
-        normalized, target, agree_to = residues.tail_check(parity, 10, prec)
-        ok = agree_to >= min(8, prec)
-        return ok, "tail agrees to O(q^%s)" % agree_to
+        agree_to = residues.tail_check(name[len("tails-"):], 10, prec)[2]
+        return agree_to >= min(8, prec), "tail agrees to O(q^%s)" % agree_to
     if name == "branch-half":
         spec = knots.get_knot("4_1")
         C = spec.lbc_constant
@@ -233,19 +214,12 @@ def _run_suite(name: str, prec) -> tuple:
 
 def _cmd_verify(args) -> int:
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    results = {}
-    for name in names:
-        ok, detail = _run_suite(name, args.prec)
-        results[name] = (ok, detail)
-    all_ok = all(ok for ok, _ in results.values())
-    if args.json:
-        print(json.dumps({name: {"ok": ok, "detail": detail}
-                          for name, (ok, detail) in results.items()},
-                         sort_keys=True))
-    else:
-        for name, (ok, detail) in results.items():
-            print("%s: %s" % ("OK" if ok else "FAIL", detail))
-    return 0 if all_ok else 2
+    results = {name: _run_suite(name, args.prec) for name in names}
+    return _emit(args, {name: {"ok": ok, "detail": detail}
+                        for name, (ok, detail) in results.items()},
+                 ["%s: %s" % ("OK" if ok else "FAIL", detail)
+                  for ok, detail in results.values()],
+                 0 if all(ok for ok, _ in results.values()) else 2)
 
 
 def _cmd_surgery(args) -> int:
@@ -254,8 +228,9 @@ def _cmd_surgery(args) -> int:
                       prec=args.prec, method=args.method.upper())
     result = surgery.zhat(spec, params)
     extra = {"delta": str(result.delta), "note": result.sign_convention}
-    print(_series_out(result.series, args.json, extra))
-    return 0
+    return _emit(args, dict(extra, series=result.series.to_json()),
+                 [str(result.series)] + ["%s: %s" % kv
+                                         for kv in extra.items()])
 
 
 def _cmd_park_poly(args) -> int:
@@ -266,13 +241,8 @@ def _cmd_park_poly(args) -> int:
     if args.method in ("residue", "both"):
         out["residue"] = _checked(surgery.park_poly_residue,
                                   args.p, args.a, args.k)
-    if args.json:
-        print(json.dumps({name: s.to_json() for name, s in out.items()},
-                         sort_keys=True))
-    else:
-        for name, s in out.items():
-            print("%s: %s" % (name, s))
-    return 0
+    return _emit(args, {name: s.to_json() for name, s in out.items()},
+                 ["%s: %s" % kv for kv in out.items()])
 
 
 def _cmd_connect_sum(args) -> int:
@@ -283,15 +253,9 @@ def _cmd_connect_sum(args) -> int:
         el = cur if el is None else omega.omega_mul(el, cur, args.depth,
                                                     prec=args.prec)
     # omega_mul fills indices k = 0..depth-1 (basis indices -1..-depth)
-    out = [el.a[k].truncate(args.prec) for k in range(args.depth)]
-    if args.json:
-        print(json.dumps({"knots": args.knots,
-                          "coeffs": [s.to_json() for s in out]},
-                         sort_keys=True))
-    else:
-        for k, s in enumerate(out):
-            print("a_-%d: %s" % (k + 1, s))
-    return 0
+    return _emit_coeffs(args, "a", [el.a[k].truncate(args.prec)
+                                    for k in range(args.depth)],
+                        knots=args.knots)
 
 
 def _cmd_asympt(args) -> int:
@@ -302,47 +266,36 @@ def _cmd_asympt(args) -> int:
     if args.mode == "period":
         rep = _bits_checked(args.bits, asympt.periodicity_check, args.knot,
                             args.n_max, args.bits)
-        if args.json:
-            print(json.dumps({"period": rep.period,
-                              "values": list(rep.values),
-                              "message": rep.message}))
-        else:
-            if rep.period is None:
-                print(rep.message)
-            else:
-                print("period %d, values %s" % (rep.period, list(rep.values)))
-        return 0 if rep.period is not None else 2
+        return _emit(args, {"period": rep.period, "values": list(rep.values),
+                            "message": rep.message},
+                     [rep.message if rep.period is None else
+                      "period %d, values %s" % (rep.period, list(rep.values))],
+                     0 if rep.period is not None else 2)
     if args.mode == "growth":
+        if args.n_max < 10:
+            raise UsageError("--n-max must be at least 10 for --mode growth")
         n_list = list(range(max(10, args.n_max // 4), args.n_max + 1,
                             max(1, args.n_max // 20)))
         g = _bits_checked(args.bits, asympt.growth_rate, args.knot, n_list,
                           args.bits)
-        if args.json:
-            print(json.dumps({"growth": g.estimate, "order": g.order,
-                              "flagged": g.flagged}))
-        else:
-            print("growth %.10f%s" % (g.estimate,
-                                      " (flagged)" if g.flagged else ""))
-        return 0
+        return _emit(args, {"growth": g.estimate, "order": g.order,
+                            "flagged": g.flagged},
+                     ["growth %.10f%s" % (g.estimate,
+                                          " (flagged)" if g.flagged else "")])
     if args.mode == "phi":
         ps = _bits_checked(args.bits, asympt.extract_phi, args.knot,
                            args.depth, args.n_max, args.bits)
-        if args.json:
-            print(json.dumps({"coeffs": list(ps.coeffs),
-                              "prefactor": ps.prefactor}))
-        else:
-            print("c = %s (prefactor %s)" % (list(ps.coeffs), ps.prefactor))
-        return 0
+        return _emit(args, {"coeffs": list(ps.coeffs),
+                            "prefactor": ps.prefactor},
+                     ["c = %s (prefactor %s)" % (list(ps.coeffs),
+                                                 ps.prefactor)])
     if args.mode == "quotient":
-        vals = _checked(asympt.phi_quotient_check, args.depth)
-        print(json.dumps(list(vals)) if args.json else
-              "quotient coefficients: %s" % (list(vals),))
-        return 0
-    if args.mode == "csv":
-        _bits_checked(args.bits, asympt.emit_csv, sys.stdout, args.knot,
-                      args.n_max, args.bits)
-        return 0
-    raise UsageError("unknown asympt mode %r" % args.mode)
+        vals = list(_checked(asympt.phi_quotient_check, args.depth))
+        return _emit(args, vals, ["quotient coefficients: %s" % (vals,)])
+    # csv: rows stream to stdout as they are computed
+    _bits_checked(args.bits, asympt.emit_csv, sys.stdout, args.knot,
+                  args.n_max, args.bits)
+    return 0
 
 
 # ---------------------------------------------------------------------------

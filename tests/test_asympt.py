@@ -136,6 +136,13 @@ class TestGrowth:
         res = growth_rate("unknot", [10, 20, 30, 40, 50], bits=192)
         assert abs(res.estimate) < 1e-9
 
+    def test_figure_eight_bit_shortage_is_reported(self):
+        # 16 bits cannot carry the cancellation in f_n(zeta_{2n}); the
+        # fast evaluator says so instead of returning a wrong rate
+        with pytest.raises(EvalPrecisionError) as exc:
+            growth_rate("4_1", list(range(60, 101, 10)), bits=16)
+        assert exc.value.suggested_bits > 16
+
 
 class TestPerturbative:
     def test_quotient_prefix(self):

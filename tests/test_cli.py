@@ -84,12 +84,21 @@ class TestExitCodes:
         ("asympt", "--mode", "phi", "--bits", "1"),
         ("asympt", "--mode", "phi", "--bits", "8"),
         ("asympt", "--mode", "period", "--bits", "1"),
+        ("asympt", "--mode", "growth", "--bits", "16"),
+        ("asympt", "--mode", "growth", "--bits", "32"),
     ])
     def test_bad_parameters_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error: ")
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("n_max", ["0", "5", "9"])
+    def test_growth_window_error_names_the_flag(self, capsys, n_max):
+        code, out, err = run(capsys, "asympt", "--mode", "growth",
+                             "--n-max", n_max)
+        assert code == 1 and out == ""
+        assert err == "usage error: --n-max must be at least 10 for --mode growth\n"
 
     @pytest.mark.parametrize("argv", [
         ("knot", "--name", "4_1", "--index", "-2"),
@@ -209,6 +218,41 @@ class TestOtherCommands:
                            "--n-max", "3", "--bits", "128")
         assert code == 0
         assert out.splitlines()[0] == "n,re,im,modulus,normalized"
+
+
+class TestJsonContract:
+    """Every command prints its result as one JSON value with sorted keys
+    under --json, and nothing for an empty text result."""
+
+    @pytest.mark.parametrize("argv", [
+        ("knot", "--name", "4_1", "--index", "2"),
+        ("knot", "--name", "3_1l", "--side", "f", "--index", "3",
+         "--prec", "5"),
+        ("transform", "--knot", "4_1", "--index", "3"),
+        ("transform", "--knot", "3_1r", "--direction", "a-from-f",
+         "--index", "2"),
+        ("residues", "--knot", "4_1", "--window", "1", "--prec", "8"),
+        ("verify", "pentagonal", "--prec", "10"),
+        ("verify", "all", "--prec", "6"),
+        ("surgery", "--knot", "3_1l", "-p", "-2", "--prec", "8"),
+        ("park-poly", "-p", "2", "-a", "1", "-k", "3"),
+        ("connect-sum", "--knots", "3_1l", "3_1r", "--depth", "3",
+         "--prec", "10"),
+        ("connect-sum", "--knots", "3_1l", "3_1r", "--depth", "0"),
+        ("asympt", "--mode", "period", "--n-max", "20", "--bits", "192"),
+        ("asympt", "--mode", "growth", "--n-max", "40"),
+        ("asympt", "--mode", "phi", "--n-max", "60"),
+        ("asympt", "--mode", "quotient", "--depth", "3"),
+    ])
+    def test_one_sorted_json_value(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+    def test_empty_text_result_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "connect-sum", "--knots", "3_1l",
+                             "3_1r", "--depth", "0")
+        assert code == 0 and out == "" and err == ""
 
 
 class TestEnvironment:
