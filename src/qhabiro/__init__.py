@@ -24,7 +24,6 @@ from .series import (
 )
 from .qcomb import (
     DivergentPochhammerError,
-    curly,
     curly_fact,
     curly_poch,
     jacobi_symbol,
@@ -48,14 +47,8 @@ from .transform import (
 from .omega import (
     OmegaElement,
     gamma,
-    lbc_product_bound,
     omega_from_a,
-    omega_mirror,
     omega_mul,
-    omega_unit,
-    sigma0_x_expansion,
-    verify_sigma_product,
-    x_expansion,
 )
 from .knots import (
     CompositeCycleError,
@@ -64,8 +57,6 @@ from .knots import (
     KnotFileError,
     KnotSpec,
     UnknownKnotError,
-    a_coeff,
-    f_coeff,
     get_knot,
     knot_names,
     load_knots,
@@ -77,14 +68,12 @@ from .residues import (
     branch_coeffs_41,
     branch_residue_41,
     descendant,
-    f_from_residues,
     residue_family,
     residue_series,
     residue_sigma,
     residue_theorem_check,
     residue_theorem_window,
     residues_from_f,
-    sign_constancy,
     tail_check,
     trefoil_recurrence_check,
 )
@@ -93,7 +82,6 @@ from .surgery import (
     FractionalExponentError,
     SurgeryParams,
     ZhatResult,
-    laplace_monomial,
     park_poly_explicit,
     park_poly_residue,
     surgery_weight_poly,
@@ -108,11 +96,10 @@ __version__ = "1.0.0"
 # asympt's names are served on first use (PEP 562), so that importing
 # qhabiro, and every CLI command but asympt, does without mpmath
 _ASYMPT_NAMES = frozenset("""
-    PHI_F PHI_J QUOTIENT_TABLE_PREFIX AsymptoticsError GrowthResult
-    IntegralityError PerturbSeries PeriodicityReport emit_csv
-    eval_root_of_unity extract_phi f41_eval f_poly_exact growth_rate
-    is_palindromic periodicity_check phi_quotient_check richardson
-    series_mul series_sqrt_inv vol_41
+    PHI_F PHI_J AsymptoticsError GrowthResult IntegralityError
+    PerturbSeries PeriodicityReport emit_csv eval_root_of_unity
+    extract_phi f41_eval f_poly_exact growth_rate periodicity_check
+    phi_quotient_check richardson series_mul series_sqrt_inv vol_41
 """.split())
 
 

@@ -61,11 +61,6 @@ def f_poly_exact(knot, n: int) -> QSeries:
     return poly
 
 
-def is_palindromic(poly: QSeries) -> bool:
-    """True when the polynomial is invariant under q -> 1/q."""
-    return poly == poly.mirror()
-
-
 def _coeff_magnitude_bits(poly: QSeries) -> int:
     total = sum(abs(c) for c in poly.coeffs)
     return total.bit_length() if total else 1
@@ -184,26 +179,33 @@ class PeriodicityReport:
     message: str = ""
 
 
-def periodicity_check(knot, n_max: int, bits: int = DEFAULT_BITS,
-                      tol: float = 1e-9) -> PeriodicityReport:
+# bound on |Im f_{n-1}(zeta_n)| and on the gap between repeated values
+PERIOD_TOL = 1e-9
+
+
+def periodicity_check(knot, n_max: int,
+                      bits: int = DEFAULT_BITS) -> PeriodicityReport:
     """Detect the minimal period of the real sequence f_{n-1}(zeta_n),
     n = 1..n_max (f_n(zeta_n) is a different sequence; see the module
-    docstring)."""
+    docstring): the smallest period d, and for it the smallest phase
+    s <= n_max // 2, such that the values from n = s on repeat with period
+    d for at least two periods."""
     K = get_knot(knot)
     vals: List[float] = []
     for n in range(1, n_max + 1):
         v = _eval_f_at(K, n - 1, n, bits)
-        if abs(mp.im(v)) > tol:
+        if abs(mp.im(v)) > PERIOD_TOL:
             raise AsymptoticsError(
                 "f_%d(zeta_%d) has imaginary part %s beyond tolerance"
                 % (n - 1, n, mp.nstr(mp.im(v)))
             )
         vals.append(float(mp.re(v)))
     for d in range(1, n_max // 2 + 1):
-        if all(abs(vals[i + d] - vals[i]) <= tol
-               for i in range(n_max - d)):
-            one = tuple(sorted(vals[:d]))
-            return PeriodicityReport(d, 1, one)
+        # the phase is one past the last n where the period breaks
+        s = 1 + max((i + 1 for i in range(n_max - d)
+                     if abs(vals[i + d] - vals[i]) > PERIOD_TOL), default=0)
+        if s <= min(n_max // 2, n_max + 1 - 2 * d):
+            return PeriodicityReport(d, s, tuple(sorted(vals[s - 1:s - 1 + d])))
     return PeriodicityReport(None, None, (), "aperiodic on window")
 
 
@@ -247,8 +249,12 @@ class GrowthResult:
     raw: Tuple[Tuple[int, float], ...] = ()
 
 
-def growth_rate(knot, n_list: Sequence[int], bits: int = DEFAULT_BITS,
-                order: int = 4) -> GrowthResult:
+# Richardson order of the growth estimate, lowered when fewer points are given
+GROWTH_ORDER = 4
+
+
+def growth_rate(knot, n_list: Sequence[int],
+                bits: int = DEFAULT_BITS) -> GrowthResult:
     """Richardson-accelerated limit of (pi/n) log|f_n(zeta_{2n})|."""
     K = get_knot(knot)
     n_list = sorted(set(n_list))
@@ -261,13 +267,12 @@ def growth_rate(knot, n_list: Sequence[int], bits: int = DEFAULT_BITS,
             m = abs(v)
             g = mp.pi / n * mp.log(m) if m != 0 else mp.mpf(0)
             seq.append((n, g))
-    order = min(order, len(seq) - 1)
-    est = richardson(seq, order)
+    order = min(GROWTH_ORDER, len(seq) - 1)
     # instability flag: successive-order corners should settle monotonically
     corners = [richardson(seq, o) for o in range(order + 1)]
     resid = [abs(corners[i + 1] - corners[i]) for i in range(len(corners) - 1)]
     flagged = any(resid[i + 1] > resid[i] * 10 for i in range(len(resid) - 1))
-    return GrowthResult(float(est), order, flagged,
+    return GrowthResult(float(corners[-1]), order, flagged,
                         tuple((n, float(g)) for n, g in seq))
 
 
@@ -312,8 +317,6 @@ PHI_F = PerturbSeries(
     ),
     prefactor="3^(-1/2)",
 )
-
-QUOTIENT_TABLE_PREFIX = (1, 9, 513, 109593)
 
 
 def _require_unit(s: PerturbSeries):
@@ -371,18 +374,22 @@ def phi_quotient_check(depth: int) -> tuple:
 
 
 def extract_phi(knot, depth: int, n_max: int,
-                bits: int = 512, nodes: Optional[int] = None) -> PerturbSeries:
+                bits: int = 512) -> PerturbSeries:
     """Numerical c_0..c_depth of Phi^F from the normalized sequence
     f_n(zeta_{2n}) * e^{-n*vol/pi} * sqrt(3), fitted as a polynomial in
     u = pi/(36*sqrt(3)*n) on the largest available n (Vandermonde solve
-    with guard coefficients beyond ``depth``)."""
+    with guard coefficients beyond ``depth``).  vol is the figure-eight
+    volume, so any other knot raises AsymptoticsError."""
     K = get_knot(knot)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     guard = 4
-    m = (depth + 1 + guard) if nodes is None else nodes
+    m = depth + 1 + guard
     if n_max < m + 2:
         raise ValueError("n_max too small for %d nodes" % m)
+    if K.name != "4_1":
+        raise AsymptoticsError("Phi^F is normalized by the volume of 4_1; "
+                               "no extraction for knot %r" % K.name)
     step = max(1, n_max // (4 * m))
     ns = [n_max - i * step for i in range(m)]
     with mp.workprec(bits):
@@ -407,15 +414,10 @@ def extract_phi(knot, depth: int, n_max: int,
 # ---------------------------------------------------------------------------
 
 
-def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS,
-             doubled: bool = True):
-    """Write rows ``n, re, im, modulus, normalized`` for external plotting.
-
-    ``doubled`` selects f_n(zeta_{2n}) (volume-growth mode, the sequence
-    of ``growth_rate``) vs f_{n-1}(zeta_n) (periodicity mode, the sequence
-    of ``periodicity_check``); ``normalized`` is the value scaled by
-    e^{-n*vol/pi} * sqrt(3) in the doubled mode and the raw real part
-    otherwise.
+def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS):
+    """Write rows ``n, re, im, modulus, normalized`` of f_n(zeta_{2n}), the
+    sequence of ``growth_rate``, for external plotting; ``normalized`` is
+    the real part scaled by e^{-n*vol/pi} * sqrt(3).
     """
     import csv as _csv
 
@@ -426,11 +428,7 @@ def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS,
         vol = vol_41(bits)
         sqrt3 = mp.sqrt(3)
         for n in range(1, n_max + 1):
-            if doubled:
-                v = _eval_f_at(K, n, 2 * n, bits)
-                norm = mp.re(v) * mp.e ** (-n * vol / mp.pi) * sqrt3
-            else:
-                v = _eval_f_at(K, n - 1, n, bits)
-                norm = mp.re(v)
+            v = _eval_f_at(K, n, 2 * n, bits)
+            norm = mp.re(v) * mp.e ** (-n * vol / mp.pi) * sqrt3
             writer.writerow([n, mp.nstr(mp.re(v), 17), mp.nstr(mp.im(v), 17),
                              mp.nstr(abs(v), 17), mp.nstr(norm, 17)])

@@ -266,10 +266,12 @@ def _cmd_asympt(args) -> int:
     if args.mode == "period":
         rep = _bits_checked(args.bits, asympt.periodicity_check, args.knot,
                             args.n_max, args.bits)
-        return _emit(args, {"period": rep.period, "values": list(rep.values),
-                            "message": rep.message},
+        return _emit(args, {"period": rep.period, "phase": rep.phase,
+                            "values": list(rep.values), "message": rep.message},
                      [rep.message if rep.period is None else
-                      "period %d, values %s" % (rep.period, list(rep.values))],
+                      "period %d, values %s%s" % (
+                          rep.period, list(rep.values),
+                          " from n = %d" % rep.phase if rep.phase > 1 else "")],
                      0 if rep.period is not None else 2)
     if args.mode == "growth":
         if args.n_max < 10:

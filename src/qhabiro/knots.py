@@ -175,14 +175,6 @@ def knot_names() -> list:
     return sorted(_REGISTRY)
 
 
-def a_coeff(knot, k: int) -> QSeries:
-    return get_knot(knot).a_coeff(k)
-
-
-def f_coeff(knot, k: int) -> QSeries:
-    return get_knot(knot).f_coeff(k)
-
-
 def mirror(knot) -> KnotSpec:
     """q -> q^{-1} on every coefficient; requires exact coefficients."""
     knot = get_knot(knot)

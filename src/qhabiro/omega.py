@@ -1,6 +1,5 @@
-"""The ring of inverted Habiro series: structure constants gamma, the
-product formula, x-expansions of the basis elements sigma_n, and instance
-verification of the multiplication identity.
+"""The ring of inverted Habiro series: structure constants gamma and the
+product formula.
 
 Elements are finite Z[q^{+-1}]-combinations of symbols sigma_n with
 n <= 0.  The sigma_0 component is kept separate from the negative-index
@@ -24,7 +23,7 @@ from typing import Optional
 from .series import ExpLike, QSeries, series_dot
 from .qcomb import CACHE_SIZE, curly_poch, qbinom
 from .transform import (CoeffSeq, LbcError, LbcReport, a_from_f, f_from_a,
-                        lbc_check, lbc_margin)
+                        lbc_check)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -42,7 +41,7 @@ class OmegaElement:
     """sigma0 * sigma_0 + sum_{k>=0} a[k] * sigma_{-k-1}.
 
     ``lbc`` certifies the lower bound condition for the negative-index
-    part; products demand it unless forced.
+    part; products demand it.
     """
 
     a: CoeffSeq
@@ -52,12 +51,6 @@ class OmegaElement:
     def __post_init__(self):
         if self.a.side != "P":
             raise ValueError("OmegaElement coefficients must be P-side")
-
-
-def omega_unit() -> OmegaElement:
-    """The multiplicative unit 1 * sigma_0."""
-    zero = CoeffSeq("P", lambda k: QSeries.zero())
-    return OmegaElement(zero, QSeries.one(), LbcReport(0, Fraction(0)))
 
 
 def omega_from_a(a: CoeffSeq, K: int) -> OmegaElement:
@@ -78,14 +71,13 @@ def omega_mul(
     b: OmegaElement,
     L: int,
     prec: Optional[ExpLike] = None,
-    force: bool = False,
 ) -> OmegaElement:
     """Product in the sigma basis, coefficients computed for indices
     -L <= l <= 0:
 
         c_l = sum_{m+n >= l, m,n <= 0} gamma^{m+n-l}_{m,n} a_m b_n.
 
-    Inputs must carry an LBC certificate unless ``force`` is set.
+    Inputs must carry an LBC certificate.
     ``prec`` may be a single precision for every coefficient or a
     callable mapping the coefficient index k (for sigma_{-k-1}) to a
     precision p_l, l = -k-1; consumers that weight a_{-k-1} by
@@ -102,7 +94,7 @@ def omega_mul(
     gives it.  With no such pair c_l is exact zero; a coefficient that is
     zero only to its precision has no terms.
     """
-    if not force and (a.lbc is None or b.lbc is None):
+    if a.lbc is None or b.lbc is None:
         raise LbcError("LBC required")
 
     def known(s: QSeries) -> QSeries:
@@ -165,125 +157,3 @@ def omega_mul(
     if prec is not None:
         s0 = s0.truncate(prec(0) if callable(prec) else prec)
     return OmegaElement(c, s0, lbc_check(c, L - 1))
-
-
-def omega_mirror(el: OmegaElement, K: Optional[int] = None) -> OmegaElement:
-    """Coefficientwise q -> q^{-1}; coefficients must be exact."""
-    seq = CoeffSeq("P", lambda k: el.a[k].mirror(), el.a.max_index)
-    report = None
-    if K is not None:
-        report = lbc_check(seq, K)
-    return OmegaElement(seq, el.sigma0.mirror(), report)
-
-
-def sigma0_partial_sums(k: int, x_order: int) -> list:
-    """Entry m is the x^{k+1+m}-coefficient of the expansion of
-    sigma_{-k-1} at x = 0, i.e. sum_{j<=m} [2k+j choose j]."""
-    out = []
-    acc = QSeries.zero()
-    for j in range(x_order + 1):
-        acc = acc + qbinom(2 * k + j, j)
-        out.append(acc)
-    return out
-
-
-def sigma0_x_expansion(t: int, x_order: int) -> dict:
-    """x-expansion of sigma_t at x = 0 as a map u -> coefficient of x^u,
-    covering all u <= x_order.  For t >= 0 this is the full Laurent
-    polynomial prod_{i=1..t} (x + x^{-1} - q^i - q^{-i})."""
-    if t >= 0:
-        poly = {0: QSeries.one()}
-        for i in range(1, t + 1):
-            factor = {
-                1: QSeries.one(),
-                -1: QSeries.one(),
-                0: -(QSeries.monomial(i) + QSeries.monomial(-i)),
-            }
-            new = {}
-            for u, cu in poly.items():
-                for v, cv in factor.items():
-                    w = u + v
-                    new[w] = new.get(w, QSeries.zero()) + cu * cv
-            poly = new
-        return {u: c for u, c in poly.items() if u <= x_order}
-    k = -t - 1
-    if x_order < k + 1:
-        return {}
-    sums = sigma0_partial_sums(k, x_order - k - 1)
-    return {k + 1 + m: s for m, s in enumerate(sums)}
-
-
-def x_expansion(el: OmegaElement, x_order: int, prec: Optional[ExpLike] = None) -> list:
-    """Coefficients of x^0..x^{x_order} of sum_m (coeff of sigma_m) * sigma_m^0."""
-    out = [QSeries.zero()] * (x_order + 1)
-    out[0] = el.sigma0
-    for k in range(x_order):
-        ak = el.a[k]
-        if ak.is_zero:
-            continue
-        for u, c in sigma0_x_expansion(-k - 1, x_order).items():
-            out[u] = out[u] + ak * c
-    if prec is not None:
-        out = [c.truncate(prec) for c in out]
-    return out
-
-
-def verify_sigma_product(m: int, n: int, x_order: int, prec: ExpLike) -> bool:
-    """Instance check of sigma_m^0 sigma_n^0 = sum_i gamma^i_{m,n}
-    sigma^0_{m+n-i}, comparing x-coefficients up to x^{x_order}, each
-    truncated at O(q^prec)."""
-    # each factor needs extra window to cover the other's negative x-powers
-    left_m = sigma0_x_expansion(m, x_order + max(0, n))
-    left_n = sigma0_x_expansion(n, x_order + max(0, m))
-    lo_m = min(left_m) if left_m else 0
-    lo_n = min(left_n) if left_n else 0
-    lhs = {}
-    for u, cu in left_m.items():
-        for v, cv in left_n.items():
-            w = u + v
-            if w > x_order:
-                continue
-            lhs[w] = lhs.get(w, QSeries.zero()) + cu * cv
-    complete_from = lo_m + lo_n
-
-    rhs = {}
-    i_max = max(0, m + n + x_order)
-    for i in range(i_max + 1):
-        g = gamma(m, n, i)
-        if g.is_zero:
-            continue
-        for u, c in sigma0_x_expansion(m + n - i, x_order).items():
-            rhs[u] = rhs.get(u, QSeries.zero()) + g * c
-
-    for u in range(complete_from, x_order + 1):
-        l = lhs.get(u, QSeries.zero()).truncate(prec)
-        r = rhs.get(u, QSeries.zero()).truncate(prec)
-        if l != r:
-            return False
-    return True
-
-
-def lbc_product_bound(
-    a: OmegaElement,
-    b: OmegaElement,
-    L: int,
-    product: Optional[OmegaElement] = None,
-    prec: Optional[ExpLike] = None,
-) -> bool:
-    """True iff every computed product coefficient c_l obeys
-    delta(c_l) >= -l(l+3)/2 + C_a + C_b (the bound the product theorem
-    proves, stated in q-units)."""
-    if a.lbc is None or b.lbc is None:
-        raise LbcError("LBC required")
-    if product is None:
-        product = omega_mul(a, b, L, prec)
-    C = a.lbc.constant + b.lbc.constant
-    if not product.sigma0.is_zero and product.sigma0.delta_lb() < C:
-        return False
-    for k in range(L):
-        c = product.a[k]
-        if c.is_zero:
-            continue
-        if c.delta_lb() < lbc_margin(k) + C:
-            return False
-    return True

@@ -109,13 +109,6 @@ def qbinom(n: int, k: int) -> QSeries:
     return QSeries(c + c[: deg + 1 - half][::-1]).shift(-Fraction(deg, 2))
 
 
-def curly(n: int) -> QSeries:
-    """{n} = v^n - v^{-n}."""
-    if n == 0:
-        return QSeries.zero()
-    return QSeries.from_terms({Fraction(n, 2): 1, Fraction(-n, 2): -1})
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def curly_fact(k: int) -> QSeries:
     """{k}! = {k}{k-1}...{1}."""

@@ -1,7 +1,7 @@
 """Residues of inverted Habiro series: basis-function residue atoms,
 residue families of coefficient sequences, the residue theorem defect,
-conversions between residues and GM coefficients, and the worked q-series
-identities (trefoil recurrences, figure-eight tails, descendants,
+the theta-function route from GM coefficients to residues, and the worked
+q-series identities (trefoil recurrences, figure-eight tails, descendants,
 nonabelian branches).
 
 All series are truncated at a caller-chosen precision; summation windows
@@ -31,13 +31,13 @@ from .series import (
     DegreeBound,
     DegreeBoundError,
     ExpLike,
-    PrecisionError,
     QSeries,
     _add_scaled,
     series_sum_bounded,
 )
 from .qcomb import _div_one_minus_qm
 from .transform import CoeffSeq, LbcError, LbcReport, fk_degree_check
+from .knots import get_knot
 
 INF = math.inf
 
@@ -248,20 +248,6 @@ def residue_theorem_check(a: CoeffSeq, prec: ExpLike, C=None) -> QSeries:
     return acc.truncate(target)
 
 
-def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
-    """f_k = -r_0 - sum_{j>=1} (q^{-j(k+1)} + q^{jk}) r_j."""
-    target = Fraction(prec)
-    j_need = _j_window(k, target, rf.lbc_constant)
-    if j_need > rf.J:
-        raise PrecisionError("enlarge J")
-    acc = -rf.r(0)
-    for j in range(1, j_need + 1):
-        acc = acc - (rf.r(j).shift(-j * (k + 1)) + rf.r(j).shift(j * k))
-    if not acc.is_exact and acc.prec_q < target:
-        raise PrecisionError("enlarge J")
-    return acc.truncate(target)
-
-
 def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     """The theta-function route:
 
@@ -306,8 +292,6 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
     (sign of the inhomogeneous term fixed against the tabulated residues),
     plus stabilization of (-1)^j q^{-binom(j+2,2)} r_j to (q)_inf^{-2}.
     """
-    from .knots import get_knot
-
     target = Fraction(prec)
     if kind not in ("L", "R"):
         raise ValueError("kind must be 'L' or 'R'")
@@ -418,18 +402,10 @@ def branch_residue_41(
     return series_sum_bounded(term, bound, target)
 
 
-def sign_constancy(s: QSeries) -> bool:
-    """True iff all known coefficients share one sign (observation only)."""
-    signs = {1 if c > 0 else -1 for c in s.coeffs if c}
-    return len(signs) <= 1
-
-
 def tail_check(parity: str, n: int, prec: ExpLike):
     """Normalized figure-eight coefficient q^{-delta(f_k)} f_k against its
     stabilized theta-quotient target; returns (normalized, target,
     agree_to) with agree_to the first disagreement exponent (or prec)."""
-    from .knots import f_coeff
-
     target_prec = Fraction(prec)
     if parity == "even":
         k = 2 * n
@@ -439,7 +415,7 @@ def tail_check(parity: str, n: int, prec: ExpLike):
         expo = lambda m: m * m + m
     else:
         raise ValueError("parity must be 'even' or 'odd'")
-    fk = f_coeff("4_1", k)
+    fk = get_knot("4_1").f[k]
     normalized = fk.shift(-fk.delta()).truncate(target_prec)
     theta = QSeries.zero()
     m_max = int(math.isqrt(int(target_prec))) + 2

@@ -471,18 +471,6 @@ class QSeries:
             newp = min(newp, p)
         return QSeries(c, o, s, newp)
 
-    def subst_qpow(self, m: int) -> "QSeries":
-        """Substitute q -> q^m (m a positive integer)."""
-        if m < 1:
-            raise ValueError("m must be a positive integer")
-        if not self.coeffs:
-            return QSeries((), 0, self.scale, None if self.prec is None else self.prec * m)
-        coeffs = [0] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * m] = c
-        prec = None if self.prec is None else self.prec * m
-        return QSeries(coeffs, self.offset * m, self.scale, prec)
-
     def mirror(self) -> "QSeries":
         """q -> q^{-1}; defined only for exact Laurent polynomials."""
         if self.prec is not None:

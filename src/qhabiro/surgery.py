@@ -1,7 +1,7 @@
-"""Dehn-surgery series: the Laplace-transform operator on monomials, the
-three computation routes for the surgered-manifold series (GM coefficient
-route, residue route, inverted-coefficient route), empirical convergence
-detection, and the surgery polynomials in two definitions.
+"""Dehn-surgery series: the three computation routes for the
+surgered-manifold series (GM coefficient route, residue route,
+inverted-coefficient route), empirical convergence detection, and the
+surgery polynomials in two definitions.
 
 Every route is one sum stopped by one rule: a route hands its terms,
 capped by _k_cap, to _trend_sum, which returns the sum once the degree
@@ -86,16 +86,6 @@ class ZhatResult:
     delta: Fraction
     series: QSeries
     sign_convention: str
-
-
-def laplace_monomial(u: int, w, p: int, a: int) -> Optional[Fraction]:
-    """Exponent of the Laplace-transformed monomial x^u q^w, or None when
-    u is not in the congruence class a mod p."""
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    if (u - a) % p:
-        return None
-    return -Fraction(u * u, p) + Fraction(w)
 
 
 def _divide_content(s: QSeries):

@@ -1,18 +1,25 @@
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from qhabiro import (
     CoeffSeq,
     KnotSpec,
+    LbcError,
+    OmegaElement,
     QSeries,
     exact_div,
+    gamma,
     get_knot,
+    lbc_margin,
+    omega_mul,
     qbinom,
     qfact,
     qint,
 )
+from qhabiro.series import ExpLike
 
 
 def seq_from_list(side, items):
@@ -74,6 +81,108 @@ def a_from_f_closed(f, k: int) -> QSeries:
                 * exact_div(den, qint(k + i + 1)) * f[i])
         num = num + (term if (k + i) % 2 == 0 else -term)
     return exact_div(num, den)
+
+
+# Oracles for omega_mul: the multiplication formula on x-expansions at
+# x = 0, and the product's LBC bound.
+
+
+def sigma0_partial_sums(k: int, x_order: int) -> list:
+    """Entry m is the x^{k+1+m}-coefficient of the expansion of
+    sigma_{-k-1} at x = 0, i.e. sum_{j<=m} [2k+j choose j]."""
+    out = []
+    acc = QSeries.zero()
+    for j in range(x_order + 1):
+        acc = acc + qbinom(2 * k + j, j)
+        out.append(acc)
+    return out
+
+
+def sigma0_x_expansion(t: int, x_order: int) -> dict:
+    """x-expansion of sigma_t at x = 0 as a map u -> coefficient of x^u,
+    covering all u <= x_order.  For t >= 0 this is the full Laurent
+    polynomial prod_{i=1..t} (x + x^{-1} - q^i - q^{-i})."""
+    if t >= 0:
+        poly = {0: QSeries.one()}
+        for i in range(1, t + 1):
+            factor = {
+                1: QSeries.one(),
+                -1: QSeries.one(),
+                0: -(QSeries.monomial(i) + QSeries.monomial(-i)),
+            }
+            new = {}
+            for u, cu in poly.items():
+                for v, cv in factor.items():
+                    w = u + v
+                    new[w] = new.get(w, QSeries.zero()) + cu * cv
+            poly = new
+        return {u: c for u, c in poly.items() if u <= x_order}
+    k = -t - 1
+    if x_order < k + 1:
+        return {}
+    sums = sigma0_partial_sums(k, x_order - k - 1)
+    return {k + 1 + m: s for m, s in enumerate(sums)}
+
+
+def verify_sigma_product(m: int, n: int, x_order: int, prec: ExpLike) -> bool:
+    """Instance check of sigma_m^0 sigma_n^0 = sum_i gamma^i_{m,n}
+    sigma^0_{m+n-i}, comparing x-coefficients up to x^{x_order}, each
+    truncated at O(q^prec)."""
+    # each factor needs extra window to cover the other's negative x-powers
+    left_m = sigma0_x_expansion(m, x_order + max(0, n))
+    left_n = sigma0_x_expansion(n, x_order + max(0, m))
+    lo_m = min(left_m) if left_m else 0
+    lo_n = min(left_n) if left_n else 0
+    lhs = {}
+    for u, cu in left_m.items():
+        for v, cv in left_n.items():
+            w = u + v
+            if w > x_order:
+                continue
+            lhs[w] = lhs.get(w, QSeries.zero()) + cu * cv
+    complete_from = lo_m + lo_n
+
+    rhs = {}
+    i_max = max(0, m + n + x_order)
+    for i in range(i_max + 1):
+        g = gamma(m, n, i)
+        if g.is_zero:
+            continue
+        for u, c in sigma0_x_expansion(m + n - i, x_order).items():
+            rhs[u] = rhs.get(u, QSeries.zero()) + g * c
+
+    for u in range(complete_from, x_order + 1):
+        l = lhs.get(u, QSeries.zero()).truncate(prec)
+        r = rhs.get(u, QSeries.zero()).truncate(prec)
+        if l != r:
+            return False
+    return True
+
+
+def lbc_product_bound(
+    a: OmegaElement,
+    b: OmegaElement,
+    L: int,
+    product: Optional[OmegaElement] = None,
+    prec: Optional[ExpLike] = None,
+) -> bool:
+    """True iff every computed product coefficient c_l obeys
+    delta(c_l) >= -l(l+3)/2 + C_a + C_b (the bound the product theorem
+    proves, stated in q-units)."""
+    if a.lbc is None or b.lbc is None:
+        raise LbcError("LBC required")
+    if product is None:
+        product = omega_mul(a, b, L, prec)
+    C = a.lbc.constant + b.lbc.constant
+    if not product.sigma0.is_zero and product.sigma0.delta_lb() < C:
+        return False
+    for k in range(L):
+        c = product.a[k]
+        if c.is_zero:
+            continue
+        if c.delta_lb() < lbc_margin(k) + C:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from qhabiro import (
     get_knot,
     growth_rate,
     lbc_check,
-    lbc_product_bound,
     lbc_margin,
     omega_from_a,
     omega_mul,
@@ -39,13 +38,14 @@ from qhabiro import (
     series_invert_unit,
     tail_check,
     trefoil_recurrence_check,
-    verify_sigma_product,
     zhat_via_fk,
     zhat_via_ih,
     zhat_via_residues,
 )
 from qhabiro.qcomb import qpoch
 from qhabiro.transform import CoeffSeq
+
+from conftest import lbc_product_bound, verify_sigma_product
 
 # Certified lower-bound-condition constants of the builtin knots.
 LBC = {"3_1l": Fraction(-2), "3_1r": Fraction(0), "4_1": Fraction(-1)}
@@ -303,7 +303,8 @@ def test_13_periodicity_at_roots_of_unity():
 
 def test_14_volume_growth():
     with budget(600):
-        result = growth_rate("4_1", list(range(60, 201, 20)), order=4)
+        result = growth_rate("4_1", list(range(60, 201, 20)))
+        assert result.order == 4
         assert abs(result.estimate - 2.0298832) < 1e-3
 
 

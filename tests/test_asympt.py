@@ -10,17 +10,14 @@ import pytest
 import qhabiro
 from qhabiro import (
     PHI_F,
-    PHI_J,
-    QUOTIENT_TABLE_PREFIX,
     PerturbSeries,
     QSeries,
     emit_csv,
     eval_root_of_unity,
+    extract_phi,
     f41_eval,
     f_poly_exact,
-    get_knot,
     growth_rate,
-    is_palindromic,
     periodicity_check,
     phi_quotient_check,
     richardson,
@@ -28,11 +25,9 @@ from qhabiro import (
     series_sqrt_inv,
     vol_41,
 )
-from qhabiro.asympt import (
-    AsymptoticsError,
-    IntegralityError as QuotientIntegralityError,
-    PrecisionError as EvalPrecisionError,
-)
+from qhabiro.asympt import AsymptoticsError, PrecisionError as EvalPrecisionError
+
+QUOTIENT_TABLE_PREFIX = (1, 9, 513, 109593)
 
 
 class TestExactPolys:
@@ -43,7 +38,8 @@ class TestExactPolys:
 
     def test_palindromic(self):
         for n in range(1, 8):
-            assert is_palindromic(f_poly_exact("4_1", n)), n
+            p = f_poly_exact("4_1", n)
+            assert p == p.mirror(), n
 
 
 class TestRootEvaluation:
@@ -106,7 +102,7 @@ class TestRichardson:
 class TestPeriodicity:
     def test_period_five(self):
         rep = periodicity_check("4_1", 30)
-        assert rep.period == 5
+        assert (rep.period, rep.phase) == (5, 1)
         # multiset over one period of f_{n-1}(zeta_n): the published target
         # {1, 1, 2, 2, (3-sqrt5)/2} that test_acceptance.py's test_13 pins
         expected = sorted([1.0, 1.0, 2.0, 2.0, (3 - math.sqrt(5)) / 2])
@@ -120,6 +116,12 @@ class TestPeriodicity:
         assert a.period == b.period == 5
         for x, y in zip(a.values, b.values):
             assert abs(x - y) < 1e-9
+
+    @pytest.mark.parametrize("n_max", [12, 100])
+    def test_unknot_locks_in_after_the_first_value(self, n_max):
+        # f_{n-1}(zeta_n) = 1, 0, 0, ...: period 1 from n = 2 on
+        rep = periodicity_check("unknot", n_max)
+        assert (rep.period, rep.phase, rep.values) == (1, 2, (0.0,))
 
 
 class TestGrowth:
@@ -173,6 +175,12 @@ class TestPerturbative:
         with pytest.raises(ValueError):
             phi_quotient_check(10)
 
+    @pytest.mark.parametrize("knot", ["3_1l", "unknot"])
+    def test_extraction_refuses_other_knots(self, knot):
+        # the normalization is the figure-eight volume
+        with pytest.raises(AsymptoticsError, match=knot):
+            extract_phi(knot, 2, 60)
+
 
 class TestCsv:
     def test_header_and_rows(self):
@@ -182,12 +190,3 @@ class TestCsv:
         assert lines[0] == "n,re,im,modulus,normalized"
         assert len(lines) == 6
         assert lines[1].startswith("1,")
-
-    def test_undoubled_rows_are_the_periodicity_sequence(self):
-        buf = io.StringIO()
-        emit_csv(buf, "4_1", 10, bits=192, doubled=False)
-        rows = buf.getvalue().strip().splitlines()[1:]
-        re = [float(r.split(",")[1]) for r in rows]
-        rep = periodicity_check("4_1", 10, bits=192)
-        assert sorted(re[:5]) == pytest.approx(list(rep.values), abs=1e-12)
-        assert re[5:] == pytest.approx(re[:5], abs=1e-12)

@@ -70,6 +70,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "knot", "--name", "9_42")
         assert code == 2
 
+    @pytest.mark.parametrize("knot", ["3_1l", "unknot"])
+    def test_phi_of_another_knot_is_domain_error(self, capsys, knot):
+        # Phi^F is normalized by the figure-eight volume
+        code, out, err = run(capsys, "asympt", "--mode", "phi", "--knot", knot)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert repr(knot) in err
+
     @pytest.mark.parametrize("argv", [
         ("surgery", "--knot", "3_1l", "-p", "-3", "-a", "5"),
         ("surgery", "--knot", "3_1l", "-p", "0"),
@@ -212,6 +219,11 @@ class TestOtherCommands:
                            "--n-max", "20", "--bits", "192")
         assert code == 0
         assert "period 5" in out
+
+    def test_asympt_period_with_a_phase(self, capsys):
+        argv = ("asympt", "--mode", "period", "--knot", "unknot", "--n-max", "12")
+        assert run(capsys, *argv)[:2] == (0, "period 1, values [0.0] from n = 2\n")
+        assert json.loads(run(capsys, *argv, "--json")[1])["phase"] == 2
 
     def test_asympt_csv_header(self, capsys):
         code, out, _ = run(capsys, "asympt", "--mode", "csv",

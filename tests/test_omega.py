@@ -1,39 +1,68 @@
 """Ring structure on inverted Habiro elements."""
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from qhabiro import (
     CoeffSeq,
     LbcError,
+    LbcReport,
     OmegaElement,
     QSeries,
     curly_poch,
     gamma,
     get_knot,
     lbc_check,
-    lbc_product_bound,
     omega_from_a,
-    omega_mirror,
     omega_mul,
-    omega_unit,
     qbinom,
-    sigma0_x_expansion,
-    verify_sigma_product,
-    x_expansion,
 )
 from qhabiro.omega import _gamma_valuation2
+from qhabiro.series import ExpLike
+
+from conftest import lbc_product_bound, sigma0_x_expansion, verify_sigma_product
 
 DEPTH = 8
 PREC = 30
 
 
-def gamma_omega_mul(a, b, L, prec=None, force=False):
+def omega_unit() -> OmegaElement:
+    """The multiplicative unit 1 * sigma_0."""
+    zero = CoeffSeq("P", lambda k: QSeries.zero())
+    return OmegaElement(zero, QSeries.one(), LbcReport(0, Fraction(0)))
+
+
+def omega_mirror(el: OmegaElement, K: Optional[int] = None) -> OmegaElement:
+    """Coefficientwise q -> q^{-1}; coefficients must be exact."""
+    seq = CoeffSeq("P", lambda k: el.a[k].mirror(), el.a.max_index)
+    report = None
+    if K is not None:
+        report = lbc_check(seq, K)
+    return OmegaElement(seq, el.sigma0.mirror(), report)
+
+
+def x_expansion(el: OmegaElement, x_order: int, prec: Optional[ExpLike] = None) -> list:
+    """Coefficients of x^0..x^{x_order} of sum_m (coeff of sigma_m) * sigma_m^0."""
+    out = [QSeries.zero()] * (x_order + 1)
+    out[0] = el.sigma0
+    for k in range(x_order):
+        ak = el.a[k]
+        if ak.is_zero:
+            continue
+        for u, c in sigma0_x_expansion(-k - 1, x_order).items():
+            out[u] = out[u] + ak * c
+    if prec is not None:
+        out = [c.truncate(prec) for c in out]
+    return out
+
+
+def gamma_omega_mul(a, b, L, prec=None):
     """The reference product: one truncated gamma^i_{m,n} a_m b_n per index
     triple, c_l = sum_{m+n >= l} gamma^{m+n-l}_{m,n} a_m b_n, each gamma cut
     below what can still reach O(q^prec)."""
-    if not force and (a.lbc is None or b.lbc is None):
+    if a.lbc is None or b.lbc is None:
         raise LbcError("LBC required")
 
     def coef(el, m):
@@ -112,11 +141,11 @@ def random_element(rng, depth=6, grid=1, sigma0=None, cut=None):
     return el if sigma0 is None else OmegaElement(el.a, sigma0, el.lbc)
 
 
-def assert_matches_oracle(x, y, L, prec=None, force=False):
+def assert_matches_oracle(x, y, L, prec=None):
     """omega_mul equals the gamma-triple reference in sigma0 and in the
     coefficients for indices 0..L-1, prec included."""
-    got = omega_mul(x, y, L, prec, force)
-    want = gamma_omega_mul(x, y, L, prec, force)
+    got = omega_mul(x, y, L, prec)
+    want = gamma_omega_mul(x, y, L, prec)
     assert got.sigma0 == want.sigma0
     for k in range(L):
         assert got.a[k] == want.a[k], k
@@ -190,9 +219,10 @@ class TestGammaOracle:
                     assert_matches_oracle(z, xy, 8, outer)
 
     def test_forced_without_certificate(self):
-        bare = OmegaElement(CoeffSeq("P", lambda k: QSeries.one()))
-        assert_matches_oracle(bare, omega_unit(), 4, force=True)
-        assert_matches_oracle(bare, bare, 6, 10, force=True)
+        # a_{-k-1} = 1 for every k, with its LBC certificate (C = -1)
+        el = omega_from_a(CoeffSeq("P", lambda k: QSeries.one()), 6)
+        assert_matches_oracle(el, omega_unit(), 4)
+        assert_matches_oracle(el, el, 6, 10)
 
     def test_gamma_valuation_closed_form(self):
         for m in range(-7, 1):
@@ -246,8 +276,6 @@ class TestRingLaws:
         bare = OmegaElement(CoeffSeq("P", lambda k: QSeries.one()))
         with pytest.raises(LbcError):
             omega_mul(bare, omega_unit(), 4)
-        # force bypasses the audit
-        omega_mul(bare, omega_unit(), 4, force=True)
 
 
 class TestSigmaProduct:

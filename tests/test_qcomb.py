@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qhabiro import (
     DivergentPochhammerError,
     QSeries,
-    curly,
     curly_fact,
     curly_poch,
     jacobi_symbol,
@@ -23,6 +22,13 @@ from qhabiro import (
 )
 
 small = st.integers(min_value=0, max_value=12)
+
+
+def curly(n: int) -> QSeries:
+    """{n} = v^n - v^{-n}."""
+    if n == 0:
+        return QSeries.zero()
+    return QSeries.from_terms({Fraction(n, 2): 1, Fraction(-n, 2): -1})
 
 
 def gauss_triangle(n_max: int) -> list:

@@ -211,10 +211,6 @@ class TestArithmetic:
         s = mk(a)
         assert s.mirror().mirror() == s
 
-    def test_subst_qpow(self):
-        s = mk({-1: 2, 3: -5})
-        assert s.subst_qpow(3) == mk({-3: 2, 9: -5})
-
 
 class TestSlotCodec:
     """_pack/_unpack/_repack against the reference codec, for every slot

@@ -16,7 +16,6 @@ from qhabiro import (
     QSeries,
     SurgeryParams,
     f_from_a,
-    laplace_monomial,
     park_poly_explicit,
     park_poly_residue,
     residue_sigma,
@@ -42,19 +41,6 @@ from qhabiro.surgery import (
 from conftest import fresh_knot
 
 PREC = 25
-
-
-class TestLaplace:
-    def test_in_class(self):
-        assert laplace_monomial(3, 0, 3, 0) == Fraction(-3)
-        assert laplace_monomial(5, 2, 3, 2) == Fraction(2) - Fraction(25, 3)
-
-    def test_out_of_class(self):
-        assert laplace_monomial(4, 0, 3, 0) is None
-
-    def test_zero_p_rejected(self):
-        with pytest.raises(ValueError):
-            laplace_monomial(1, 0, 0, 0)
 
 
 def weight_poly_by_additions(j, p, a):
