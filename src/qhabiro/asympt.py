@@ -416,8 +416,8 @@ def extract_phi(knot, depth: int, n_max: int,
 
 def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS):
     """Write rows ``n, re, im, modulus, normalized`` of f_n(zeta_{2n}), the
-    sequence of ``growth_rate``, for external plotting; ``normalized`` is
-    the real part scaled by e^{-n*vol/pi} * sqrt(3).
+    sequence of ``growth_rate``, for external plotting; ``normalized``, the
+    real part scaled by e^{-n*vol(4_1)/pi} * sqrt(3), is empty for other knots.
     """
     import csv as _csv
 
@@ -431,4 +431,5 @@ def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS):
             v = _eval_f_at(K, n, 2 * n, bits)
             norm = mp.re(v) * mp.e ** (-n * vol / mp.pi) * sqrt3
             writer.writerow([n, mp.nstr(mp.re(v), 17), mp.nstr(mp.im(v), 17),
-                             mp.nstr(abs(v), 17), mp.nstr(norm, 17)])
+                             mp.nstr(abs(v), 17),
+                             mp.nstr(norm, 17) if K.name == "4_1" else ""])

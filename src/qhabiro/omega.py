@@ -106,6 +106,7 @@ def omega_mul(
     conv = [QSeries.zero()]  # conv[i]: the double sum over j < i
 
     def f_product(i: int) -> QSeries:
+        fa[i], fb[i]  # each cascade's rows up to i in one batch
         while len(conv) <= i:
             j = len(conv) - 1
             conv.append(conv[j] + series_dot((fa[t], fb[j - t])
@@ -126,7 +127,8 @@ def omega_mul(
 
     ta, tb = ([units(s) for s in row] for row in rows)
 
-    def gen(kk: int) -> QSeries:
+    def cut(kk: int):
+        """(P, p_k) for c_l, l = -kk-1; None if c_l is exact zero."""
         l = -kk - 1
         p_k = prec(kk) if callable(prec) else prec
         P = cap = None if p_k is None else ceil(Fraction(p_k) * unit)
@@ -146,13 +148,21 @@ def omega_mul(
                 for p, d in ((am[1], bn[0]), (bn[1], am[0])):
                     if p is not None and (P is None or p + d + v < P):
                         P = p + d + v
-        if not hit:
+        return (P, p_k) if hit else None
+
+    def gen(kk: int, ct) -> QSeries:
+        if ct is None:
             return QSeries.zero()
+        P, p_k = ct
         out = exact[kk] if P is None else exact[kk].truncate(Fraction(P, unit))
         return out if p_k is None else out.truncate(p_k)
 
+    cuts = [cut(kk) for kk in range(L)]
+    hits = [kk for kk, ct in enumerate(cuts) if ct]
+    if hits:
+        exact[hits[-1]]  # every exact row that gen reads, in one batch
     # computed here, so that the exact intermediates die with this call
-    c = CoeffSeq("P", [gen(kk) for kk in range(L)].__getitem__, L - 1)
+    c = CoeffSeq("P", list(map(gen, range(L), cuts)).__getitem__, L - 1)
     s0 = a.sigma0 * b.sigma0
     if prec is not None:
         s0 = s0.truncate(prec(0) if callable(prec) else prec)

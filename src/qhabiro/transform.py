@@ -70,6 +70,10 @@ class CoeffSeq:
         return self._memo.setdefault(k, self._gen(k))
 
     def prefix(self, K: int) -> list:
+        """Indices 0..K; the top one (K, or a lower ``max_index``) is read
+        first, so that a batching generator (a cascade) is called once."""
+        if K >= 0:
+            self[K if self.max_index is None else min(K, self.max_index)]
         return [self[k] for k in range(K + 1)]
 
 
@@ -99,8 +103,8 @@ def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
         raise ValueError("lbc_check applies to P-side sequences")
     best = inf
     indeterminate = []
-    for k in range(K + 1):
-        d = a[k].delta()
+    for k, s in enumerate(a.prefix(K)):
+        d = s.delta()
         if isinstance(d, DeltaAtLeast):
             indeterminate.append(k)
             d = d.bound
@@ -114,7 +118,7 @@ def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
     return LbcReport(K, Fraction(best), tuple(indeterminate))
 
 
-_HEADROOM = 32  # spare slot bits, so that widening repacks stay rare
+_HEADROOM = 32  # spare slot bits on a one-row call, as more rows follow
 
 
 class _Cascade:
@@ -140,12 +144,14 @@ class _Cascade:
     q^c moves base; adding aligns by one left shift.  z is exact whatever
     its slots hold, but reading slots back needs |c_i| < 2^(width-1).  A
     scalar shadow of the cascade on l1 norms (the same filters with every
-    sign +) bounds every state's l1 norm, hence every |c_i|; before a row
-    whose bound outgrows the slots, or whose input needs a finer grid,
-    the states are repacked.  A row's input is packed once (a single
-    coefficient is its own packing) and its output read back once, both
-    by the byte-column codec of series.py: whole slot columns move in
-    strided slices, and slots that fit int64 cross in one struct call.
+    sign +) bounds every state's l1 norm, hence every |c_i|.  A call
+    computes the rows up to k not yet computed as one batch: it reads
+    their inputs top index first (so a cascade feeding this one gets one
+    call too), and runs the shadow over them all before sizing the slots
+    to the largest bound and the grids' lcm, repacking at most once.
+    Each input is packed once and each row read back once, by the
+    byte-column codec of series.py: whole slot columns move in strided
+    slices, and slots that fit int64 cross in one struct call.
     """
 
     def __init__(self, source: CoeffSeq, divide: bool):
@@ -161,35 +167,43 @@ class _Cascade:
 
     def __call__(self, k: int) -> QSeries:
         with self._lock:
-            while len(self._rows) <= k:
-                self._rows.append(self._row(len(self._rows)))
+            start = len(self._rows)
+            xs = [self._source[i] for i in range(k, start - 1, -1)][::-1]
+            self._plan(xs, _HEADROOM if k == start else 0)
+            for x in xs:
+                self._rows.append(self._row(len(self._rows), x))
             return self._rows[k]
 
     def _stages(self, i: int):
         return range(i, -1, -1) if self._divide else range(i + 1)
 
-    def _row(self, i: int) -> QSeries:
-        x = self._source[i]
-        self._state.append([(0, 0)] * (2 if i else 1))
-        self._shadow.append([0] * (2 if i else 1))
-        # l1 bounds first, to size the slots before the packed pass; the
-        # bound only grows along the row, so the last one is the largest
-        b = sum(map(abs, x.coeffs))
-        for m in self._stages(i):
-            sh = self._shadow[m]
-            for j, s in enumerate(sh):
-                sh[j] = b + s if self._divide else b
-                b += s
-        scale = lcm(self._scale, x.scale)
+    def _plan(self, xs: list, headroom: int) -> None:
+        # a row's bound only grows along it, so its last one is its largest
+        bound = 0
+        for x in xs:
+            i = len(self._shadow)
+            self._shadow.append([0] * (2 if i else 1))
+            b = sum(map(abs, x.coeffs))
+            for m in self._stages(i):
+                sh = self._shadow[m]
+                for j, s in enumerate(sh):
+                    sh[j] = b + s if self._divide else b
+                    b += s
+            bound = max(bound, b)
+        scale = lcm(self._scale, *(x.scale for x in xs))
         width = self._width
-        if b.bit_length() >= width:
-            width = 8 * -(-(b.bit_length() + 1 + _HEADROOM) // 8)
+        if bound.bit_length() >= width:
+            width = 8 * -(-(bound.bit_length() + 1 + headroom) // 8)
         if scale != self._scale or width != self._width:
             stride = scale // self._scale
             for st in self._state:
                 st[:] = [(_repack(z, self._width, width, stride), base * stride)
                          for z, base in st]
             self._scale, self._width = scale, width
+
+    def _row(self, i: int, x: QSeries) -> QSeries:
+        self._state.append([(0, 0)] * (2 if i else 1))
+        scale, width = self._scale, self._width
         t = scale // x.scale
         coeffs = list(x.coeffs)
         if t > 1 and coeffs:

@@ -190,3 +190,24 @@ class TestCsv:
         assert lines[0] == "n,re,im,modulus,normalized"
         assert len(lines) == 6
         assert lines[1].startswith("1,")
+
+    def test_normalized_only_for_the_figure_eight(self):
+        # the normalization is 4_1's volume: 4_1's rows are as before, and
+        # every other knot keeps the header with an empty last cell
+        buf = io.StringIO()
+        emit_csv(buf, "4_1", 4, bits=192)
+        assert buf.getvalue().splitlines() == [
+            "n,re,im,modulus,normalized",
+            "1,2.0,0.0,2.0,1.8154283229021224",
+            "2,3.0,0.0,3.0,1.4271146007350098",
+            "3,5.0,3.0310611877404552e-57,5.0,1.2465109062620378",
+            "4,8.8284271247461901,-2.3818133397018119e-59,8.8284271247461901,"
+            "1.1534476762674718",
+        ]
+        buf = io.StringIO()
+        emit_csv(buf, "3_1l", 4, bits=192)
+        assert buf.getvalue().splitlines() == [
+            "n,re,im,modulus,normalized",
+            "1,0.0,0.0,0.0,", "2,-1.0,0.0,1.0,", "3,-1.0,0.0,1.0,",
+            "4,0.0,0.0,0.0,",
+        ]

@@ -1,13 +1,11 @@
 """Coefficient transforms between the two series expansions."""
 
-import random
 import sys
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qhabiro import (
     CoeffSeq,
@@ -23,6 +21,7 @@ from qhabiro import (
     omega_from_a,
     residue_family,
     residue_series,
+    transform,
 )
 
 from conftest import a_from_f_closed, f_41_closed, random_laurent, seq_from_list
@@ -153,15 +152,19 @@ class TestShiftAddRoute:
 
     def test_slot_width_tracks_growth(self):
         # a = C gives C times the figure-eight's f_i, whose coefficients
-        # grow far past the slot headroom; the closed form is independent
+        # grow far past the slot headroom; the closed form is independent.
+        # Read index by index (one row per call) and by prefix (one batch)
         C = 2 ** 70 + 1
-        a = CoeffSeq("P", lambda k: QSeries.monomial(0, C))
-        f = f_from_a(a)
-        for i in range(41):
-            assert f[i] == C * f_41_closed(i), i
-        back = a_from_f(f)
-        for k in range(41):
-            assert back[k] == QSeries.monomial(0, C), k
+        for batched in (False, True):
+            a = CoeffSeq("P", lambda k: QSeries.monomial(0, C))
+            f = f_from_a(a)
+            got = f.prefix(40) if batched else [f[i] for i in range(41)]
+            for i in range(41):
+                assert got[i] == C * f_41_closed(i), (batched, i)
+            back = a_from_f(f)
+            got = back.prefix(40) if batched else [back[k] for k in range(41)]
+            for k in range(41):
+                assert got[k] == QSeries.monomial(0, C), (batched, k)
 
     def test_out_of_order_access_is_lazy(self, rng):
         data = [_random_grid_series(rng, 2) for _ in range(12)]
@@ -182,6 +185,84 @@ class TestShiftAddRoute:
         read.clear()
         assert a[5] == _back_substitution(data, 5)[5]
         assert max(read) == 5
+
+
+def _l1(s):
+    return sum(map(abs, s.coeffs))
+
+
+def _mixed_grid_data(rng, n, prec_prob):
+    # an integer-grid head, then scales 1, 2 and 3 mixed
+    return ([_random_grid_series(rng, 1, prec_prob) for _ in range(4)]
+            + [_random_grid_series(rng, rng.choice((1, 2, 3)), prec_prob)
+               for _ in range(n - 4)])
+
+
+class TestBatchedRows:
+    """A read of row k computes every missing row up to k in one batch."""
+
+    @pytest.fixture
+    def repacks(self, monkeypatch):
+        """(old width, new width, stride) of each repack of a nonzero state."""
+        calls = []
+        repack = transform._repack
+
+        def spy(z, old, new, stride):
+            if z:
+                calls.append((old, new, stride))
+            return repack(z, old, new, stride)
+
+        monkeypatch.setattr(transform, "_repack", spy)
+        return calls
+
+    @pytest.mark.parametrize("side", ["P", "F"])
+    @pytest.mark.parametrize("prec_prob", [0.0, 0.5], ids=["exact", "truncated"])
+    def test_batch_matches_index_order(self, rng, repacks, side, prec_prob):
+        K = 16
+        data = _mixed_grid_data(rng, K + 1, prec_prob)
+        run = f_from_a if side == "P" else a_from_f
+
+        def fresh():
+            return run(seq_from_list(side, data))
+
+        one = fresh()
+        want = [one[k].to_json() for k in range(K + 1)]
+        assert [s.to_json() for s in fresh().prefix(K)] == want
+        # rows 0..3 on the integer grid first: the batch 4..K then refines
+        # the grid of the states already held, by one stride-6 repack
+        split = fresh()
+        split[3]
+        del repacks[:]
+        assert [s.to_json() for s in split.prefix(K)] == want
+        assert len(set(repacks)) == 1 and repacks[0][2] == 6  # one pass
+
+    def test_prefix_never_repacks(self, rng, repacks):
+        K = 24
+        data = _mixed_grid_data(rng, K + 1, 0.0)
+        for a in (get_knot("3_1r").a, seq_from_list("P", data)):
+            f_from_a(a).prefix(K)
+            back = a_from_f(f_from_a(a)).prefix(K)
+            assert back == a.prefix(K)
+        assert repacks == []
+
+    @pytest.mark.parametrize("K", [0, 5, 20, 51])
+    def test_width_fits_the_batch_bound(self, rng, K):
+        # the l1 shadow of the dividing cascade is f_i at q = 1 with every
+        # a_{-k-1} replaced by its l1 norm; of the multiplying one, the
+        # closed inverse at q = 1 with every sign + (ballot numbers)
+        a = get_knot("3_1r").a
+        f = f_from_a(a)
+        f.prefix(K)
+        b = max(sum(comb(k + i, 2 * k) * _l1(a[k]) for k in range(i + 1))
+                for i in range(K + 1))
+        assert f._gen._width == 8 * -(-(b.bit_length() + 1) // 8)
+        data = seq_from_list("F", [random_laurent(rng) for _ in range(K + 1)])
+        back = a_from_f(data)
+        back.prefix(K)
+        b = max(sum(comb(2 * k, k - i) * (2 * i + 1) // (k + i + 1)
+                    * _l1(data[i]) for i in range(k + 1))
+                for k in range(K + 1))
+        assert back._gen._width == 8 * -(-(b.bit_length() + 1) // 8)
 
 
 class TestConcurrentAccess:
