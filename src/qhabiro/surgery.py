@@ -25,9 +25,11 @@ shared across routes, slopes and spin^c labels: the LBC constant
 precise r_j computed so far in the knot's store, keyed by j, and serves
 lower precisions as its truncation), and the monomials of each weight
 polynomial (_weight_monos, memoised per (j, p, a)).  The residue route's
-fallback asks for each r_j at the precision that the stop of the GM k-sum
-over the knot's f_k plans for it, and raises at once when that k-sum
-diverges (_residue_diffs).
+fallback reads difference k of the GM k-sum only to O(q^{prec + k^2/p}),
+the precision its shifted term keeps; it asks for each r_j once, at the
+most that the differences up to the stop of the GM k-sum over the knot's
+f_k need of it, and raises at once when that k-sum diverges
+(_residue_diffs).
 
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
@@ -154,8 +156,9 @@ def _fk_sum(diff, p: int, a: int, prec: Fraction):
     k == +-a mod p with 0 <= k <= _k_cap, stopped by _trend_sum, as
     (sum, K) with K the last k it read; ConvergenceError when it diverges.
 
-    diff(k) is the difference f_{k-1} - f_k (f_{-1} = 0) to O(q^prec),
-    asked for once per in-class k in increasing order.  The routes hand
+    diff(k) is the difference f_{k-1} - f_k (f_{-1} = 0) to at least
+    O(q^{prec + k^2/p}), the precision term k keeps after its shift, asked
+    for once per in-class k in increasing order.  The routes hand
     over the difference, not f_k, because the residue route gets it for
     less than f_{k-1} and f_k apart: r_0 cancels, and each r_j is needed
     once, at one precision."""
@@ -348,40 +351,54 @@ def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> int:
 
 
 def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
-    """k -> f_{k-1} - f_k to O(q^prec), from the residues through
-    f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j and f_{-1} = 0.
+    """k -> f_{k-1} - f_k to O(q^{need(k)}), need(k) = prec + k^2/p, the
+    precision term k of the GM k-sum keeps (_fk_sum), from the residues
+    through f_k = -r_0 - sum_{j>=1}(q^{-j(k+1)} + q^{jk}) r_j and
+    f_{-1} = 0.
 
     For k >= 1 r_0 cancels, and the difference is
     sum_{j>=1} (q^{-j(k+1)} + q^{jk} - q^{-jk} - q^{j(k-1)}) r_j, which
-    needs each r_j to O(q^{prec + j(k+1)}) over the j-window of f_k (it
-    covers f_{k-1}'s); each r_j adds its four monomials into one list
-    (_products).  Each r_j comes from the knot's store (_residue).
+    needs each r_j to O(q^{need(k) + j(k+1)}) over the j-window of f_k at
+    need(k) (it covers f_{k-1}'s); each r_j adds its four monomials into
+    one list (_products).  Each r_j comes from the knot's store (_residue).
 
     The precision plan: the GM k-sum over knot.f, whose terms are the same
-    differences to O(q^prec), stops at some in-class K (_plan_k) under the
-    same rule and cap, so every k <= K asks for r_j at
-    O(q^{prec + j(K+1)}), the most any of them needs, and the store
-    computes each r_j once.  The plan only sizes the r_j; the differences
-    and the stop come from the residues, and a k past K (a short plan)
-    asks for more and recomputes r_j.  When the GM k-sum over knot.f
-    diverges, so would this one, and _plan_k's ConvergenceError
-    propagates before the fallback computes any r_j."""
+    differences, stops at some in-class K (_plan_k) under the same rule
+    and cap.  Each r_j is asked at the largest need(k) + j(k+1) over the
+    in-class k <= K whose window holds j, so the store computes it once.
+    The plan only sizes the r_j; the differences and the stop come from
+    the residues, and a k past K (a short plan) asks for more and
+    recomputes r_j.  When the GM k-sum over knot.f diverges, so would this
+    one, and _plan_k's ConvergenceError propagates before the fallback
+    computes any r_j."""
     p, a, prec = params.p, params.a, params.prec
     C = knot.lbc_constant
-    K = _plan_k(knot, p, a, prec)
+
+    def need(k: int) -> Fraction:
+        return prec + Fraction(k * k, p)
+
+    def window(k: int):
+        return range(1, _j_window(k, need(k), C) + 1)
+
+    # j -> the largest need(k) + j(k+1) over the planned k (sorted, so the
+    # largest of each j is set last)
+    plan = dict(sorted((j, need(k) + j * (k + 1))
+                       for k in range(_plan_k(knot, p, a, prec) + 1)
+                       if _in_class(k, p, a) for j in window(k)))
+
+    def rj(k: int, j: int) -> QSeries:
+        at = need(k) + j * (k + 1)
+        return _residue(knot, j, max(at, plan.get(j, at)))
 
     def diff(k: int) -> QSeries:
-        m = max(k, K) + 1
         if k == 0:
             pairs = [(_residue(knot, 0, prec), [(0, 1)])]
-            pairs += [(_residue(knot, j, prec + j * m), [(-j, 1), (0, 1)])
-                      for j in range(1, _j_window(0, prec, C) + 1)]
+            pairs += [(rj(0, j), [(-j, 1), (0, 1)]) for j in window(0)]
         else:
-            pairs = [(_residue(knot, j, prec + j * m),
-                      [(-j * (k + 1), 1), (-j * k, -1), (j * (k - 1), -1),
-                       (j * k, 1)])
-                     for j in range(1, _j_window(k, prec, C) + 1)]
-        return _products(pairs, 1, prec)
+            pairs = [(rj(k, j), [(-j * (k + 1), 1), (-j * k, -1),
+                                 (j * (k - 1), -1), (j * k, 1)])
+                     for j in window(k)]
+        return _products(pairs, 1, need(k))
 
     return diff
 

@@ -26,6 +26,7 @@ from qhabiro import (
     zhat_via_residues,
 )
 from qhabiro import surgery
+from qhabiro.residues import _j_window
 from qhabiro.surgery import (
     DIV_RUN_LENGTH,
     RUN_LENGTH,
@@ -131,6 +132,37 @@ class TestRouteAgreement:
         for other in results[1:]:
             assert other.series.truncate(PREC) == base.series.truncate(PREC), \
                 (name, p, a)
+
+    @pytest.mark.parametrize("name,p,labels", [
+        ("3_1r", -4, range(4)), ("3_1r", -5, range(5)),
+        ("3_1l", -4, range(4)), ("3_1l", -5, (0, 1, 4))])
+    def test_three_routes_match_past_p_minus_three(self, name, p, labels):
+        # 3_1r's residue and ih routes take the iterated k-sum here,
+        # 3_1l's sum termwise
+        knot = fresh_knot(name)
+        for a in labels:
+            params = SurgeryParams(p, a, 30)
+            fk, *swapped = [route(knot, params) for route in
+                            (zhat_via_fk, zhat_via_residues, zhat_via_ih)]
+            for other in swapped:
+                assert (other.delta, other.series) == (fk.delta, fk.series), \
+                    (name, p, a)
+                assert ("diverges" in other.sign_convention) == \
+                    (name == "3_1r"), (name, p, a)
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="the GM k-sum's term degrees converge but "
+                              "alternate, so _trend_sum's run of "
+                              "non-decreasing bounds keeps resetting; "
+                              "ROADMAP Direction 3 (a certified stop)")
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_fk_returns_where_its_sum_converges(self, a):
+        # 3_1l at p = -5 is a lens space: the residue and ih routes give
+        # 1 + O(...) for a = 2 and 3
+        params = SurgeryParams(-5, a, 12)
+        fk = zhat_via_fk("3_1l", params)
+        res = zhat_via_residues("3_1l", params)
+        assert (fk.delta, fk.series) == (res.delta, res.series)
 
     @pytest.mark.parametrize("name,p", [("3_1r", 3), ("4_1", 5)])
     def test_positive_surgery_divergence_detected(self, name, p):
@@ -340,8 +372,9 @@ class TestFrozenRoutes:
 
 
 class TestResidueFallback:
-    """The residue route's iterated k-sum (3_1r at p = -3) computes each
-    r_j once, at the precision the GM k-sum's stop K plans for it, and
+    """The residue route's iterated k-sum (3_1r at p = -3, -4, -5) reads
+    difference k to O(q^{prec + k^2/p}), computes each r_j once, at the
+    most the differences up to the GM k-sum's stop K need of it, and
     raises before computing any when that GM k-sum diverges (3_1l at
     p = -7).  Each run takes a fresh knot, so that no residue an earlier
     run stored on the knot hides a computation."""
@@ -365,13 +398,86 @@ class TestResidueFallback:
         monkeypatch.setattr(surgery, "_plan_k", traced_plan)
         return calls
 
-    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
     def test_each_residue_computed_once_after_the_j_sum(self, monkeypatch, a):
-        calls = self.record(monkeypatch)
-        res = zhat_via_residues(fresh_knot("3_1r"), SurgeryParams(-3, a, 40))
-        assert "diverges" in res.sign_convention
-        fallback = calls[calls.index("plan") + 1:]
-        assert len(fallback) == len(set(fallback)), fallback
+        for p in [p for p in (-3, -4, -5) if a < -p]:
+            calls = self.record(monkeypatch)
+            res = zhat_via_residues(fresh_knot("3_1r"), SurgeryParams(p, a, 40))
+            assert "diverges" in res.sign_convention
+            fallback = calls[calls.index("plan") + 1:]
+            assert len(fallback) == len(set(fallback)), (p, fallback)
+
+    @pytest.mark.parametrize("p,a,prec", [(-3, 0, 40), (-3, 1, 40),
+                                          (-4, 2, 20), (-5, 0, 20),
+                                          (-5, 3, 40)])
+    def test_residues_asked_only_to_the_planned_precision(
+            self, monkeypatch, p, a, prec):
+        knot = fresh_knot("3_1r")
+        prec = Fraction(prec)
+        K = surgery._plan_k(knot, p, a, prec)
+        # j -> need(k) + j(k + 1) at its largest over the in-class k <= K
+        # and the j in f_k's window at need(k) = prec + k^2/p; r_0 at prec
+        plan = {0: prec}
+        for k in range(K + 1):
+            if _in_class(k, p, a):
+                need = prec + Fraction(k * k, p)
+                for j in range(1, _j_window(k, need, knot.lbc_constant) + 1):
+                    plan[j] = max(plan.get(j, need), need + j * (k + 1))
+        calls = []
+        series, plan_k = surgery.residue_series, surgery._plan_k
+
+        def traced(a_, j, at, C):
+            calls.append((j, at))
+            return series(a_, j, at, C)
+
+        def traced_plan(*args):
+            calls.clear()
+            return plan_k(*args)
+
+        monkeypatch.setattr(surgery, "residue_series", traced)
+        monkeypatch.setattr(surgery, "_plan_k", traced_plan)
+        res = zhat_via_residues(knot, SurgeryParams(p, a, prec))
+        assert "diverges" in res.sign_convention and calls
+        assert all(at <= plan[j] for j, at in calls), (calls, plan)
+        # below the O(q^{prec + j(K+1)}) that every k <= K would ask for
+        # with each difference to O(q^prec)
+        assert any(at < prec + j * (K + 1) for j, at in calls)
+
+    @pytest.mark.parametrize("p", [-3, -4, -5])
+    @pytest.mark.parametrize("prec", [6, 12, 20, 40])
+    def test_fallback_stops_where_the_plan_does(self, monkeypatch, p, prec):
+        # each difference is cut at prec + k^2/p, so a zero one has its
+        # degree bound there: the stop may only come earlier, and does not
+        fk_sum = surgery._fk_sum
+        last = []
+
+        def traced(*args):
+            out = fk_sum(*args)
+            last.append(out[1])
+            return out
+
+        monkeypatch.setattr(surgery, "_fk_sum", traced)
+        for a in range(abs(p)):
+            knot = fresh_knot("3_1r")
+            res = zhat_via_residues(knot, SurgeryParams(p, a, prec))
+            assert "diverges" in res.sign_convention
+            assert last[-1] == fk_sum(_f_diffs(knot.f), p, a,
+                                      Fraction(prec))[1], (p, prec, a)
+
+    @pytest.mark.parametrize("name,p,a", [("3_1r", -3, 0), ("3_1r", -4, 1),
+                                          ("3_1r", -5, 2), ("3_1l", -3, 0),
+                                          ("unknot", 2, 0), ("unknot", 3, 1)])
+    def test_difference_k_is_read_to_prec_plus_k2_over_p(self, name, p, a):
+        knot = fresh_knot(name)
+        prec = Fraction(12)
+        diff = surgery._residue_diffs(knot, SurgeryParams(p, a, prec))
+        exact = _f_diffs(knot.f)
+        for k in range(surgery._plan_k(knot, p, a, prec) + 1):
+            if _in_class(k, p, a):
+                need = prec + Fraction(k * k, p)
+                d = diff(k)
+                assert d.prec_q == need, (k, d.prec_q)
+                assert d == exact(k).truncate(need), k
 
     @pytest.mark.parametrize("a", [0, 1, 2])
     def test_short_plan_gives_the_same_output(self, monkeypatch, a):
