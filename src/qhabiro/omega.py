@@ -133,12 +133,15 @@ def omega_mul(
         p_k = prec(kk) if callable(prec) else prec
         P = cap = None if p_k is None else ceil(Fraction(p_k) * unit)
         hit = False
+        # once m, n < 0 the valuation depends on s = m + n <= -2 only
+        vs = [_gamma_valuation2(-1, s + 1, s - l) for s in range(l, -1)]
         for m in range(l, 1):
             am = ta[-m]
             if am is None:
                 continue
             for n in range(l - m, 1):
-                bn, v = tb[-n], _gamma_valuation2(m, n, m + n - l)
+                bn, s = tb[-n], m + n
+                v = vs[s - l] if m and n else _gamma_valuation2(m, n, s - l)
                 if bn is None or v is None:
                     continue
                 v *= unit // 2

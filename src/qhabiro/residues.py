@@ -16,7 +16,10 @@ residue and ih routes share too), with the checks of the certified
 summation (stop rule, per-term degree bound, result precision) and no
 QSeries per term.  It computes afresh on every call: residue_family calls
 it directly, and the surgery routes share its results across slopes and
-spin^c labels through the knot's residue store (surgery._residue).
+spin^c labels through the knot's residue store (surgery._residue).  The
+theta route (residues_from_f) adds each f_k times the monomials of its
+theta term into one list too (series._products), known to the least of
+prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .series import (
     ExpLike,
     QSeries,
     _add_scaled,
+    _products,
     series_sum_bounded,
 )
 from .qcomb import _div_one_minus_qm
@@ -256,30 +260,40 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
               q^{binom(n+1,2)+nk}(q^{nj} + q^{-nj})).
 
     Requires the f-side degree bound inherited from an LBC constant C.
+
+    The k-sum runs on series._products: each f_k but an exact zero pairs
+    with the merged monomials of (-1)^{k+j} q^{binom(k+1,2)} theta_k,
+    whose n-sum stops once its terms clear prec over delta(f_k) (a
+    truncated zero's delta is its precision).  The sum is known to the
+    least of prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over
+    the truncated f_k, zero-to-precision ones included.
     """
     C = _lbc_constant(C)
     target = Fraction(prec)
     K_max = max(abs(j), int(math.ceil(target - C - 1)))
+    fs = f.prefix(K_max)  # one batch before the degree check reads f
     if not fk_degree_check(f, C, min(K_max, 10**6)):
         raise LbcError("theta route requires LBC-grade input")
-    acc = QSeries.zero(target)
-    for k in range(K_max + 1):
-        fk = f[k]
-        if fk.is_zero:
+    pairs = []
+    for k, fk in enumerate(fs):
+        if fk.is_zero and fk.is_exact:
             continue
-        base_delta = fk.delta_lb() + _binom2(k + 1)
-        theta = QSeries.one()
+        b = k * (k + 1) // 2
+        base_delta = fk.delta_lb() + b
+        sign = 1 if (k + j) % 2 == 0 else -1
+        monos = {b: sign}
         n = 1
         while True:
-            e = _binom2(n + 1) + n * k
-            if e + min(n * j, -n * j) + base_delta >= target and n > abs(j) - k:
+            e = n * (n + 1) // 2 + n * k
+            if e - n * abs(j) + base_delta >= target and n > abs(j) - k:
                 break
-            s = -1 if n % 2 else 1
-            theta = theta + QSeries.monomial(e + n * j, s) + QSeries.monomial(e - n * j, s)
+            s = -sign if n % 2 else sign
+            for x in (b + e + n * j, b + e - n * j):
+                monos[x] = monos.get(x, 0) + s
             n += 1
-        sign = 1 if (k + j) % 2 == 0 else -1
-        term = fk * QSeries.monomial(_binom2(k + 1), sign) * theta
-        acc = (acc + term).truncate(target)
+        # nonzero: the top monomial of the last n (or q^b) is unique
+        pairs.append((fk, sorted((x, c) for x, c in monos.items() if c)))
+    acc = _products(pairs, 1, target)
     inv3 = _inv_poch_product((INF, INF, INF), target)
     return (-(QSeries.monomial(_binom2(j + 1)) * acc * inv3)).truncate(target)
 

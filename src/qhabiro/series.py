@@ -65,6 +65,9 @@ class PrecisionError(QAlgebraError):
 #
 # Small products are one scaled slice-add per nonzero coefficient of the
 # shorter factor (_add_scaled, also the residue and surgery sums' kernel).
+# _products adds r_i P_i, each P_i given by its monomials, into one list
+# by one _add_scaled per pair (surgery's residue route and the theta
+# route); series_dot adds exact _polymul products into one list.
 # Large products are folded into one big-integer multiplication (Kronecker
 # substitution on _pack/_unpack); with gmpy2 that one multiplication runs
 # on GMP's mpz.  Swap `_polymul` to change the kernel.
@@ -88,6 +91,34 @@ def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
         s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
         k = sign * c
         acc[s] = [y + k * z for y, z in zip(acc[s], u)]
+
+
+def _products(pairs, g: int, prec=None) -> QSeries:
+    """sum_i r_i P_i to O(q^prec), or to its own precision when prec is
+    None (then some r_i is truncated): each P_i a nonzero Laurent
+    polynomial given as its monomials (exponent * g, coefficient),
+    ascending.
+
+    The sum is known to the least of prec and prec(r_i) + delta(P_i) over
+    the truncated r_i, as the QSeries sum of the products would be.  It
+    builds up in one coefficient list on the finest grid of the r_i, g
+    and prec, one _add_scaled per pair with r_i's grid step as stride."""
+    cuts = [r.prec_q + Fraction(P[0][0], g) for r, P in pairs
+            if r.prec is not None]
+    if prec is not None:
+        cuts.append(Fraction(prec))
+    cut = min(cuts)
+    G = lcm(g, cut.denominator, *(r.scale for r, _ in pairs))
+    top = cut.numerator * (G // cut.denominator)
+    lo = min([r.offset * (G // r.scale) + P[0][0] * (G // g)
+              for r, P in pairs if r.coeffs], default=top)
+    acc = [0] * max(top - lo, 0)
+    for r, P in pairs:
+        if r.coeffs:
+            f = G // r.scale
+            _add_scaled(acc, lo, top, f, [(x * (G // g), c) for x, c in P],
+                        r.offset * f, r.coeffs, len(r.coeffs), 1)
+    return QSeries(acc, min(lo, top), G, top)
 
 
 # Signed packing, shared by the Kronecker product and the transforms in
@@ -381,7 +412,7 @@ class QSeries:
         s = lcm(self.scale, other.scale)
         ao, ac, ap = self._rescaled(s)
         bo, bc, bp = other._rescaled(s)
-        prec = _min_prec(ap, bp)
+        prec = bp if ap is None else ap if bp is None else min(ap, bp)
         if not ac:
             return QSeries(bc, bo, s, prec)
         if not bc:
@@ -541,14 +572,6 @@ def _as_ratio(x: ExpLike) -> tuple:
     return f.numerator, f.denominator
 
 
-def _min_prec(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def _fmt_exp(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"({e})"
 
@@ -571,37 +594,39 @@ def _fmt_term(e: Fraction, c: int, first: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _sum_lists(datas, s: int, prec: Optional[int]) -> QSeries:
+    """The sum of the coefficient lists c at offsets o, (o, c) in datas,
+    on the grid 1/s and to prec, added into one accumulator."""
+    datas = [(o, c) for o, c in datas if c]
+    lo = min((o for o, _ in datas), default=0)
+    out = [0] * (max((o + len(c) for o, c in datas), default=0) - lo)
+    for o, c in datas:
+        i = slice(o - lo, o - lo + len(c))
+        out[i] = [x + y for x, y in zip(out[i], c)]
+    return QSeries(out, lo, s, prec)
+
+
 def series_sum(terms) -> QSeries:
     """Sum of many series with one accumulator allocation, avoiding the
     per-addition canonicalization of repeated ``+``."""
     terms = list(terms)
-    if not terms:
-        return QSeries.zero()
-    s = 1
-    for t in terms:
-        s = lcm(s, t.scale)
-    prec = None
-    datas = []
-    for t in terms:
-        o, c, p = t._rescaled(s)
-        prec = _min_prec(prec, p)
-        if c:
-            datas.append((o, c))
-    if not datas:
-        return QSeries((), 0, s, prec)
-    lo = min(o for o, _ in datas)
-    hi = max(o + len(c) for o, c in datas)
-    out = [0] * (hi - lo)
-    for o, c in datas:
-        i0 = o - lo
-        i1 = i0 + len(c)
-        out[i0:i1] = [x + y for x, y in zip(out[i0:i1], c)]
-    return QSeries(out, lo, s, prec)
+    s = lcm(1, *(t.scale for t in terms))
+    datas = [t._rescaled(s) for t in terms]
+    prec = min((p for _, _, p in datas if p is not None), default=None)
+    return _sum_lists([(o, c) for o, c, _ in datas], s, prec)
 
 
 def series_dot(pairs) -> QSeries:
-    """sum(x * y for x, y in pairs)."""
-    return series_sum(x * y for x, y in pairs)
+    """sum(x * y for x, y in pairs) over exact x, y (ExactnessError
+    otherwise): each product is one _polymul on the pairs' common grid,
+    added into one list."""
+    pairs = list(pairs)
+    if not all(x.is_exact and y.is_exact for x, y in pairs):
+        raise ExactnessError("series_dot requires exact inputs")
+    s = lcm(1, *(t.scale for xy in pairs for t in xy))
+    rows = [(x._rescaled(s), y._rescaled(s)) for x, y in pairs]
+    return _sum_lists([(xo + yo, _polymul(xc, yc))
+                       for (xo, xc, _), (yo, yc, _) in rows], s, None)
 
 
 def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:

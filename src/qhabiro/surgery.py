@@ -17,7 +17,8 @@ each weight polynomial comes from its integer exponents, turns into the
 monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
 product with a residue or a carried 1/((q)_{k-j}(q)_{k+j}) is slice-adds
 into one coefficient list (series._add_scaled), with one QSeries per
-term.
+term.  The residue products go through series._products, which the
+theta route (residues.residues_from_f) shares.
 
 State that depends only on the knot is computed once per process and
 shared across routes, slopes and spin^c labels: the LBC constant
@@ -44,10 +45,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
-from .series import QAlgebraError, QSeries, _add_scaled, exact_div
+from .series import QAlgebraError, QSeries, _add_scaled, _products, exact_div
 from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
 from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
@@ -222,32 +223,6 @@ def _weight_monos(j: int, p: int, a: int) -> tuple:
         acc[x] = acc.get(x, 0) + c
         acc[x - shift] = acc.get(x - shift, 0) - c
     return tuple(sorted((x, c) for x, c in acc.items() if c))
-
-
-def _products(pairs, g: int, prec=None) -> QSeries:
-    """sum_i r_i P_i to O(q^prec), or to its own precision when prec is
-    None: each r_i a truncated series and each P_i a Laurent polynomial
-    given as its monomials (exponent * g, coefficient), ascending.
-
-    The sum is known to the least of prec and every prec(r_i) + delta(P_i),
-    as the QSeries sum of the products would be.  It builds up in one
-    coefficient list on the finest grid of the r_i, g and prec, one
-    series._add_scaled per pair with r_i's grid step as the stride."""
-    cuts = [r.prec_q + Fraction(P[0][0], g) for r, P in pairs]
-    if prec is not None:
-        cuts.append(Fraction(prec))
-    cut = min(cuts)
-    G = lcm(g, cut.denominator, *(r.scale for r, _ in pairs))
-    top = cut.numerator * (G // cut.denominator)
-    lo = min([r.offset * (G // r.scale) + P[0][0] * (G // g)
-              for r, P in pairs if r.coeffs], default=top)
-    acc = [0] * max(top - lo, 0)
-    for r, P in pairs:
-        if r.coeffs:
-            f = G // r.scale
-            _add_scaled(acc, lo, top, f, [(x * (G // g), c) for x, c in P],
-                        r.offset * f, r.coeffs, len(r.coeffs), 1)
-    return QSeries(acc, min(lo, top), G, top)
 
 
 def _weight_label(p: int, a: int) -> int:

@@ -166,6 +166,8 @@ class _Cascade:
         self._lock = threading.Lock()
 
     def __call__(self, k: int) -> QSeries:
+        if k < len(self._rows):  # rows only grow: a held row needs no lock
+            return self._rows[k]
         with self._lock:
             start = len(self._rows)
             xs = [self._source[i] for i in range(k, start - 1, -1)][::-1]

@@ -233,6 +233,13 @@ class TestGammaOracle:
                     if v2 is not None:
                         assert Fraction(v2, 2) == g.delta(), (m, n, i)
 
+    def test_gamma_valuation_depends_on_the_sum(self):
+        # omega_mul's cut scan reads it once per s = m + n when m, n < 0
+        for s in range(-12, -1):
+            for i in range(14):
+                vs = {_gamma_valuation2(m, s - m, i) for m in range(s + 1, 0)}
+                assert vs == {_gamma_valuation2(-1, s + 1, i)}, (s, i)
+
 
 class TestStructureConstants:
     def test_gamma_zero_index(self):

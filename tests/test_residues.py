@@ -13,6 +13,7 @@ from qhabiro import (
     QSeries,
     branch_residue_41,
     descendant,
+    f_from_a,
     get_knot,
     omega_from_a,
     omega_mul,
@@ -47,6 +48,35 @@ def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
     if not acc.is_exact and acc.prec_q < target:
         raise PrecisionError("enlarge J")
     return acc.truncate(target)
+
+
+def theta_route_termwise(f, j, prec, C):
+    """The theta route one QSeries term per k: theta_k by monomial
+    additions, then (acc + f_k q^{binom(k+1,2)} theta_k).truncate(prec),
+    skipping only the exact-zero f_k."""
+    target, C = Fraction(prec), Fraction(C)
+    acc = QSeries.zero(target)
+    for k in range(max(abs(j), math.ceil(target - C - 1)) + 1):
+        fk = f[k]
+        if fk.is_zero and fk.is_exact:
+            continue
+        base_delta = fk.delta_lb() + Fraction(k * (k + 1), 2)
+        theta = QSeries.one()
+        n = 1
+        while True:
+            e = Fraction(n * (n + 1), 2) + n * k
+            if e - n * abs(j) + base_delta >= target and n > abs(j) - k:
+                break
+            s = -1 if n % 2 else 1
+            theta = (theta + QSeries.monomial(e + n * j, s)
+                     + QSeries.monomial(e - n * j, s))
+            n += 1
+        sign = 1 if (k + j) % 2 == 0 else -1
+        term = fk * QSeries.monomial(Fraction(k * (k + 1), 2), sign) * theta
+        acc = (acc + term).truncate(target)
+    inv3 = _inv_poch_product((math.inf,) * 3, target)
+    return (-(QSeries.monomial(Fraction(j * (j + 1), 2)) * acc * inv3)
+            ).truncate(target)
 
 
 def inv_qpoch_inf(prec):
@@ -188,6 +218,39 @@ class TestRoundTrips:
             via_theta = residues_from_f(spec.f, j, 20, Fraction(C))
             direct = residue_series(spec.a, j, 20, Fraction(C))
             assert via_theta == direct.truncate(20), j
+
+    @pytest.mark.parametrize("name", ["3_1l", "3_1r", "4_1", "unknot"])
+    def test_theta_route_matches_termwise_reference(self, name):
+        spec = get_knot(name)
+        for j in range(-3, 4):
+            for prec in (5, 12, 20, Fraction(41, 2)):
+                got = residues_from_f(spec.f, j, prec, spec.lbc_constant)
+                want = theta_route_termwise(spec.f, j, prec, spec.lbc_constant)
+                assert got.to_json() == want.to_json(), (j, prec)
+
+    def test_theta_route_on_the_connected_sum(self):
+        # the benchmark's product: depth 32, the decaying profile at 35;
+        # its f has zero-to-precision rows at k = 13..30
+        product = omega_mul(omega_from_a(get_knot("3_1l").a, 32),
+                            omega_from_a(get_knot("3_1r").a, 32), 32,
+                            prec=lambda k: 35 + k - k * (k - 1) // 2)
+        C = product.lbc.constant
+        f = f_from_a(product.a)
+        assert any(fk.is_zero and not fk.is_exact for fk in f.prefix(31))
+        for j in (0, 1, 2):
+            got = residues_from_f(f, j, 31, C)
+            assert got.to_json() == theta_route_termwise(f, j, 31, C).to_json()
+
+    def test_theta_route_keeps_a_zero_to_precision_fk(self):
+        # f_1 = O(q^0) is known nowhere, so r_0 is known only below q^1;
+        # an exact f_1 = 0 gives a series to O(q^8), f_1 = 1 another
+        f = [QSeries.one(), QSeries.zero(0)]
+        got = residues_from_f(seq_from_list("F", f), 0, 8, -1)
+        assert got == QSeries.from_terms({0: -1}, prec=1)
+        assert got == theta_route_termwise(seq_from_list("F", f), 0, 8, -1)
+        for f1 in (QSeries(), QSeries.one()):
+            full = residues_from_f(seq_from_list("F", [f[0], f1]), 0, 8, -1)
+            assert full.prec_q == 8 and full.truncate(1) == got
 
     def test_theta_route_rejects_unbounded(self):
         bad = seq_from_list("F", [QSeries.monomial(-40)])

@@ -12,6 +12,7 @@ from qhabiro import (
     DegreeBound,
     DegreeBoundError,
     DeltaAtLeast,
+    ExactnessError,
     NotInvertibleError,
     QSeries,
     RemainderError,
@@ -349,3 +350,86 @@ class TestBoundedSum:
                 DegreeBound(lambda k: Fraction(k)),
                 5,
             )
+
+
+def grid_series(rng, scale, prec=None, n=6):
+    """A random series on the grid (1/scale)Z, exact unless prec is set."""
+    return mk({Fraction(rng.randrange(-9, 10), scale): rng.randrange(-9, 10)
+               for _ in range(n)}, prec)
+
+
+class TestSeriesDot:
+    """series_dot against the sum of the QSeries products."""
+
+    def test_mixed_grids(self, rng):
+        for _ in range(20):
+            pairs = [(grid_series(rng, rng.choice((1, 2, 3))),
+                      grid_series(rng, rng.choice((1, 2, 3))))
+                     for _ in range(rng.randrange(1, 6))]
+            want = QSeries()
+            for x, y in pairs:
+                want = want + x * y
+            assert series.series_dot(iter(pairs)) == want
+
+    def test_kronecker_sized_products(self, rng):
+        long = [(mk({i: rng.randrange(-9, 10) for i in range(90)}),
+                 mk({Fraction(i, 2): rng.randrange(-9, 10) for i in range(80)}))
+                for _ in range(3)]
+        want = QSeries()
+        for x, y in long:
+            want = want + x * y
+        assert series.series_dot(long) == want
+
+    def test_empty_and_zero_operands(self):
+        x = mk({Fraction(1, 3): 2, 4: -1})
+        assert series.series_dot([]) == QSeries()
+        assert series.series_dot([(QSeries(), x), (x, QSeries())]) == QSeries()
+        assert series.series_dot([(QSeries(), x), (x, x)]) == x * x
+        # products that cancel leave the exact zero
+        assert series.series_dot([(x, x), (-x, x)]) == QSeries()
+
+    @pytest.mark.parametrize("cut", [mk({0: 1, 1: 2}, prec=5), QSeries.zero(3)],
+                             ids=["truncated", "zero_to_precision"])
+    def test_truncated_operand_raises(self, cut):
+        x = mk({0: 1, 2: -1})
+        for pairs in ([(x, x), (x, cut)], [(cut, x)]):
+            with pytest.raises(ExactnessError):
+                series.series_dot(pairs)
+
+
+class TestProducts:
+    """_products against the QSeries sum of r_i P_i."""
+
+    @staticmethod
+    def reference(pairs, g, prec):
+        acc = QSeries.zero(prec) if prec is not None else QSeries()
+        for r, P in pairs:
+            acc = acc + r * mk({Fraction(x, g): c for x, c in P})
+        return acc if prec is None else acc.truncate(prec)
+
+    def test_exact_and_truncated_residues(self, rng):
+        for g in (1, 2, 3):
+            for _ in range(10):
+                pairs = []
+                for _ in range(rng.randrange(1, 5)):
+                    prec = rng.choice((None, None, rng.randrange(-3, 12)))
+                    r = grid_series(rng, rng.choice((1, 2)), prec)
+                    P = sorted(mk({Fraction(rng.randrange(-8, 9), g): 1
+                                   for _ in range(3)}).terms())
+                    pairs.append((r, [(int(e * g), c) for e, c in P]))
+                for prec in (Fraction(17, 2), 5, None):
+                    if prec is None and all(r.is_exact for r, _ in pairs):
+                        continue
+                    got = series._products(pairs, g, prec)
+                    assert got == self.reference(pairs, g, prec), (g, prec)
+
+    def test_exact_residue_cuts_nothing(self):
+        exact = mk({0: 1, 3: -2})
+        P = [(-2, 1), (4, 3)]  # q^-1 + 3 q^2 on the half grid
+        assert series._products([(exact, P)], 2, 10) == (
+            exact * mk({-1: 1, 2: 3})).truncate(10)
+        # next to a truncated r, only the truncated one sets the precision
+        cut = mk({1: 1}, prec=4)
+        got = series._products([(exact, P), (cut, [(0, 1)])], 2)
+        assert got.prec_q == 4
+        assert got == (exact * mk({-1: 1, 2: 3}) + cut)

@@ -236,6 +236,27 @@ class TestBatchedRows:
         assert [s.to_json() for s in split.prefix(K)] == want
         assert len(set(repacks)) == 1 and repacks[0][2] == 6  # one pass
 
+    @pytest.mark.parametrize("side", ["P", "F"])
+    def test_held_row_is_returned_without_planning(self, rng, monkeypatch,
+                                                   side):
+        data = _mixed_grid_data(rng, 13, 0.5)
+        run = f_from_a if side == "P" else a_from_f
+        want = [s.to_json() for s in run(seq_from_list(side, data)).prefix(12)]
+        plans = []
+        plan = transform._Cascade._plan
+
+        def spy(self, xs, headroom):
+            plans.append(len(xs))
+            return plan(self, xs, headroom)
+
+        monkeypatch.setattr(transform._Cascade, "_plan", spy)
+        seq = run(seq_from_list(side, data))
+        seq[12]
+        assert plans == [13]
+        # rows 0..11 are held by the cascade, not by the sequence's memo
+        assert [seq[k].to_json() for k in range(12, -1, -1)] == want[::-1]
+        assert plans == [13]
+
     def test_prefix_never_repacks(self, rng, repacks):
         K = 24
         data = _mixed_grid_data(rng, K + 1, 0.0)
