@@ -9,7 +9,6 @@ high-precision numerical asymptotics at roots of unity.
 
 from .series import (
     INF,
-    DegreeBound,
     DegreeBoundError,
     DeltaAtLeast,
     ExactnessError,

@@ -418,6 +418,9 @@ def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS):
     """Write rows ``n, re, im, modulus, normalized`` of f_n(zeta_{2n}), the
     sequence of ``growth_rate``, for external plotting; ``normalized``, the
     real part scaled by e^{-n*vol(4_1)/pi} * sqrt(3), is empty for other knots.
+    Each value is chopped at the evaluators' 64-bit guard: a real or
+    imaginary part below 2^-64 max(1, |value|) prints as 0, so a row does
+    not depend on ``bits``.
     """
     import csv as _csv
 
@@ -428,7 +431,7 @@ def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS):
         vol = vol_41(bits)
         sqrt3 = mp.sqrt(3)
         for n in range(1, n_max + 1):
-            v = _eval_f_at(K, n, 2 * n, bits)
+            v = mp.chop(_eval_f_at(K, n, 2 * n, bits), 2 ** -64)
             norm = mp.re(v) * mp.e ** (-n * vol / mp.pi) * sqrt3
             writer.writerow([n, mp.nstr(mp.re(v), 17), mp.nstr(mp.im(v), 17),
                              mp.nstr(abs(v), 17),

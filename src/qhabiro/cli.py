@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import knots, omega, residues, surgery, transform
-from .series import PrecisionError, QAlgebraError, QSeries
+from .series import PrecisionError, QAlgebraError, QSeries, series_sum_bounded
 
 VERIFY_SUITES = (
     "pentagonal",
@@ -196,17 +196,12 @@ def _run_suite(name: str, prec) -> tuple:
         shifted = residues.descendant(spec.a, 1)
         r0 = residues.residue_series(shifted, 0, prec, Fraction(-1))
         # direct sum: -r_0 = sum_k (-1)^k q^{binom(k+1,2)+k}/(q)_k^2
-        acc = QSeries.zero(Fraction(prec))
-        k = 0
-        while True:
+        def term(k: int) -> QSeries:
             e = k * (k + 1) // 2 + k
-            if e >= prec:
-                break
-            sign = -1 if k % 2 else 1
-            acc = acc + QSeries.monomial(e, sign) * residues._inv_poch_product(
-                (k, k), Fraction(prec) - e)
-            k += 1
-        ok = (r0 + acc.truncate(prec)).truncate(prec).is_zero
+            return QSeries.monomial(e, -1 if k % 2 else 1) \
+                * residues._inv_poch_product((k, k), Fraction(prec) - e)
+        acc = series_sum_bounded(term, lambda k: k * (k + 1) // 2 + k, prec)
+        ok = (r0 + acc).truncate(prec).is_zero
         return ok, ("descendant m=1 residue matches the G series"
                     if ok else "descendant residue mismatch")
     raise UsageError("unknown verify suite %r" % name)

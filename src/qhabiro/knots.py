@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .qcomb import jacobi_symbol
-from .series import ExactnessError, QAlgebraError, QSeries
+from .series import ExactnessError, QAlgebraError, QSeries, series_sum
 from .transform import CoeffSeq, a_from_f, f_from_a, lbc_check
 
 INTEGRALITY_WINDOW = 64
@@ -246,11 +246,8 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
                 raise KnotFileError("composite summands must be knot names")
 
         def gen(k: int, _names=tuple(summands)) -> QSeries:
-            acc = QSeries.zero()
-            for s in _names:
-                spec = local.get(s) or get_knot(s)
-                acc = acc + spec.a_coeff(k)
-            return acc
+            return series_sum((local.get(s) or get_knot(s)).a_coeff(k)
+                              for s in _names)
     else:
         raise KnotFileError("unknown generator kind %r" % (kind,))
 

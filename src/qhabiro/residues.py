@@ -31,12 +31,12 @@ from math import lcm
 from typing import Union
 
 from .series import (
-    DegreeBound,
     DegreeBoundError,
     ExpLike,
     QSeries,
     _add_scaled,
     _products,
+    series_sum,
     series_sum_bounded,
 )
 from .qcomb import _div_one_minus_qm
@@ -246,10 +246,7 @@ def residue_theorem_check(a: CoeffSeq, prec: ExpLike, C=None) -> QSeries:
     target = Fraction(prec)
     J = residue_theorem_window(target, C)
     fam = residue_family(a, J, target, C)
-    acc = fam.r_inf
-    for j in range(-J, J + 1):
-        acc = acc + fam.rmap[j]
-    return acc.truncate(target)
+    return series_sum([fam.r_inf, *fam.rmap.values()]).truncate(target)
 
 
 def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
@@ -400,7 +397,7 @@ def branch_residue_41(
             return (QSeries.monomial(e, sign)
                     * _inv_poch_product((k + j, k - j, k), target - e)).truncate(target)
 
-        bound = DegreeBound(lambda k: Fraction(3 * k * k + k - j * j + j, 2))
+        bound = lambda k: Fraction(3 * k * k + k - j * j + j, 2)
     elif branch == "-1/2":
         def term(k: int) -> QSeries:
             if k < abs(j):
@@ -410,7 +407,7 @@ def branch_residue_41(
             return (QSeries.monomial(e, sign)
                     * _inv_poch_product((k + j, k - j, k), target - e)).truncate(target)
 
-        bound = DegreeBound(lambda k: k + Fraction(j * (3 * j + 1), 2))
+        bound = lambda k: k + Fraction(j * (3 * j + 1), 2)
     else:
         raise ValueError("branch must be '+1/2' or '-1/2'")
     return series_sum_bounded(term, bound, target)
@@ -431,11 +428,10 @@ def tail_check(parity: str, n: int, prec: ExpLike):
         raise ValueError("parity must be 'even' or 'odd'")
     fk = get_knot("4_1").f[k]
     normalized = fk.shift(-fk.delta()).truncate(target_prec)
-    theta = QSeries.zero()
     m_max = int(math.isqrt(int(target_prec))) + 2
-    for m in range(-m_max, m_max + 1):
-        if expo(m) < target_prec:
-            theta = theta + QSeries.monomial(expo(m))
+    theta = series_sum(QSeries.monomial(expo(m))
+                       for m in range(-m_max, m_max + 1)
+                       if expo(m) < target_prec)
     inv1 = _inv_poch_product((INF,), target_prec)
     tail_target = (theta * inv1).truncate(target_prec)
     diff = (normalized - tail_target).truncate(target_prec)

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterator, Optional, Union
 
 try:
@@ -68,6 +69,11 @@ class PrecisionError(QAlgebraError):
 # _products adds r_i P_i, each P_i given by its monomials, into one list
 # by one _add_scaled per pair (surgery's residue route and the theta
 # route); series_dot adds exact _polymul products into one list.
+# Series add through one list adder, _sum_lists: QSeries.__add__ is its
+# two-term case, series_dot's products go through it, and series_sum is
+# every running sum in the package (surgery's stop rule, the certified
+# series_sum_bounded, the residue-theorem defect, the theta and Park
+# sums, composite knots), each added once.
 # Large products are folded into one big-integer multiplication (Kronecker
 # substitution on _pack/_unpack); with gmpy2 that one multiplication runs
 # on GMP's mpz.  Swap `_polymul` to change the kernel.
@@ -410,20 +416,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         s = lcm(self.scale, other.scale)
-        ao, ac, ap = self._rescaled(s)
-        bo, bc, bp = other._rescaled(s)
-        prec = bp if ap is None else ap if bp is None else min(ap, bp)
-        if not ac:
-            return QSeries(bc, bo, s, prec)
-        if not bc:
-            return QSeries(ac, ao, s, prec)
-        lo = min(ao, bo)
-        hi = max(ao + len(ac), bo + len(bc))
-        out = [0] * (hi - lo)
-        out[ao - lo : ao - lo + len(ac)] = ac
-        for i, c in enumerate(bc):
-            out[bo - lo + i] += c
-        return QSeries(out, lo, s, prec)
+        return _sum_lists((self._rescaled(s), other._rescaled(s)), s)
 
     __radd__ = __add__
 
@@ -594,26 +587,36 @@ def _fmt_term(e: Fraction, c: int, first: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sum_lists(datas, s: int, prec: Optional[int]) -> QSeries:
-    """The sum of the coefficient lists c at offsets o, (o, c) in datas,
-    on the grid 1/s and to prec, added into one accumulator."""
-    datas = [(o, c) for o, c in datas if c]
-    lo = min((o for o, _ in datas), default=0)
-    out = [0] * (max((o + len(c) for o, c in datas), default=0) - lo)
-    for o, c in datas:
+def _sum_lists(datas, s: int) -> QSeries:
+    """The sum of the coefficient lists c at offsets o, each known below
+    p (None: exact), (o, c, p) in the sequence datas, on the grid 1/s and
+    known to the least p: a lone nonempty list as it is, else the first
+    list copied into one accumulator and the others added to it."""
+    precs = [p for _, _, p in datas if p is not None]
+    prec = min(precs) if precs else None
+    datas = [(o, c) for o, c, _ in datas if c]
+    if len(datas) < 2:
+        o, c = datas[0] if datas else (0, ())
+        return QSeries(c, o, s, prec)
+    lo = min([o for o, _ in datas])
+    out = [0] * (max([o + len(c) for o, c in datas]) - lo)
+    o, c = datas[0]
+    out[o - lo : o - lo + len(c)] = c
+    for o, c in datas[1:]:
         i = slice(o - lo, o - lo + len(c))
-        out[i] = [x + y for x, y in zip(out[i], c)]
+        out[i] = map(add, out[i], c)
     return QSeries(out, lo, s, prec)
 
 
 def series_sum(terms) -> QSeries:
-    """Sum of many series with one accumulator allocation, avoiding the
-    per-addition canonicalization of repeated ``+``."""
+    """The sum of the series in terms (an iterable; empty gives the exact
+    zero), known to the least precision among them: every term on the
+    finest grid, added into one list by _sum_lists, with one
+    canonicalization for the whole sum.  The package's running sums add
+    their collected terms here once, rather than term by term with +."""
     terms = list(terms)
     s = lcm(1, *(t.scale for t in terms))
-    datas = [t._rescaled(s) for t in terms]
-    prec = min((p for _, _, p in datas if p is not None), default=None)
-    return _sum_lists([(o, c) for o, c, _ in datas], s, prec)
+    return _sum_lists([t._rescaled(s) for t in terms], s)
 
 
 def series_dot(pairs) -> QSeries:
@@ -625,8 +628,8 @@ def series_dot(pairs) -> QSeries:
         raise ExactnessError("series_dot requires exact inputs")
     s = lcm(1, *(t.scale for xy in pairs for t in xy))
     rows = [(x._rescaled(s), y._rescaled(s)) for x, y in pairs]
-    return _sum_lists([(xo + yo, _polymul(xc, yc))
-                       for (xo, xc, _), (yo, yc, _) in rows], s, None)
+    return _sum_lists([(xo + yo, _polymul(xc, yc), None)
+                       for (xo, xc, _), (yo, yc, _) in rows], s)
 
 
 def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:
@@ -695,28 +698,22 @@ def exact_div(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(quo, ao - bo, s)
 
 
-@dataclass(frozen=True)
-class DegreeBound:
-    """Lower bound k -> delta of the k-th summand, nondecreasing in k
-    (spot-checked during summation)."""
-
-    bound: Callable[[int], ExpLike]
-
-
 def series_sum_bounded(
-    terms: Callable[[int], QSeries], bound: DegreeBound, prec: ExpLike
+    terms: Callable[[int], QSeries], bound: Callable[[int], ExpLike],
+    prec: ExpLike
 ) -> QSeries:
     """Sum terms(0) + terms(1) + ... truncated at O(q^prec).
 
-    Stops at the first k with bound(k) >= prec.  Each included term must
-    satisfy delta(term) >= bound(k).
-    """
+    bound is a callable k -> lower bound on delta(terms(k)), nondecreasing
+    in k (checked as the sum goes).  The sum stops at the first k with
+    bound(k) >= prec; each included term must satisfy delta(term) >=
+    bound(k).  The terms are collected and added once (series_sum)."""
     target = Fraction(prec)
-    acc = QSeries.zero(target)
+    kept = []
     k = 0
     prev = None
     while True:
-        bk = Fraction(bound.bound(k))
+        bk = Fraction(bound(k))
         if prev is not None and bk < prev:
             raise DegreeBoundError(f"declared bound is not monotone at k={k}")
         prev = bk
@@ -725,6 +722,6 @@ def series_sum_bounded(
         t = terms(k)
         if t.delta_lb() < bk:
             raise DegreeBoundError(f"degree bound violated at k={k}")
-        acc = (acc + t).truncate(target)
+        kept.append(t)
         k += 1
-    return acc.truncate(target)
+    return series_sum(kept).truncate(target)

@@ -48,7 +48,8 @@ from itertools import compress, count
 from math import gcd
 from typing import Optional
 
-from .series import QAlgebraError, QSeries, _add_scaled, _products, exact_div
+from .series import (QAlgebraError, QSeries, _add_scaled, _products, exact_div,
+                     series_sum)
 from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
 from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
@@ -135,18 +136,18 @@ def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
     bounds at or above prec without decreasing; None (divergence) once
     DIV_RUN_LENGTH consecutive bounds strictly decrease below zero.  The
     caller caps the terms with _k_cap; running out of them raises
-    ConvergenceError."""
-    acc = QSeries.zero(prec)
+    ConvergenceError.  The terms read are added once (series_sum)."""
+    kept = []
     run = div = 0
     prev = None
     for term in terms:
         d = term.delta_lb()
-        acc = (acc + term).truncate(prec)
+        kept.append(term)
         run = run + 1 if d >= prec and (prev is None or d >= prev) else 0
         div = div + 1 if prev is not None and d < prev and d < 0 else 0
         prev = d
         if run >= RUN_LENGTH:
-            return acc
+            return series_sum(kept).truncate(prec)
         if div >= DIV_RUN_LENGTH:
             return None
     raise ConvergenceError("divergent or undecidable for these parameters")
@@ -448,7 +449,7 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
     """-q^{a(p-a)/p} (q^{k+1};q)_k sum_{j=1}^k (-1)^{k+j} (1-q^{-j})
     q^{binom(j+1,2)-binom(k,2)} / ((q)_{k+j}(q)_{k-j}) *
     sum_n q^{(np+a)^2/p - j(np+a)}, assembled exactly over the common
-    denominator (q)_k (q)_{2k}.
+    denominator (q)_k (q)_{2k}; the n-sum is weight_poly(j) mirrored.
 
     At k = 0 the j-sum is empty and the polynomial is 0 for every a; the
     residue form (park_poly_residue) keeps the theta constant term there
@@ -457,19 +458,12 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
         raise ValueError("need p > 0 and 0 <= a < p")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return QSeries.zero()
-    num = QSeries.zero()
-    for j in range(1, k + 1):
-        inner = QSeries.zero()
-        for n in range(j):
-            u = n * p + a
-            inner = inner + QSeries.monomial(Fraction(u * u, p) - j * u)
-        cof = poch(k - j + 1, j) * poch(k + j + 1, k - j)
-        e = Fraction(j * (j + 1), 2) - Fraction(k * (k - 1), 2)
-        piece = (QSeries.one() - QSeries.monomial(-j)) \
-            * QSeries.monomial(e) * cof * inner
-        num = num + (piece if (k + j) % 2 == 0 else -piece)
+    num = series_sum(
+        (-1) ** (k + j) * (QSeries.one() - QSeries.monomial(-j))
+        * QSeries.monomial(Fraction(j * (j + 1) - k * (k - 1), 2))
+        * poch(k - j + 1, j) * poch(k + j + 1, k - j)
+        * surgery_weight_poly(j, p, a).mirror()
+        for j in range(1, k + 1))
     # (q^{k+1};q)_k must join the numerator before dividing: num/den alone
     # need not be polynomial, the full product is
     den = qpoch(k) * qpoch(2 * k)
@@ -480,7 +474,7 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
     return out
 
 
-def park_poly_residue(p: int, a: int, k: int, prec=None) -> QSeries:
+def park_poly_residue(p: int, a: int, k: int) -> QSeries:
     """q^{-k^2 + a(p-a)/p} (q^{k+1};q)_k * [x^{-1}-coefficient of
     Theta(x) / prod_{i=1}^k (x + x^{-1} - q^i - q^{-i})].
 
@@ -490,7 +484,7 @@ def park_poly_residue(p: int, a: int, k: int, prec=None) -> QSeries:
     u == -1-a (mod p) of x^u q^{(u+1)^2/p}.  Combined with the prefactor the
     exponents m^2/p + a(p-a)/p == (m-a)(m+a)/p + a are always integers, so
     the result is a genuine Laurent polynomial.  Only finitely many m land
-    below the working precision, which defaults to a window comfortably
+    below the working precision 2k^2 + 3k + 2p + 24, a window comfortably
     above the polynomial's top degree.
 
     At k = 0 only j = 0 survives ([j choose j] - [j-1 choose j-1] = 0 for
@@ -502,16 +496,13 @@ def park_poly_residue(p: int, a: int, k: int, prec=None) -> QSeries:
         raise ValueError("need p > 0 and 0 <= a < p")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if prec is None:
-        prec = 2 * k * k + 3 * k + 2 * p + 24
-    prec = Fraction(prec)
+    prec = 2 * k * k + 3 * k + 2 * p + 24
     pref_exp = -k * k + Fraction(a * (p - a), p)
     pref = poch(k + 1, k)
     # residue sum pairs x^{k+j} (from the inverse product) with x^{-(k+j)-1}
-    acc = QSeries.zero()
+    terms = []
     target = prec - pref_exp - pref.delta()
-    j = 0
-    while True:
+    for j in count():
         m = k + j
         theta_exp = Fraction(m * m, p)
         # c_j degrees are >= -jk; stop once the exponent sum clears target
@@ -520,9 +511,8 @@ def park_poly_residue(p: int, a: int, k: int, prec=None) -> QSeries:
             break
         if (m - a) % p == 0:
             cj = qbinom(2 * k + j, j) - (qbinom(2 * k + j - 1, j - 1) if j else QSeries.zero())
-            acc = acc + QSeries.monomial(theta_exp) * cj
-        j += 1
-    out = (QSeries.monomial(pref_exp) * pref * acc).truncate(prec)
+            terms.append(QSeries.monomial(theta_exp) * cj)
+    out = (QSeries.monomial(pref_exp) * pref * series_sum(terms)).truncate(prec)
     if out.scale != 1:
         raise FractionalExponentError("fractional exponent did not cancel")
     return out

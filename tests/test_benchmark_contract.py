@@ -51,7 +51,7 @@ def test_tracer_rebinds_existing_names_and_restores_them():
         seen = {span[0] for span in tracer.spans}
         assert {"surgery.route_fk", "surgery.route_residues",
                 "surgery.route_ih", "surgery.weight_poly",
-                "residues.residue_series"} <= seen, seen
+                "residues.residue_series", "series.sum"} <= seen, seen
     finally:
         tracer.uninstall()
     assert tracer.restored()

@@ -7,7 +7,6 @@ import pytest
 
 from qhabiro import (
     CoeffSeq,
-    DegreeBound,
     DegreeBoundError,
     LbcError,
     QSeries,
@@ -445,7 +444,7 @@ class TestRunningResidueSum:
             asked.append(k)
             return QSeries.zero(10)
 
-        series_sum_bounded(term, DegreeBound(lambda k: k), 10)
+        series_sum_bounded(term, lambda k: k, 10)
         assert asked == list(range(10))
 
 

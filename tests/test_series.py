@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhabiro import (
-    DegreeBound,
     DegreeBoundError,
     DeltaAtLeast,
     ExactnessError,
@@ -339,7 +338,7 @@ class TestBoundedSum:
     def test_geometric_tail(self):
         # term_k = q^k, degree bound k: sum to prec 10 is 1/(1-q)
         out = series_sum_bounded(
-            lambda k: QSeries.monomial(k), DegreeBound(lambda k: Fraction(k)), 10
+            lambda k: QSeries.monomial(k), lambda k: Fraction(k), 10
         )
         assert out == mk({i: 1 for i in range(10)}, prec=10)
 
@@ -347,7 +346,7 @@ class TestBoundedSum:
         with pytest.raises(DegreeBoundError):
             series_sum_bounded(
                 lambda k: QSeries.monomial(-k),
-                DegreeBound(lambda k: Fraction(k)),
+                lambda k: Fraction(k),
                 5,
             )
 
@@ -356,6 +355,91 @@ def grid_series(rng, scale, prec=None, n=6):
     """A random series on the grid (1/scale)Z, exact unless prec is set."""
     return mk({Fraction(rng.randrange(-9, 10), scale): rng.randrange(-9, 10)
                for _ in range(n)}, prec)
+
+
+def merged(a, b):
+    """a + b by a two-list merge on the finer grid, independent of
+    series._sum_lists: the reference for QSeries.__add__."""
+    s = math.lcm(a.scale, b.scale)
+    ao, ac, ap = a._rescaled(s)
+    bo, bc, bp = b._rescaled(s)
+    prec = bp if ap is None else ap if bp is None else min(ap, bp)
+    if not ac:
+        return QSeries(bc, bo, s, prec)
+    if not bc:
+        return QSeries(ac, ao, s, prec)
+    lo = min(ao, bo)
+    hi = max(ao + len(ac), bo + len(bc))
+    out = [0] * (hi - lo)
+    out[ao - lo : ao - lo + len(ac)] = ac
+    for i, c in enumerate(bc):
+        out[bo - lo + i] += c
+    return QSeries(out, lo, s, prec)
+
+
+def random_operand(rng):
+    """A series on the grid 1/1, 1/2 or 1/3: exact, truncated (perhaps zero
+    to its precision), the exact zero or a truncated zero."""
+    scale = rng.choice((1, 2, 3))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return QSeries()
+    if kind == 1:
+        return QSeries.zero(Fraction(rng.randrange(-6, 12), scale))
+    prec = (None if kind < 4
+            else Fraction(rng.randrange(-6, 12), rng.choice((1, 2, 3))))
+    return grid_series(rng, scale, prec, n=rng.randrange(1, 8))
+
+
+class TestAdd:
+    """QSeries.__add__, the two-term case of series._sum_lists, against
+    the reference merge, byte for byte."""
+
+    def test_against_reference_merge(self, rng):
+        for _ in range(400):
+            a, b = random_operand(rng), random_operand(rng)
+            for x, y in ((a, b), (b, a), (a, -a), (a, a)):
+                assert (x + y).to_json() == merged(x, y).to_json(), (x, y)
+
+    def test_integer_operand(self, rng):
+        for _ in range(50):
+            a = random_operand(rng)
+            n = rng.randrange(-3, 4)
+            want = merged(a, QSeries((n,))).to_json()
+            assert (a + n).to_json() == want
+            assert (n + a).to_json() == want
+
+
+class TestSeriesSum:
+    """series.series_sum against a fold of the reference merge."""
+
+    def test_mixed_grids_exact_and_truncated_terms(self, rng):
+        for _ in range(150):
+            terms = [random_operand(rng) for _ in range(rng.randrange(1, 7))]
+            want = terms[0]
+            for t in terms[1:]:
+                want = merged(want, t)
+            got = series.series_sum(terms)
+            assert got.to_json() == want.to_json()
+            precs = [t.prec_q for t in terms if not t.is_exact]
+            assert got.prec_q == (min(precs) if precs else None)
+
+    def test_empty_input_is_exact_zero(self):
+        out = series.series_sum([])
+        assert out == QSeries() and out.is_exact and out.is_zero
+        assert series.series_sum(iter(())) == QSeries()
+
+    def test_generator_input(self):
+        want = mk({Fraction(i, 2): 1 for i in range(8)})
+        got = series.series_sum(QSeries.monomial(Fraction(i, 2))
+                                for i in range(8))
+        assert got.to_json() == want.to_json()
+
+    def test_lone_term_and_cancellation(self):
+        x = mk({Fraction(1, 3): 2, 4: -1}, prec=9)
+        assert series.series_sum([x]).to_json() == x.to_json()
+        assert series.series_sum([QSeries(), x, QSeries.zero(10)]) == x
+        assert series.series_sum([x, -x]) == QSeries.zero(9)
 
 
 class TestSeriesDot:
