@@ -1,5 +1,7 @@
 """Residue families, the residue theorem, and derived identities."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -436,6 +438,22 @@ class TestRunningResidueSum:
         for j in (-2, 0, 3):
             with pytest.raises(DegreeBoundError, match="k=3"):
                 residue_series(a, j, 12, -1)
+
+    def test_frozen_digest(self):
+        # sha256 of the canonical JSON of the to_json() list over the four
+        # knots, j and prec in this order, as computed with Fraction
+        # bookkeeping for the window, the stop and the final cut
+        records = []
+        for name in ("unknot", "3_1l", "3_1r", "4_1"):
+            knot = get_knot(name)
+            for j in range(-4, 8):
+                for prec in (-3, Fraction(-1, 2), 0, Fraction(5, 2),
+                             Fraction(31, 3), Fraction(41, 2)):
+                    records.append(residue_series(knot.a, j, prec,
+                                                  knot.lbc_constant).to_json())
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            "e8a02169418febae23c02b44246b3835d7189f302a09087787dd544985cc47c7"
 
     def test_engine_requests_terms_in_order(self):
         asked = []

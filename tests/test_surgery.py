@@ -323,6 +323,65 @@ ROUTE_SERIES_12 = {
 FALLBACKS = {("3_1r", -3)}
 
 
+def route_digest(cases, prec, routes=ROUTES):
+    """sha256 of the ROUTE_DIGESTS records of routes over cases, given as
+    (name, knot, p, a), at O(q^prec)."""
+    records = []
+    for name, knot, p, a in cases:
+        params = SurgeryParams(p, a, prec)
+        for route, fn in routes:
+            res = fn(knot, params)
+            records.append({"knot": name, "p": p, "a": a, "route": route,
+                            "delta": str(res.delta),
+                            "series": res.series.to_json(),
+                            "sign_convention": res.sign_convention})
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def bump_gen(k):
+    """delta(a_{-4}) = 9 cuts the ih route's carried lists short, and
+    a_{-5}, with delta 0 on the half-integer grid, needs them longer again."""
+    if k == 3:
+        return QSeries.monomial(9)
+    return QSeries.one() - QSeries.monomial(Fraction(1, 2) if k == 4 else 2)
+
+
+# route_digest at precisions off the integers, on a knot whose a-side is
+# on the half-integer grid, and at positive slopes, as the routes computed
+# them with Fraction bookkeeping
+PREC_DIGESTS = {
+    Fraction(25, 2):
+        "7a5113bfd7c5cbe55ba57451f1d6d67ec84f7d05700233fab81636b6f0912206",
+    Fraction(41, 3):
+        "c1ca08ad62163d4a5cf0c1ff02815c6c0859636ccc8fc148e12e95dbc292105e",
+    Fraction(-1, 2):
+        "5a88de6299bcaa823a387527bbbb0d80a8d73a49c0bdefe8ecd82b6d13c8899f",
+}
+BUMP_DIGEST_15 = \
+    "c430085290eced38a9400553ee9fd1982762af5131186514e582bf2036b349cd"
+POSITIVE_DIGEST_12 = \
+    "a3a46a34fadddc50d9042c2caa31ebecef86fb8b84becece2914fd6771192c77"
+
+
+class TestFrozenDigests:
+    @pytest.mark.parametrize("prec", sorted(PREC_DIGESTS))
+    def test_fractional_and_negative_precisions(self, prec):
+        cases = [(name, name, p, a) for name, p, a in SURGERY_CASES]
+        assert route_digest(cases, prec) == PREC_DIGESTS[prec]
+
+    def test_half_integer_grid_knot(self):
+        knot = KnotSpec("bump", bump_gen)
+        cases = [("bump", knot, p, a) for p in (-1, -2, -3)
+                 for a in range(abs(p))]
+        assert route_digest(cases, 15) == BUMP_DIGEST_15
+
+    def test_positive_slopes(self):
+        cases = [(name, name, p, a) for name in ("3_1l", "3_1r", "4_1")
+                 for p in (1, 2) for a in range(p)]
+        assert route_digest(cases, 12, ROUTES[1:]) == POSITIVE_DIGEST_12
+
+
 class TestFrozenRoutes:
     """All 18 cases by all three routes, pinned to the atom-by-atom
     routes' outputs: delta, series and sign convention, byte for byte."""
@@ -356,14 +415,7 @@ class TestFrozenRoutes:
                 zhat_via_ih_by_atoms(name, params), (name, p, a)
 
     def test_ih_state_rebuilt_when_a_later_k_needs_more(self):
-        # delta(a_{-4}) = 9 cuts every carried list short, and a_{-5},
-        # with delta 0 on the half-integer grid, needs them longer again
-        def gen(k):
-            if k == 3:
-                return QSeries.monomial(9)
-            return QSeries.one() - QSeries.monomial(Fraction(1, 2) if k == 4 else 2)
-
-        knot = KnotSpec("bump", gen)
+        knot = KnotSpec("bump", bump_gen)
         for p in (-1, -2, -3):
             for a in range(abs(p)):
                 params = SurgeryParams(p, a, 15)
