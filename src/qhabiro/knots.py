@@ -97,14 +97,18 @@ class KnotSpec:
 
 
 def _monomial_gen(alpha: int, beta: int, c2: Fraction, c1: Fraction, c0: Fraction):
+    # the exponent c2 k^2 + c1 k + c0 as e/d on the common denominator d
+    d = c2.denominator * c1.denominator * c0.denominator
+    n2, n1, n0 = (c.numerator * (d // c.denominator) for c in (c2, c1, c0))
+
     def gen(k: int) -> QSeries:
-        e = c2 * k * k + c1 * k + c0
-        if e.denominator != 1:
+        e = n2 * k * k + n1 * k + n0
+        if e % d:
             raise ExponentIntegralityError(
-                "monomial exponent %s is non-integral at k=%d" % (e, k)
-            )
+                "monomial exponent %s is non-integral at k=%d"
+                % (Fraction(e, d), k))
         sign = -1 if (alpha * k + beta) % 2 else 1
-        return QSeries.monomial(e, sign)
+        return QSeries.monomial(e // d, sign)
 
     return gen
 

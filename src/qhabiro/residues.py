@@ -14,9 +14,12 @@ kernel and adds each term into one coefficient list by slice-adds
 (series._add_scaled, the schoolbook product's kernel, which surgery's
 residue and ih routes share too), with the checks of the certified
 summation (stop rule, per-term degree bound, result precision) and no
-QSeries per term.  It computes afresh on every call: residue_family calls
-it directly, and the surgery routes share its results across slopes and
-spin^c labels through the knot's residue store (surgery._residue).  The
+QSeries per term.  Its stop, degree bounds and cut, like _j_window's
+test, are integer floor and ceiling divisions on the numerators and
+denominators of prec and C: no Fraction.  It computes afresh on every
+call: residue_family calls it directly, and the surgery routes share its
+results across slopes and spin^c labels through the knot's residue store
+(surgery._residue).  The
 theta route (residues_from_f) adds each f_k times the monomials of its
 theta term into one list too (series._products), known to the least of
 prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k.
@@ -35,6 +38,7 @@ from .series import (
     ExpLike,
     QSeries,
     _add_scaled,
+    _as_ratio,
     _products,
     series_sum,
     series_sum_bounded,
@@ -82,18 +86,21 @@ def _inv_poch_pair(u, k: int, j: int, n: int) -> list:
     return u
 
 
-def _j_window(k: int, prec: Fraction, C) -> int:
-    """The largest j >= 1 with binom(j+1,2) - jk + C + 1 < prec, or 0: the
-    residues r_j that f_k needs to O(q^prec).  r_j's degree bound
-    binom(j+1,2) + j + 1 + C (the first term of residue_series' sum) puts
-    q^{-j(k+1)} r_j, the lowest of its shifts in f_k, at binom(j+1,2) - jk
-    + C + 1 or above.  That bound falls until the vertex at j = k - 1/2 and
-    rises after it, so the scan runs to j = k and stops at the first j
-    from there on that clears prec."""
+def _j_window(k: int, n: int, d: int, C) -> int:
+    """The largest j >= 1 with binom(j+1,2) - jk + C + 1 < prec = n/d
+    (d >= 1), or 0: the residues r_j that f_k needs to O(q^prec).  r_j's
+    degree bound binom(j+1,2) + j + 1 + C (the first term of
+    residue_series' sum) puts q^{-j(k+1)} r_j, the lowest of its shifts in
+    f_k, at binom(j+1,2) - jk + C + 1 or above.  That bound falls until the
+    vertex at j = k - 1/2 and rises after it, so the scan runs to j = k and
+    stops at the first j from there on that clears prec.  The test is on
+    integers: j(j+1-2k) < t = ceil(2(prec - C - 1))."""
+    cn, cd = C.numerator, C.denominator
+    t = -(2 * ((cn + cd) * d - n * cd) // (d * cd))
     last = 0
     j = 1
     while True:
-        if _binom2(j + 1) - j * k + C + 1 < prec:
+        if j * (j + 1 - 2 * k) < t:
             last = j
         elif j >= k:
             return last
@@ -142,7 +149,7 @@ def _lbc_constant(C) -> Fraction:
         raise LbcError("LBC required")
     if isinstance(C, LbcReport):
         return C.constant
-    return Fraction(C)
+    return C if isinstance(C, Fraction) else Fraction(C)
 
 
 @dataclass(frozen=True)
@@ -185,16 +192,17 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     the result is known to the least precision of its terms, which falls
     below prec only where some a_{-k-1} is truncated."""
     C = _lbc_constant(C)
-    target = Fraction(prec)
-    base = _binom2(j + 1) + C + 1  # bound(k) = base + k
-    stop = max(math.ceil(target - base), 0)  # first k with bound(k) >= prec
+    tn, td = _as_ratio(prec)
     ej = j * (j + 1) // 2
+    bn, bd = (ej + 1) * C.denominator + C.numerator, C.denominator
+    # bound(k) = bn/bd + k; stop is the first k with bound(k) >= prec
+    stop = max(-((bn * td - tn * bd) // (td * bd)), 0)
     terms = a.prefix(stop - 1)
     # acc[i] is the coefficient of q^((lo + i)/g), on the finest grid of the
     # terms; bound(k) and prec are bound_g + k*g and top in units of 1/g
     g = lcm(*(ak.scale for ak in terms[abs(j):]))
-    lo, bound_g = math.floor(base * g), math.ceil(base * g)
-    top = math.ceil(target * g)
+    lo, bound_g = bn * g // bd, -(-bn * g // bd)
+    top = -(-tn * g // td)
     acc = [0] * max(top - lo, 0)
     cut = top  # least term precision in units of 1/g; top stands for prec
     u = None
@@ -217,7 +225,7 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
         monos = (((ak.offset + i) * f, c)
                  for i, c in enumerate(ak.coeffs) if c)
         _add_scaled(acc, lo, top, g, monos, e, u, n, 1 if (k + j) % 2 else -1)
-    return QSeries(acc, lo, g).truncate(min(target, Fraction(cut, g)))
+    return QSeries(acc, lo, g, cut)._truncate(tn, td)
 
 
 def residue_family(a: CoeffSeq, J: int, prec: ExpLike, C=None) -> ResidueFamily:
@@ -267,6 +275,7 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     """
     C = _lbc_constant(C)
     target = Fraction(prec)
+    td = target.denominator
     K_max = max(abs(j), int(math.ceil(target - C - 1)))
     fs = f.prefix(K_max)  # one batch before the degree check reads f
     if not fk_degree_check(f, C, min(K_max, 10**6)):
@@ -289,8 +298,8 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
                 monos[x] = monos.get(x, 0) + s
             n += 1
         # nonzero: the top monomial of the last n (or q^b) is unique
-        pairs.append((fk, sorted((x, c) for x, c in monos.items() if c)))
-    acc = _products(pairs, 1, target)
+        pairs.append((fk, sorted((x * td, c) for x, c in monos.items() if c)))
+    acc = _products(pairs, td, target.numerator)
     inv3 = _inv_poch_product((INF, INF, INF), target)
     return (-(QSeries.monomial(_binom2(j + 1)) * acc * inv3)).truncate(target)
 

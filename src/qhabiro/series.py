@@ -100,22 +100,19 @@ def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
 
 
 def _products(pairs, g: int, prec=None) -> QSeries:
-    """sum_i r_i P_i to O(q^prec), or to its own precision when prec is
-    None (then some r_i is truncated): each P_i a nonzero Laurent
+    """sum_i r_i P_i to O(q^(prec/g)), or to its own precision when prec
+    is None (then some r_i is truncated): each P_i a nonzero Laurent
     polynomial given as its monomials (exponent * g, coefficient),
-    ascending.
+    ascending, and prec an integer in the same units.
 
     The sum is known to the least of prec and prec(r_i) + delta(P_i) over
     the truncated r_i, as the QSeries sum of the products would be.  It
-    builds up in one coefficient list on the finest grid of the r_i, g
-    and prec, one _add_scaled per pair with r_i's grid step as stride."""
-    cuts = [r.prec_q + Fraction(P[0][0], g) for r, P in pairs
+    builds up in one coefficient list on the finest grid G of the r_i and
+    g, one _add_scaled per pair with r_i's grid step as stride."""
+    G = lcm(g, *(r.scale for r, _ in pairs))
+    cuts = [r.prec * (G // r.scale) + P[0][0] * (G // g) for r, P in pairs
             if r.prec is not None]
-    if prec is not None:
-        cuts.append(Fraction(prec))
-    cut = min(cuts)
-    G = lcm(g, cut.denominator, *(r.scale for r, _ in pairs))
-    top = cut.numerator * (G // cut.denominator)
+    top = min(cuts + ([] if prec is None else [prec * (G // g)]))
     lo = min([r.offset * (G // r.scale) + P[0][0] * (G // g)
               for r, P in pairs if r.coeffs], default=top)
     acc = [0] * max(top - lo, 0)
@@ -415,6 +412,10 @@ class QSeries:
             other = QSeries((other,))
         if not isinstance(other, QSeries):
             return NotImplemented
+        if not other.coeffs and other.prec is None:  # immutable: share it
+            return self
+        if not self.coeffs and self.prec is None:
+            return other
         s = lcm(self.scale, other.scale)
         return _sum_lists((self._rescaled(s), other._rescaled(s)), s)
 
@@ -479,7 +480,9 @@ class QSeries:
 
     def shift(self, exp: ExpLike) -> "QSeries":
         """Multiply by the monomial q^exp."""
-        n, d = _as_ratio(exp)
+        return self._shift(*_as_ratio(exp))
+
+    def _shift(self, n: int, d: int) -> "QSeries":  # q^(n/d) self, d >= 1
         s = lcm(self.scale, d)
         o, c, p = self._rescaled(s)
         k = n * (s // d)
@@ -487,7 +490,9 @@ class QSeries:
 
     def truncate(self, prec: ExpLike) -> "QSeries":
         """Restrict knowledge to exponents < prec (a q-exponent)."""
-        n, d = _as_ratio(prec)
+        return self._truncate(*_as_ratio(prec))
+
+    def _truncate(self, n: int, d: int) -> "QSeries":  # to O(q^(n/d)), d >= 1
         s = lcm(self.scale, d)
         o, c, p = self._rescaled(s)
         newp = n * (s // d)
@@ -559,9 +564,7 @@ class QSeries:
 
 
 def _as_ratio(x: ExpLike) -> tuple:
-    if isinstance(x, int):
-        return x, 1
-    f = Fraction(x)
+    f = x if isinstance(x, (int, Fraction)) else Fraction(x)
     return f.numerator, f.denominator
 
 

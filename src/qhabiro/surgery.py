@@ -18,7 +18,11 @@ monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
 product with a residue or a carried 1/((q)_{k-j}(q)_{k+j}) is slice-adds
 into one coefficient list (series._add_scaled), with one QSeries per
 term.  The residue products go through series._products, which the
-theta route (residues.residues_from_f) shares.
+theta route (residues.residues_from_f) shares.  The bookkeeping is
+integer too: precisions, degree bounds, windows and store keys are
+numerators on a known grid or (num, den) pairs compared by
+cross-multiplication.  Fraction is met only at the edges: SurgeryParams.prec
+in, ZhatResult.delta out, and the precision residue_series gets on a miss.
 
 State that depends only on the knot is computed once per process and
 shared across routes, slopes and spin^c labels: the LBC constant
@@ -45,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .series import (QAlgebraError, QSeries, _add_scaled, _products, exact_div,
@@ -108,7 +112,7 @@ def _normalize(s: QSeries, p: int) -> ZhatResult:
     if (2 * abs(p)) % delta.denominator:
         raise FractionalExponentError(
             "leading exponent %s is off the 1/(2p) grid" % delta)
-    s = s.shift(-delta)
+    s = s._shift(-s.offset, s.scale)
     s, content = _divide_content(s)
     flipped = s.coeffs[0] < 0
     if flipped:
@@ -126,7 +130,8 @@ def _in_class(k: int, p: int, a: int) -> bool:
 
 
 def _k_cap(prec: Fraction, p: int) -> int:
-    return max(64, 8 * (math.isqrt(max(int(prec * abs(p)), 0)) + 2))
+    n = prec.numerator * abs(p) // prec.denominator
+    return max(64, 8 * (math.isqrt(max(n, 0)) + 2))
 
 
 def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
@@ -136,16 +141,22 @@ def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
     bounds at or above prec without decreasing; None (divergence) once
     DIV_RUN_LENGTH consecutive bounds strictly decrease below zero.  The
     caller caps the terms with _k_cap; running out of them raises
-    ConvergenceError.  The terms read are added once (series_sum)."""
+    ConvergenceError.  The terms read are added once (series_sum).
+
+    Degree bounds x/s are compared as integers by cross-multiplication; the
+    exact zero's +inf is (1, 0), above every x/s with s >= 1."""
+    pn, pd = prec.numerator, prec.denominator
     kept = []
     run = div = 0
-    prev = None
+    x0 = s0 = None
     for term in terms:
-        d = term.delta_lb()
+        x, s = ((term.offset if term.coeffs else term.prec, term.scale)
+                if term.coeffs or term.prec is not None else (1, 0))
         kept.append(term)
-        run = run + 1 if d >= prec and (prev is None or d >= prev) else 0
-        div = div + 1 if prev is not None and d < prev and d < 0 else 0
-        prev = d
+        up = x0 is None or x * s0 >= x0 * s
+        run = run + 1 if x * pd >= pn * s and up else 0
+        div = div + 1 if not up and x < 0 else 0
+        x0, s0 = x, s
         if run >= RUN_LENGTH:
             return series_sum(kept).truncate(prec)
         if div >= DIV_RUN_LENGTH:
@@ -169,7 +180,7 @@ def _fk_sum(diff, p: int, a: int, prec: Fraction):
     def term(k: int) -> QSeries:
         nonlocal K
         K = k
-        return diff(k).shift(-Fraction(k * k, p))
+        return diff(k)._shift(k * k if p < 0 else -k * k, abs(p))
 
     ks = (k for k in range(_k_cap(prec, p) + 1) if _in_class(k, p, a))
     acc = _trend_sum(map(term, ks), prec)
@@ -266,8 +277,8 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
     return replace(out, sign_convention=out.sign_convention + note)
 
 
-def _residue(knot: KnotSpec, j: int, prec) -> QSeries:
-    """r_j of the knot to O(q^prec), from the knot's residue store.
+def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
+    """r_j of the knot to O(q^prec), prec = n/d, from the knot's store.
 
     The store keeps, per j, the most precise r_j computed so far and
     the precision it was asked at.  A request at or below that precision
@@ -276,17 +287,17 @@ def _residue(knot: KnotSpec, j: int, prec) -> QSeries:
     lies at or above that window's precision.  A request above it calls
     residue_series (the module's binding, read at call time) at prec and
     replaces the entry.  The store holds at most CACHE_SIZE entries and
-    drops the oldest first."""
-    prec = Fraction(prec)
+    drops the oldest first.  Precisions are kept as (n, d) and compared by
+    cross-multiplication; residue_series is handed Fraction(n, d)."""
     store = knot.residues
     have = store.get(j)
-    if have is None or have[0] < prec:
+    if have is None or have[0] * d < n * have[1]:
         if have is None and len(store) >= CACHE_SIZE:
             store.pop(next(iter(store)), None)
-        have = store[j] = (prec, residue_series(knot.a, j, prec,
-                                                knot.lbc_constant))
-    at, r = have
-    return r if at == prec else r.truncate(prec)
+        have = store[j] = (n, d, residue_series(
+            knot.a, j, Fraction(n, d), knot.lbc_constant))
+    hn, hd, r = have
+    return r if hn * d == n * hd else r._truncate(n, d)
 
 
 def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
@@ -306,11 +317,11 @@ def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
     g = abs(p)
+    pn, pd = prec.numerator, prec.denominator
 
     def term(j: int) -> QSeries:
         w = _weight_monos(j, p, a_w)
-        low = Fraction(w[0][0], g)
-        rj = _residue(knot, j, prec - min(Fraction(0), low))
+        rj = _residue(knot, j, pn * g - min(0, w[0][0]) * pd, pd * g)
         return _products([(rj, w)], g)
 
     acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
@@ -349,32 +360,33 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
     computes any r_j."""
     p, a, prec = params.p, params.a, params.prec
     C = knot.lbc_constant
+    D = lcm(prec.denominator, abs(p))  # precisions in units of 1/D
 
-    def need(k: int) -> Fraction:
-        return prec + Fraction(k * k, p)
+    def need(k: int) -> int:
+        return prec.numerator * D // prec.denominator + k * k * D // p
 
     def window(k: int):
-        return range(1, _j_window(k, need(k), C) + 1)
+        return range(1, _j_window(k, need(k), D, C) + 1)
 
     # j -> the largest need(k) + j(k+1) over the planned k (sorted, so the
     # largest of each j is set last)
-    plan = dict(sorted((j, need(k) + j * (k + 1))
+    plan = dict(sorted((j, need(k) + j * (k + 1) * D)
                        for k in range(_plan_k(knot, p, a, prec) + 1)
                        if _in_class(k, p, a) for j in window(k)))
 
     def rj(k: int, j: int) -> QSeries:
-        at = need(k) + j * (k + 1)
-        return _residue(knot, j, max(at, plan.get(j, at)))
+        at = need(k) + j * (k + 1) * D
+        return _residue(knot, j, max(at, plan.get(j, at)), D)
 
     def diff(k: int) -> QSeries:
         if k == 0:
-            pairs = [(_residue(knot, 0, prec), [(0, 1)])]
-            pairs += [(rj(0, j), [(-j, 1), (0, 1)]) for j in window(0)]
+            pairs = [(_residue(knot, 0, need(0), D), [(0, 1)])]
+            pairs += [(rj(0, j), [(-j * D, 1), (0, 1)]) for j in window(0)]
         else:
-            pairs = [(rj(k, j), [(-j * (k + 1), 1), (-j * k, -1),
-                                 (j * (k - 1), -1), (j * k, 1)])
+            pairs = [(rj(k, j), [(-j * (k + 1) * D, 1), (-j * k * D, -1),
+                                 (j * (k - 1) * D, -1), (j * k * D, 1)])
                      for j in window(k)]
-        return _products(pairs, 1, need(k))
+        return _products(pairs, D, need(k))
 
     return diff
 
@@ -398,16 +410,18 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     p, a, prec = params.p, params.a, params.prec
     a_w = _weight_label(p, a)
     g = abs(p)
+    pn, pd = prec.numerator, prec.denominator
     w = [None]  # w[j]: (exponent * g, coefficient) of w_j, ascending
     us: dict = {}  # j -> (k, u) with u = 1/((q)_{k-j}(q)_{k+j}) truncated
 
     def term(k: int) -> QSeries:
         ak = knot.a[k]
-        inner = QSeries.zero(prec - min(Fraction(0), ak.delta_lb()))
         if ak.is_zero and ak.is_exact:
-            return ak * inner
-        target = prec - ak.delta_lb()
-        top = math.ceil(target * g)
+            return ak
+        x, s = ak.offset if ak.coeffs else ak.prec, ak.scale  # delta >= x/s
+        tn, td = pn * s - x * pd, pd * s  # target = prec - x/s
+        inner = QSeries((), 0, td, max(tn, pn * s))  # O(q^max(prec, target))
+        top = -(-tn * g // td)
         while len(w) <= k:
             w.append(_weight_monos(len(w), p, a_w))
         # (j, e_{k,j} * g, number of coefficients of u below target)
@@ -427,7 +441,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
                 us[j] = (k, u)
                 _add_scaled(coeffs, lo, top, g, w[j], e, u, n,
                             1 if (k + j) % 2 else -1)
-            inner = QSeries(coeffs, lo, g).truncate(target)
+            inner = QSeries(coeffs, lo, g)._truncate(tn, td)
         return ak * inner
 
     acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)

@@ -40,7 +40,8 @@ from conftest import seq_from_list
 def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
     """f_k = -r_0 - sum_{j>=1} (q^{-j(k+1)} + q^{jk}) r_j."""
     target = Fraction(prec)
-    j_need = _j_window(k, target, rf.lbc_constant)
+    j_need = _j_window(k, target.numerator, target.denominator,
+                       rf.lbc_constant)
     if j_need > rf.J:
         raise PrecisionError("enlarge J")
     acc = -rf.r(0)
@@ -191,7 +192,8 @@ class TestRoundTrips:
                     want = max([j for j in range(1, 100)
                                 if Fraction(j * (j + 1), 2) - j * k
                                 + C + 1 < prec], default=0)
-                    assert _j_window(k, Fraction(prec), C) == want, (C, prec, k)
+                    n, d = Fraction(prec).numerator, Fraction(prec).denominator
+                    assert _j_window(k, n, d, C) == want, (C, prec, k)
 
     @pytest.mark.parametrize("name,C", [("3_1l", -2), ("3_1r", 0),
                                         ("4_1", -1), ("unknot", -1)])
@@ -201,7 +203,8 @@ class TestRoundTrips:
         a = get_knot(name).a
         for prec in (5, Fraction(23, 2), 20):
             for k in range(8):
-                j = _j_window(k, Fraction(prec), C) + 1
+                n, d = Fraction(prec).numerator, Fraction(prec).denominator
+                j = _j_window(k, n, d, C) + 1
                 r = residue_series(a, j, prec + j * (k + 1), C)
                 assert r.shift(-j * (k + 1)).delta_lb() >= prec, (prec, k)
 

@@ -401,6 +401,14 @@ class TestAdd:
             for x, y in ((a, b), (b, a), (a, -a), (a, a)):
                 assert (x + y).to_json() == merged(x, y).to_json(), (x, y)
 
+    def test_exact_zero_operand_gives_the_other_operand(self, rng):
+        for _ in range(100):
+            a = random_operand(rng)
+            for x, y in ((a, QSeries.zero()), (QSeries.zero(), a)):
+                assert (x + y).to_json() == merged(x, y).to_json()
+                assert x + y is a or a == QSeries.zero()
+            assert a + 0 is a and 0 + a is a
+
     def test_integer_operand(self, rng):
         for _ in range(50):
             a = random_operand(rng)
@@ -504,13 +512,18 @@ class TestProducts:
                 for prec in (Fraction(17, 2), 5, None):
                     if prec is None and all(r.is_exact for r, _ in pairs):
                         continue
-                    got = series._products(pairs, g, prec)
+                    # _products reads prec in units of 1/g: put the
+                    # monomials on the grid of g and prec
+                    m = 1 if prec is None else Fraction(prec).denominator
+                    got = series._products(
+                        [(r, [(x * m, c) for x, c in P]) for r, P in pairs],
+                        g * m, None if prec is None else int(prec * g * m))
                     assert got == self.reference(pairs, g, prec), (g, prec)
 
     def test_exact_residue_cuts_nothing(self):
         exact = mk({0: 1, 3: -2})
         P = [(-2, 1), (4, 3)]  # q^-1 + 3 q^2 on the half grid
-        assert series._products([(exact, P)], 2, 10) == (
+        assert series._products([(exact, P)], 2, 20) == (
             exact * mk({-1: 1, 2: 3})).truncate(10)
         # next to a truncated r, only the truncated one sets the precision
         cut = mk({1: 1}, prec=4)

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhabiro import (
     ConvergenceError,
@@ -27,6 +29,7 @@ from qhabiro import (
 )
 from qhabiro import surgery
 from qhabiro.residues import _j_window
+from qhabiro.series import series_sum
 from qhabiro.surgery import (
     DIV_RUN_LENGTH,
     RUN_LENGTH,
@@ -226,6 +229,47 @@ def zhat_via_ih_by_atoms(knot, params):
                    "k-sum over transformed coefficients")
 
 
+def trend_sum_by_fractions(terms, prec):
+    """The stop rule on delta_lb() Fractions, as _trend_sum ran before it
+    compared its degree bounds as integers: the reference for it."""
+    kept = []
+    run = div = 0
+    prev = None
+    for term in terms:
+        d = term.delta_lb()
+        kept.append(term)
+        run = run + 1 if d >= prec and (prev is None or d >= prev) else 0
+        div = div + 1 if prev is not None and d < prev and d < 0 else 0
+        prev = d
+        if run >= RUN_LENGTH:
+            return series_sum(kept).truncate(prec)
+        if div >= DIV_RUN_LENGTH:
+            return None
+    raise ConvergenceError("divergent or undecidable for these parameters")
+
+
+@st.composite
+def walking_terms(draw):
+    """Terms whose degrees walk down, level or up in steps on the grids
+    1/1, 1/2 and 1/3: monomials, truncated monomials, truncated zeros
+    (degree bound: their precision) and exact zeros (degree bound: +inf)."""
+    d = Fraction(draw(st.integers(-8, 16)))
+    drift = draw(st.sampled_from((-3, 0, 3)))
+    terms = []
+    for _ in range(draw(st.integers(0, 14))):
+        scale = draw(st.sampled_from((1, 2, 3)))
+        d += Fraction(drift + draw(st.integers(-3, 3)), scale)
+        kind = draw(st.sampled_from(("monomial", "cut", "zero", "exact")))
+        if kind == "monomial":
+            terms.append(QSeries.monomial(d, draw(st.sampled_from((-2, 1)))))
+        elif kind == "cut":  # a cut at d itself leaves a truncated zero
+            cut = d + Fraction(draw(st.integers(0, 4)), scale)
+            terms.append(QSeries.monomial(d).truncate(cut))
+        else:
+            terms.append(QSeries.zero(d if kind == "zero" else None))
+    return terms
+
+
 class TestTrendSum:
     """The stopping rule of every surgery sum, on terms with set degrees."""
 
@@ -271,6 +315,24 @@ class TestTrendSum:
             self.run([0, 1, 10, 11])
         with pytest.raises(ConvergenceError):
             self.run([])
+
+    @given(walking_terms(), st.builds(Fraction, st.integers(-12, 30),
+                                      st.sampled_from((1, 2, 3))))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_mixed_grids_against_the_fraction_rule(self, terms, prec):
+        # the same result (sum, None or ConvergenceError) after the same
+        # number of terms read
+        def run(rule):
+            it = iter(terms)
+            try:
+                out = rule(it, prec)
+            except ConvergenceError:
+                out = "exhausted"
+            if isinstance(out, QSeries):
+                out = out.to_json()
+            return out, len(list(it))
+
+        assert run(_trend_sum) == run(trend_sum_by_fractions)
 
 
 SURGERY_CASES = [(name, p, a) for name in ("3_1l", "3_1r", "4_1")
@@ -382,6 +444,40 @@ class TestFrozenDigests:
         assert route_digest(cases, 12, ROUTES[1:]) == POSITIVE_DIGEST_12
 
 
+class TestFractionCount:
+    def test_one_pass_builds_few_fractions(self):
+        # The route bookkeeping is integer: one pass of the 18 cases by the
+        # three routes at O(q^12), on knots whose a- and f-sides and LBC
+        # constant are already computed, builds a Fraction only at the
+        # edges (each SurgeryParams.prec and ZhatResult.delta, and the
+        # precision residue_series gets on a store miss).  The Fraction
+        # bookkeeping built 8,396 on Python 3.11.7; newer Pythons build
+        # fewer Fractions inside fractions.py, so there the bound only
+        # loosens.
+        knots = {name: fresh_knot(name) for name in ("3_1l", "3_1r", "4_1")}
+        for knot in knots.values():
+            knot.a.prefix(40)
+            knot.f.prefix(40)
+            knot.lbc_constant
+        made = 0
+        saved = vars(Fraction)["__new__"]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return new(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            for name, p, a in SURGERY_CASES:
+                for _, route in ROUTES:
+                    route(knots[name], SurgeryParams(p, a, 12))
+        finally:
+            Fraction.__new__ = saved
+        assert 0 < made <= 1000
+
+
 class TestFrozenRoutes:
     """All 18 cases by all three routes, pinned to the atom-by-atom
     routes' outputs: delta, series and sign convention, byte for byte."""
@@ -473,7 +569,8 @@ class TestResidueFallback:
         for k in range(K + 1):
             if _in_class(k, p, a):
                 need = prec + Fraction(k * k, p)
-                for j in range(1, _j_window(k, need, knot.lbc_constant) + 1):
+                for j in range(1, _j_window(k, need.numerator, need.denominator,
+                                              knot.lbc_constant) + 1):
                     plan[j] = max(plan.get(j, need), need + j * (k + 1))
         calls = []
         series, plan_k = surgery.residue_series, surgery._plan_k
@@ -588,7 +685,8 @@ class TestResidueStore:
         C = knot.lbc_constant
         for j in range(-4, 7):
             for prec in precs:
-                got = surgery._residue(knot, j, prec)
+                got = surgery._residue(knot, j, prec.numerator,
+                                       prec.denominator)
                 want = surgery.residue_series(knot.a, j, prec, C)
                 assert got.to_json() == want.to_json(), (j, prec)
 
@@ -619,7 +717,7 @@ class TestResidueStore:
         knot = fresh_knot("3_1r")
         C = knot.lbc_constant
         for j in range(10):
-            got = surgery._residue(knot, j, 12)
+            got = surgery._residue(knot, j, 12, 1)
             assert got == surgery.residue_series(knot.a, j, 12, C), j
             assert len(knot.residues) <= 4
         assert sorted(knot.residues) == list(range(6, 10))
