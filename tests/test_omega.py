@@ -1,5 +1,7 @@
 """Ring structure on inverted Habiro elements."""
 
+import hashlib
+import json
 from fractions import Fraction
 from typing import Optional
 
@@ -239,6 +241,38 @@ class TestGammaOracle:
             for i in range(14):
                 vs = {_gamma_valuation2(m, s - m, i) for m in range(s + 1, 0)}
                 assert vs == {_gamma_valuation2(-1, s + 1, i)}, (s, i)
+
+
+def product_record(x: OmegaElement) -> dict:
+    """The product as JSON: sigma0, every coefficient and the LBC report."""
+    return {"sigma0": x.sigma0.to_json(),
+            "a": [x.a[k].to_json() for k in range(x.a.max_index + 1)],
+            "lbc": [str(x.lbc.constant), list(x.lbc.indeterminate)]}
+
+
+class TestFrozenProducts:
+    """omega_mul pinned byte for byte: sha256 of the canonical JSON of
+    product_record over the three products, computed with Fraction
+    bookkeeping for the precision scan and the LBC audit."""
+
+    PAIRS = (("3_1l", "3_1r"), ("3_1l", "4_1"), ("4_1", "4_1"))
+
+    @pytest.mark.parametrize("L,prec,digest", [
+        (32, "decaying",
+         "688d99ec284eed5dec1ed248c293bea1c0de21cc9d19527ee2e428533d645895"),
+        (20, 12,
+         "24061e0003183a934535ab60658867bda6a5f8abf1a107f8b82e7c0e4d224659"),
+        (20, Fraction(25, 2),
+         "998cdbc90799532ab883eab9466100b43ee0667ddaf9512d0c11bc37d0ab68c4"),
+    ], ids=["L32-decaying35", "L20-prec12", "L20-prec25/2"])
+    def test_digest(self, L, prec, digest):
+        # decaying(35) is the connected_sum workload's profile at prec 30
+        p = decaying(35) if prec == "decaying" else prec
+        records = [product_record(omega_mul(knot_element(left),
+                                            knot_element(right), L, p))
+                   for left, right in self.PAIRS]
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestStructureConstants:

@@ -1,14 +1,21 @@
 """Coefficient transforms between the two series expansions."""
 
+import hashlib
+import json
+import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhabiro import (
     CoeffSeq,
+    DeltaAtLeast,
+    LbcReport,
     PrecisionError,
     QSeries,
     a_from_f,
@@ -284,6 +291,134 @@ class TestBatchedRows:
                     * _l1(data[i]) for i in range(k + 1))
                 for k in range(K + 1))
         assert back._gen._width == 8 * -(-(b.bit_length() + 1) // 8)
+
+
+class TestFrozenRows:
+    """Both cascades and the LBC audit pinned byte for byte on truncated
+    inputs on the grids 1/1, 1/2 and 1/3: sha256 of the canonical JSON,
+    computed with Fraction precisions in the cascade and Fraction margins
+    in lbc_check."""
+
+    K = 24
+
+    def datasets(self):
+        out = [_mixed_grid_data(random.Random(seed), self.K + 1, 0.5)
+               for seed in (1, 2, 3)]
+        # wide coefficients too, so that the slots widen mid-cascade
+        rng = random.Random(4)
+        out.append([_random_grid_series(rng, rng.choice((1, 2, 3)), 0.5,
+                                        big=k % 5 == 2)
+                    for k in range(self.K + 1)])
+        # rows a step off the grid from their LBC margin, so that C is
+        # fractional: monomials, truncated ones and truncated zeros
+        rows = []
+        for k in range(self.K + 1):
+            scale = rng.choice((2, 3))
+            d = lbc_margin(k) + Fraction(rng.choice(
+                [n for n in range(-7, 8) if n % scale]), scale)
+            s = QSeries.from_terms({d: rng.choice((-1, 2)), d + 2: 1})
+            rows.append((s, s.truncate(d + 1), QSeries.zero(d))[k % 3])
+        return out + [rows]
+
+    def test_rows(self):
+        records = []
+        for data in self.datasets():
+            for side, run in (("P", f_from_a), ("F", a_from_f)):
+                by_prefix = run(seq_from_list(side, data)).prefix(self.K)
+                one = run(seq_from_list(side, data))
+                by_index = [one[k] for k in range(self.K + 1)]
+                assert by_prefix == by_index, side
+                records.append([s.to_json() for s in by_prefix])
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            "d711b9b965c9fda46200393142eced60ae6c409515346071338033610a2caa9b"
+
+    def test_lbc_reports(self):
+        records = []
+        for data in self.datasets():
+            for a in (seq_from_list("P", data),
+                      a_from_f(seq_from_list("F", data))):
+                for K in range(self.K + 1):
+                    r = lbc_check(a, K)
+                    records.append([r.checked_range, str(r.constant),
+                                    list(r.indeterminate)])
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            "66958a222374cdd14fc99d82abdc86ef2577a9451831e78c717d2a3b55596971"
+
+
+def lbc_check_by_fractions(a: CoeffSeq, K: int) -> LbcReport:
+    """lbc_check as it ran on Fraction margins: the reference for it."""
+    if a.side != "P":
+        raise ValueError("lbc_check applies to P-side sequences")
+    best = inf
+    indeterminate = []
+    for k, s in enumerate(a.prefix(K)):
+        d = s.delta()
+        if isinstance(d, DeltaAtLeast):
+            indeterminate.append(k)
+            d = d.bound
+        if d == inf:
+            continue
+        margin = d - lbc_margin(k)
+        if margin < best:
+            best = margin
+    if best == inf:
+        best = Fraction(0)
+    return LbcReport(K, Fraction(best), tuple(indeterminate))
+
+
+def fk_degree_check_by_fractions(f: CoeffSeq, C, K: int) -> bool:
+    """fk_degree_check as it ran on Fraction bounds: the reference for it."""
+    for i in range(K + 1):
+        if f[i].delta_lb() < fk_degree_bound(i, C):
+            return False
+    return True
+
+
+@st.composite
+def rows_near_the_bounds(draw):
+    """Coefficients whose degrees sit within a few steps of -binom(k,2),
+    near both the LBC margin and the f-side bound, on the grids 1/1, 1/2
+    and 1/3: polynomials, truncated ones, truncated zeros and exact zeros."""
+    rows = []
+    for k in range(draw(st.integers(0, 10))):
+        scale = draw(st.sampled_from((1, 2, 3)))
+        d = Fraction(-k * (k - 1), 2) + Fraction(draw(st.integers(-8, 8)),
+                                                  scale)
+        kind = draw(st.sampled_from(("poly", "cut", "zero", "exact")))
+        if kind == "exact":
+            rows.append(QSeries.zero())
+        elif kind == "zero":
+            rows.append(QSeries.zero(d))
+        else:
+            s = QSeries.from_terms({d: draw(st.sampled_from((-2, 1))),
+                                    d + Fraction(1, scale): 3})
+            if kind == "cut":
+                s = s.truncate(d + Fraction(draw(st.integers(1, 3)), scale))
+            rows.append(s)
+    return rows
+
+
+class TestFractionRules:
+    """lbc_check and fk_degree_check against their Fraction references."""
+
+    @given(rows_near_the_bounds(),
+           st.one_of(st.integers(-6, 4),
+                     st.builds(Fraction, st.integers(-12, 8),
+                               st.sampled_from((2, 3)))))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_equal_reports_and_booleans(self, rows, C):
+        a = seq_from_list("P", rows)
+        for K in range(len(rows) + 1):
+            got, want = lbc_check(a, K), lbc_check_by_fractions(a, K)
+            assert repr(got) == repr(want), K
+        f = seq_from_list("F", rows)
+        # C given, and C read off an LbcReport of the same rows
+        for c in (C, want.constant):
+            for K in range(len(rows) + 1):
+                assert fk_degree_check(f, c, K) == \
+                    fk_degree_check_by_fractions(f, c, K), (c, K)
 
 
 class TestConcurrentAccess:
