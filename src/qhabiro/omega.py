@@ -15,12 +15,11 @@ E^{-1}(E(a) E(b)) through the transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import lcm
 from typing import Optional
 
-from .series import ExpLike, QSeries, series_dot
+from .series import ExpLike, QSeries, _as_ratio, series_dot
 from .qcomb import CACHE_SIZE, curly_poch, qbinom
 from .transform import (CoeffSeq, LbcError, LbcReport, a_from_f, f_from_a,
                         lbc_check)
@@ -126,12 +125,17 @@ def omega_mul(
             return s.offset * u, None if s.prec is None else s.prec * u
 
     ta, tb = ([units(s) for s in row] for row in rows)
+    # with no truncated coefficient no pair lowers P: the first hit settles
+    settled = all(t is None or t[1] is None for t in ta + tb)
 
     def cut(kk: int):
         """(P, p_k) for c_l, l = -kk-1; None if c_l is exact zero."""
         l = -kk - 1
         p_k = prec(kk) if callable(prec) else prec
-        P = cap = None if p_k is None else ceil(Fraction(p_k) * unit)
+        P = cap = None
+        if p_k is not None:
+            num, den = _as_ratio(p_k)
+            P = cap = -(-num * unit // den)
         hit = False
         # once m, n < 0 the valuation depends on s = m + n <= -2 only
         vs = [_gamma_valuation2(-1, s + 1, s - l) for s in range(l, -1)]
@@ -148,6 +152,8 @@ def omega_mul(
                 if cap is not None and v + am[0] + bn[0] >= cap:
                     continue
                 hit = True
+                if settled:
+                    return P, p_k
                 for p, d in ((am[1], bn[0]), (bn[1], am[0])):
                     if p is not None and (P is None or p + d + v < P):
                         P = p + d + v
@@ -157,7 +163,7 @@ def omega_mul(
         if ct is None:
             return QSeries.zero()
         P, p_k = ct
-        out = exact[kk] if P is None else exact[kk].truncate(Fraction(P, unit))
+        out = exact[kk] if P is None else exact[kk]._truncate(P, unit)
         return out if p_k is None else out.truncate(p_k)
 
     cuts = [cut(kk) for kk in range(L)]

@@ -275,7 +275,7 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     """
     C = _lbc_constant(C)
     target = Fraction(prec)
-    td = target.denominator
+    tn, td = target.numerator, target.denominator
     K_max = max(abs(j), int(math.ceil(target - C - 1)))
     fs = f.prefix(K_max)  # one batch before the degree check reads f
     if not fk_degree_check(f, C, min(K_max, 10**6)):
@@ -285,13 +285,15 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
         if fk.is_zero and fk.is_exact:
             continue
         b = k * (k + 1) // 2
-        base_delta = fk.delta_lb() + b
+        # delta(f_k) = low/g, a truncated zero's delta its precision
+        g, low = fk.scale, fk.offset if fk.coeffs else fk.prec
         sign = 1 if (k + j) % 2 == 0 else -1
         monos = {b: sign}
         n = 1
         while True:
             e = n * (n + 1) // 2 + n * k
-            if e - n * abs(j) + base_delta >= target and n > abs(j) - k:
+            if ((e - n * abs(j) + b) * g + low) * td >= tn * g \
+                    and n > abs(j) - k:
                 break
             s = -sign if n % 2 else sign
             for x in (b + e + n * j, b + e - n * j):
@@ -299,9 +301,13 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
             n += 1
         # nonzero: the top monomial of the last n (or q^b) is unique
         pairs.append((fk, sorted((x * td, c) for x, c in monos.items() if c)))
-    acc = _products(pairs, td, target.numerator)
-    inv3 = _inv_poch_product((INF, INF, INF), target)
-    return (-(QSeries.monomial(_binom2(j + 1)) * acc * inv3)).truncate(target)
+    acc = _products(pairs, td, tn)._shift(j * (j + 1) // 2, 1)
+    # acc is truncated; 1/(q)_inf^3 to n >= 1 terms and to prec - delta(acc)
+    # keeps the product known as far as acc is
+    low = acc.offset if acc.coeffs else acc.prec
+    n = max(-((low * td - tn * acc.scale) // (td * acc.scale)), 1)
+    inv3 = QSeries(_inv_poch_list((INF, INF, INF), n), 0, 1, n)
+    return (-(acc * inv3))._truncate(tn, td)
 
 
 def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:

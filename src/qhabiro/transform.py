@@ -22,11 +22,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from itertools import accumulate
+from math import lcm
 from typing import Callable, Optional
 
-from .series import (DeltaAtLeast, PrecisionError, QAlgebraError, QSeries,
-                     _pack, _repack, _unpack)
+from .series import (PrecisionError, QAlgebraError, QSeries, _pack, _repack,
+                     _unpack)
 
 
 class LbcError(QAlgebraError):
@@ -101,21 +102,22 @@ def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
     """Best lower-bound-condition constant over indices 0..K."""
     if a.side != "P":
         raise ValueError("lbc_check applies to P-side sequences")
-    best = inf
+    # delta - lbc_margin(k) is m/(2 s) for delta = d/s: the least margin
+    # is found by cross-multiplying, and made a Fraction once
+    best = None
     indeterminate = []
     for k, s in enumerate(a.prefix(K)):
-        d = s.delta()
-        if isinstance(d, DeltaAtLeast):
+        if not s.coeffs:
+            if s.prec is None:
+                continue
             indeterminate.append(k)
-            d = d.bound
-        if d == inf:
-            continue
-        margin = d - lbc_margin(k)
-        if margin < best:
-            best = margin
-    if best == inf:
-        best = Fraction(0)
-    return LbcReport(K, Fraction(best), tuple(indeterminate))
+        d = s.offset if s.coeffs else s.prec
+        m = 2 * d + (k + 1) * (k - 2) * s.scale
+        if best is None or m * best[1] < best[0] * s.scale:
+            best = m, s.scale, d, k
+    C = Fraction(0) if best is None else (Fraction(best[2], best[1])
+                                          - lbc_margin(best[3]))
+    return LbcReport(K, C, tuple(indeterminate))
 
 
 _HEADROOM = 32  # spare slot bits on a one-row call, as more rows follow
@@ -139,16 +141,24 @@ class _Cascade:
     reads input i only, so both stay lazy; each step is one shift and one
     add.
 
+    The filters lie flat: filter t = 0, 1, 2, ... carries c_t = 0, -1, +1,
+    -2, +2, ... (times the scale), so stage m is filters 2m-1 and 2m and
+    row i adds filters 2i-1 and 2i.  Their states are two lists, packed z
+    and base.  The two factors of a stage commute (both are filters along
+    x), so row i runs t = 2i down to 0 when dividing, 0 up to 2i when
+    multiplying.
+
     Laurent polynomials on the grid (1/scale)Z are packed as (z, base):
     z = sum c_i 2^(width*i), base the exponent of slot 0.  Multiplying by
     q^c moves base; adding aligns by one left shift.  z is exact whatever
     its slots hold, but reading slots back needs |c_i| < 2^(width-1).  A
     scalar shadow of the cascade on l1 norms (the same filters with every
-    sign +) bounds every state's l1 norm, hence every |c_i|.  A call
-    computes the rows up to k not yet computed as one batch: it reads
-    their inputs top index first (so a cascade feeding this one gets one
-    call too), and runs the shadow over them all before sizing the slots
-    to the largest bound and the grids' lcm, repacking at most once.
+    sign +, on the same layout) bounds every state's l1 norm, hence every
+    |c_i|.  A call computes the rows up to k not yet computed as one
+    batch: it reads their inputs top index first (so a cascade feeding
+    this one gets one call too), and runs the shadow over them all before
+    sizing the slots to the largest bound and the grids' lcm, repacking
+    at most once.
     Each input is packed once and each row read back once, by the
     byte-column codec of series.py: whole slot columns move in strided
     slices, and slots that fit int64 cross in one struct call.
@@ -159,8 +169,9 @@ class _Cascade:
         self._divide = divide
         self._scale = 1
         self._width = 8
-        self._state: list = []  # stage m -> packed filter states
-        self._shadow: list = []  # stage m -> l1 bounds of the same
+        self._z: list = []  # filter t -> packed state
+        self._base: list = []  # filter t -> exponent of its slot 0
+        self._shadow: list = []  # filter t -> l1 bound of its state
         self._precs: list = []  # what the prec rule reads, see _emit
         self._rows: list = []
         self._lock = threading.Lock()
@@ -176,84 +187,92 @@ class _Cascade:
                 self._rows.append(self._row(len(self._rows), x))
             return self._rows[k]
 
-    def _stages(self, i: int):
-        return range(i, -1, -1) if self._divide else range(i + 1)
-
     def _plan(self, xs: list, headroom: int) -> None:
         # a row's bound only grows along it, so its last one is its largest
         bound = 0
+        sh = self._shadow
         for x in xs:
-            i = len(self._shadow)
-            self._shadow.append([0] * (2 if i else 1))
+            sh += (0, 0) if sh else (0,)
             b = sum(map(abs, x.coeffs))
-            for m in self._stages(i):
-                sh = self._shadow[m]
-                for j, s in enumerate(sh):
-                    sh[j] = b + s if self._divide else b
-                    b += s
-            bound = max(bound, b)
+            if self._divide:  # t = 2i..0, each state the running sum
+                acc = list(accumulate(reversed(sh), initial=b))
+                sh[:] = acc[:0:-1]
+            else:  # t = 0..2i, each state its input
+                acc = list(accumulate(sh, initial=b))
+                sh[:] = acc[:-1]
+            bound = max(bound, acc[-1])
         scale = lcm(self._scale, *(x.scale for x in xs))
         width = self._width
         if bound.bit_length() >= width:
             width = 8 * -(-(bound.bit_length() + 1 + headroom) // 8)
         if scale != self._scale or width != self._width:
             stride = scale // self._scale
-            for st in self._state:
-                st[:] = [(_repack(z, self._width, width, stride), base * stride)
-                         for z, base in st]
+            self._z = [_repack(z, self._width, width, stride) for z in self._z]
+            self._base = [b * stride for b in self._base]
+            self._precs = [p if p is None else p * stride for p in self._precs]
             self._scale, self._width = scale, width
 
     def _row(self, i: int, x: QSeries) -> QSeries:
-        self._state.append([(0, 0)] * (2 if i else 1))
+        zs, bs = self._z, self._base
+        zs += (0, 0) if i else (0,)
+        bs += (0, 0) if i else (0,)
         scale, width = self._scale, self._width
-        t = scale // x.scale
+        f = scale // x.scale
         coeffs = list(x.coeffs)
-        if t > 1 and coeffs:
-            spread = [0] * ((len(coeffs) - 1) * t + 1)
-            spread[::t] = coeffs
+        if f > 1 and coeffs:
+            spread = [0] * ((len(coeffs) - 1) * f + 1)
+            spread[::f] = coeffs
             coeffs = spread
         # a single coefficient is its own packing (every built-in knot's
         # a-side); each factor is u +- q^c v, aligned by one left shift
         zu = coeffs[0] if len(coeffs) == 1 else _pack(coeffs, width)
-        bu = x.offset * t
-        divide = self._divide
-        for m in self._stages(i):
-            st = self._state[m]
-            for j, c in enumerate((-m * scale, m * scale) if m else (0,)):
-                u = zu, bu
-                zv, bv = st[j]
+        bu = x.offset * f
+        if self._divide:
+            for t in range(2 * i, -1, -1):
+                zv = zs[t]
                 if zv:
-                    bv += c
+                    bv = bs[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
                     if not zu:
-                        zu, bu = (zv if divide else -zv), bv
+                        zu, bu = zv, bv
+                    elif bu <= bv:
+                        zu += zv << (bv - bu) * width
                     else:
-                        if bu <= bv:
-                            zv <<= (bv - bu) * width
-                        else:
-                            zu <<= (bu - bv) * width
-                            bu = bv
-                        zu = zu + zv if divide else zu - zv
-                st[j] = (zu, bu) if divide else u
-        return self._emit(i, x, (zu, bu))
+                        zu = (zu << (bu - bv) * width) + zv
+                        bu = bv
+                zs[t], bs[t] = zu, bu
+        else:
+            for t in range(2 * i + 1):
+                zv, bv = zs[t], bs[t]
+                zs[t], bs[t] = zu, bu
+                if zv:
+                    bv += (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    if not zu:
+                        zu, bu = -zv, bv
+                    elif bu <= bv:
+                        zu -= zv << (bv - bu) * width
+                    else:
+                        zu = (zu << (bu - bv) * width) - zv
+                        bu = bv
+        return self._emit(i, x, zu, bu)
 
-    def _emit(self, i: int, x: QSeries, out: tuple) -> QSeries:
+    def _emit(self, i: int, x: QSeries, z: int, base: int) -> QSeries:
         # precision exactly as the sum over k of [k+i choose 2k] a_{-k-1}
         # (or its back-substitution) propagates it: a truncated term moves
         # its bound by delta([k+i choose 2k]) = -k(i-k).  The sum reads the
         # inputs' precs, the back-substitution the earlier outputs' and
-        # its own input's.
-        self._precs.append(x.prec_q)
-        prec = min((p - k * (i - k) for k, p in enumerate(self._precs)
+        # its own input's; all are integers on the cascade's grid.
+        scale = self._scale
+        self._precs.append(None if x.prec is None
+                           else x.prec * (scale // x.scale))
+        prec = min((p - k * (i - k) * scale for k, p in enumerate(self._precs)
                     if p is not None), default=None)
         if not self._divide:
             self._precs[i] = prec
-        z, base = out
         if not z:
-            return QSeries.zero(prec)
+            return QSeries((), 0, scale, prec)
         low = ((z & -z).bit_length() - 1) // self._width
-        z >>= low * self._width
-        return QSeries(_unpack(z, self._width), base + low, self._scale,
-                       None if prec is None else int(prec * self._scale))
+        return QSeries(_unpack(z >> low * self._width, self._width),
+                       base + low, scale, prec)
 
 
 def f_from_a(a: CoeffSeq) -> CoeffSeq:
@@ -297,7 +316,13 @@ def fk_degree_bound(i: int, C) -> Fraction:
 
 def fk_degree_check(f: CoeffSeq, C, K: int) -> bool:
     """True iff delta(f_i) >= -binom(i,2) + C + 1 for all i <= K."""
+    # the bound is n/d - i(i-1)/2, compared with delta(f_i) = x/s by
+    # cross-multiplying; an exact zero (x None) meets every bound
+    b = fk_degree_bound(0, C)
+    n, d = b.numerator, b.denominator
     for i in range(K + 1):
-        if f[i].delta_lb() < fk_degree_bound(i, C):
+        fi = f[i]
+        x = fi.offset if fi.coeffs else fi.prec
+        if x is not None and 2 * x * d < (2 * n - i * (i - 1) * d) * fi.scale:
             return False
     return True

@@ -14,17 +14,21 @@ from qhabiro import (
     OmegaElement,
     QSeries,
     curly_poch,
+    f_from_a,
     gamma,
     get_knot,
     lbc_check,
     omega_from_a,
     omega_mul,
     qbinom,
+    residue_family,
+    residues_from_f,
 )
 from qhabiro.omega import _gamma_valuation2
 from qhabiro.series import ExpLike
 
-from conftest import lbc_product_bound, sigma0_x_expansion, verify_sigma_product
+from conftest import (fresh_knot, lbc_product_bound, sigma0_x_expansion,
+                      verify_sigma_product)
 
 DEPTH = 8
 PREC = 30
@@ -273,6 +277,41 @@ class TestFrozenProducts:
                    for left, right in self.PAIRS]
         blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+class TestFractionCount:
+    def test_connected_sum_builds_few_fractions(self):
+        # The connected-sum path's bookkeeping is integer: one pass as the
+        # benchmark runs it (3_1l # 3_1r at depth 32 with its decaying
+        # profile, the product's residue family and the theta route for
+        # j = 0..2) on knots whose a-sides start uncomputed builds a
+        # Fraction only at the edges (each LBC constant, each precision
+        # the residue functions are given).  The Fraction bookkeeping built
+        # 1,800 on Python 3.11.7; newer Pythons build fewer Fractions
+        # inside fractions.py, so there the bound only loosens.
+        left, right = fresh_knot("3_1l"), fresh_knot("3_1r")
+        made = 0
+        saved = vars(Fraction)["__new__"]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return new(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            product = omega_mul(omega_from_a(left.a, 32),
+                                omega_from_a(right.a, 32), 32,
+                                prec=decaying(35))
+            C = product.lbc.constant
+            residue_family(product.a, 2, 30, product.lbc)
+            f = f_from_a(product.a)
+            for j in (0, 1, 2):
+                residues_from_f(f, j, 30 - C, C)
+        finally:
+            Fraction.__new__ = saved
+        assert 0 < made <= 300
 
 
 class TestStructureConstants:

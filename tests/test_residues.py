@@ -76,9 +76,11 @@ def theta_route_termwise(f, j, prec, C):
         sign = 1 if (k + j) % 2 == 0 else -1
         term = fk * QSeries.monomial(Fraction(k * (k + 1), 2), sign) * theta
         acc = (acc + term).truncate(target)
-    inv3 = _inv_poch_product((math.inf,) * 3, target)
-    return (-(QSeries.monomial(Fraction(j * (j + 1), 2)) * acc * inv3)
-            ).truncate(target)
+    # 1/(q)_inf^3 to prec - delta(q^binom(j+1,2) acc), and at least to its
+    # leading 1, so that the product is known as far as acc is
+    head = QSeries.monomial(Fraction(j * (j + 1), 2)) * acc
+    inv3 = _inv_poch_product((math.inf,) * 3, max(target - head.delta_lb(), 1))
+    return (-(head * inv3)).truncate(target)
 
 
 def inv_qpoch_inf(prec):
@@ -231,6 +233,18 @@ class TestRoundTrips:
                 got = residues_from_f(spec.f, j, prec, spec.lbc_constant)
                 want = theta_route_termwise(spec.f, j, prec, spec.lbc_constant)
                 assert got.to_json() == want.to_json(), (j, prec)
+
+    def test_theta_route_keeps_the_asked_precision(self):
+        # the theta route gives r_j to the precision residue_series gives,
+        # at negative, fractional and nonpositive precisions too
+        for name in ("unknot", "3_1l", "3_1r", "4_1"):
+            spec = get_knot(name)
+            for j in range(-4, 8):
+                for prec in (-6, -3, Fraction(-1, 2), 0, 1, 5, 12,
+                             Fraction(41, 2)):
+                    got = residues_from_f(spec.f, j, prec, spec.lbc_constant)
+                    want = residue_series(spec.a, j, prec, spec.lbc_constant)
+                    assert got.to_json() == want.to_json(), (name, j, prec)
 
     def test_theta_route_on_the_connected_sum(self):
         # the benchmark's product: depth 32, the decaying profile at 35;
