@@ -11,7 +11,7 @@ import importlib.util
 import os
 import sys
 
-from qhabiro import SurgeryParams, surgery
+from qhabiro import SurgeryParams, residues, surgery
 
 from conftest import fresh_knot
 
@@ -78,6 +78,21 @@ def test_tracer_counts_surgery_fallbacks():
         for method in ("fk", "residues", "ihcoef"):
             surgery.zhat(knot, SurgeryParams(-3, 0, 12, method=method))
         assert tracer.counts["surgery.fallbacks"] == 2
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+
+
+def test_tracer_sees_the_certified_sums():
+    # the tracer counts the terms of every certified sum through the name
+    # series_sum_bounded, which the closed-form branch residues call
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        residues.branch_residue_41("+1/2", 0, 8)
+        assert "series.sum_bounded" in {span[0] for span in tracer.spans}
+        assert tracer.counts["series.sum_bounded.terms"] > 0
     finally:
         tracer.uninstall()
     assert tracer.restored()

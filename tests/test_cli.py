@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, environment defaults."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,13 @@ class TestExitCodes:
         assert out == ""
 
 
+VERIFY_ALL_DIGESTS = {
+    6: "15318ff77be1109a776784bcf7e971b61b1f9d92e691e23ae34623969e9950f6",
+    12: "651698d327dd7c8a58060551f3be6bbf1ab3654eca6f2be796332b95e155039a",
+    20: "94a0c6e26f4deef651ef667c8609097bd82c3d1d6cbc3c5c062476e703401d07",
+}
+
+
 class TestVerify:
     def test_pentagonal(self, capsys):
         code, out, _ = run(capsys, "verify", "pentagonal", "--prec", "25")
@@ -151,6 +159,15 @@ class TestVerify:
         assert code == 0
         obj = json.loads(out)
         assert obj["fig8-sum"]["ok"] is True
+
+    @pytest.mark.parametrize("prec", sorted(VERIFY_ALL_DIGESTS))
+    def test_all_suites_frozen(self, capsys, prec):
+        # sha256 of `verify all --json` as the suites' sums computed it
+        code, out, _ = run(capsys, "verify", "all", "--prec", str(prec),
+                           "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            VERIFY_ALL_DIGESTS[prec]
 
     def test_bad_suite_name(self, capsys):
         code, _, _ = run(capsys, "verify", "fermat")

@@ -766,6 +766,10 @@ class TestShortListKnot:
         assert got == zhat_via_ih(knot, params) == zhat_via_residues(ref, params)
 
 
+PARK_RESIDUE_DIGEST = \
+    "331a0a5bf89bc26fbf1048d68293520204fdcbe833bfd16431d5b86b31e6d0b9"
+
+
 class TestParkPolynomials:
     def test_k0(self):
         # the explicit sum is empty at k=0; the residue form picks up the
@@ -790,6 +794,16 @@ class TestParkPolynomials:
             for a in range(p):
                 assert park_poly_explicit(p, a, 3).scale == 1
                 assert park_poly_residue(p, a, 3).scale == 1
+
+    def test_residue_form_frozen(self):
+        # sha256 of the canonical JSON of park_poly_residue(p, a, k).to_json()
+        # over 1 <= p <= 6, 0 <= a < p, 0 <= k <= 6, as the residue form
+        # computed it with its own stop loop
+        records = [park_poly_residue(p, a, k).to_json()
+                   for p in range(1, 7) for a in range(p) for k in range(7)]
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            PARK_RESIDUE_DIGEST
 
     def test_explicit_oracle_p1_k1(self):
         # p=1, a=0, k=1 reduces to the constant polynomial 1
