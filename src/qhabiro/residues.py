@@ -186,11 +186,11 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     e_k = binom(k+1,2) + binom(j+1,2), as one slice-add into the list, on
     the finest exponent grid of the a_{-k-1} summed.
 
-    The checks are those of series_sum_bounded: the sum stops at the first
-    k with bound(k) >= prec (the bound rises by one per term, so it is
-    monotone); DegreeBoundError when delta(a_{-k-1}) + e_k < bound(k); and
-    the result is known to the least precision of its terms, which falls
-    below prec only where some a_{-k-1} is truncated."""
+    The checks are those of series.sum_until's certified stop: the sum
+    stops at the first k with bound(k) >= prec (the bound rises by one per
+    term, so it is monotone); DegreeBoundError when delta(a_{-k-1}) + e_k
+    < bound(k); and the result is known to the least precision of its
+    terms, which falls below prec only where some a_{-k-1} is truncated."""
     C = _lbc_constant(C)
     tn, td = _as_ratio(prec)
     ej = j * (j + 1) // 2
@@ -278,7 +278,7 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     tn, td = target.numerator, target.denominator
     K_max = max(abs(j), int(math.ceil(target - C - 1)))
     fs = f.prefix(K_max)  # one batch before the degree check reads f
-    if not fk_degree_check(f, C, min(K_max, 10**6)):
+    if not fk_degree_check(f, C, K_max):
         raise LbcError("theta route requires LBC-grade input")
     pairs = []
     for k, fk in enumerate(fs):

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import count
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -49,6 +50,11 @@ class RemainderError(QAlgebraError):
     """Exact division left a nonzero remainder."""
 
 
+class ConvergenceError(QAlgebraError):
+    """A term-by-term sum diverged, or ran out of terms before its stop
+    rule decided."""
+
+
 class PrecisionError(QAlgebraError):
     """Requested precision cannot be certified.
 
@@ -71,9 +77,9 @@ class PrecisionError(QAlgebraError):
 # route); series_dot adds exact _polymul products into one list.
 # Series add through one list adder, _sum_lists: QSeries.__add__ is its
 # two-term case, series_dot's products go through it, and series_sum is
-# every running sum in the package (surgery's stop rule, the certified
-# series_sum_bounded, the residue-theorem defect, the theta and Park
-# sums, composite knots), each added once.
+# every running sum in the package (sum_until, the one engine that stops
+# a term-by-term sum, the residue-theorem defect, the theta sums, the
+# explicit Park polynomial, composite knots), each added once.
 # Large products are folded into one big-integer multiplication (Kronecker
 # substitution on _pack/_unpack); with gmpy2 that one multiplication runs
 # on GMP's mpz.  Swap `_polymul` to change the kernel.
@@ -701,30 +707,62 @@ def exact_div(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(quo, ao - bo, s)
 
 
-def series_sum_bounded(
-    terms: Callable[[int], QSeries], bound: Callable[[int], ExpLike],
-    prec: ExpLike
-) -> QSeries:
-    """Sum terms(0) + terms(1) + ... truncated at O(q^prec).
+RUN_LENGTH = 3
+DIV_RUN_LENGTH = 5
 
-    bound is a callable k -> lower bound on delta(terms(k)), nondecreasing
-    in k (checked as the sum goes).  The sum stops at the first k with
-    bound(k) >= prec; each included term must satisfy delta(term) >=
-    bound(k).  The terms are collected and added once (series_sum)."""
-    target = Fraction(prec)
+
+def sum_until(term: Callable[[int], QSeries], ks, prec: ExpLike,
+              bound: Optional[Callable[[int], ExpLike]] = None) -> tuple:
+    """(the sum of term(k) over k in ks to O(q^prec), the last k read).
+
+    With bound, a callable k -> lower bound on delta(term(k)) that does
+    not decrease, the stop is certified: the sum stops at the first k with
+    bound(k) >= prec, before reading term(k), and raises DegreeBoundError
+    when bound falls or term(k) lies below bound(k).  Without it the stop
+    is the degree trend: the sum is returned once RUN_LENGTH consecutive
+    terms have degree at or above prec without falling, None in its place
+    once DIV_RUN_LENGTH consecutive degrees fall below zero.  ks running
+    out raises ConvergenceError.  The terms read are added once.
+
+    Degrees x/s are compared as integers by cross-multiplication; the
+    exact zero's +inf is (1, 0), above every x/s with s >= 1."""
+    pn, pd = _as_ratio(prec)
     kept = []
-    k = 0
-    prev = None
-    while True:
-        bk = Fraction(bound(k))
-        if prev is not None and bk < prev:
-            raise DegreeBoundError(f"declared bound is not monotone at k={k}")
-        prev = bk
-        if bk >= target:
-            break
-        t = terms(k)
-        if t.delta_lb() < bk:
-            raise DegreeBoundError(f"degree bound violated at k={k}")
+    last = None
+    run = div = 0
+    x0 = s0 = None  # the last bound read, or without bound the last degree
+    for k in ks:
+        if bound is not None:
+            bn, bd = _as_ratio(bound(k))
+            if x0 is not None and bn * s0 < x0 * bd:
+                raise DegreeBoundError(f"declared bound is not monotone at k={k}")
+            x0, s0 = bn, bd
+            if bn * pd >= pn * bd:
+                break
+        t = term(k)
+        last = k
         kept.append(t)
-        k += 1
-    return series_sum(kept).truncate(target)
+        x, s = ((t.offset if t.coeffs else t.prec, t.scale)
+                if t.coeffs or t.prec is not None else (1, 0))
+        if bound is not None:
+            if x * bd < bn * s:
+                raise DegreeBoundError(f"degree bound violated at k={k}")
+            continue
+        up = x0 is None or x * s0 >= x0 * s
+        run = run + 1 if x * pd >= pn * s and up else 0
+        div = div + 1 if not up and x < 0 else 0
+        x0, s0 = x, s
+        if run >= RUN_LENGTH:
+            break
+        if div >= DIV_RUN_LENGTH:
+            return None, last
+    else:
+        raise ConvergenceError("divergent or undecidable for these parameters")
+    return series_sum(kept)._truncate(pn, pd), last
+
+
+def series_sum_bounded(terms: Callable[[int], QSeries],
+                       bound: Callable[[int], ExpLike], prec: ExpLike) -> QSeries:
+    """sum_until(terms, count(), prec, bound)'s sum: terms(0) + terms(1)
+    + ... to O(q^prec), stopped at the first k with bound(k) >= prec."""
+    return sum_until(terms, count(), prec, bound)[0]

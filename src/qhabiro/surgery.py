@@ -3,14 +3,14 @@ surgered-manifold series (GM coefficient route, residue route,
 inverted-coefficient route), empirical convergence detection, and the
 surgery polynomials in two definitions.
 
-Every route is one sum stopped by one rule: a route hands its terms,
-capped by _k_cap, to _trend_sum, which returns the sum once the degree
-trend certifies the tail, None once it diverges, and raises
-ConvergenceError when the terms run out.  The GM k-sum is _fk_sum, which
-returns the sum and the last k it read, and raises on divergence; the
-residue and inverted-coefficient routes map a term(j) or term(k) closure
-over the cap and end in _finish, which adds the k=0 boundary term or, on
-divergence, evaluates the GM k-sum instead.
+Every route is one sum stopped by one rule: a route hands its term(k)
+and indices, capped by _k_cap, to series.sum_until with no degree bound,
+whose degree trend returns the sum once it settles the tail, None once
+it diverges, and raises ConvergenceError when the indices run out.  The
+GM k-sum is _fk_sum, which returns the sum and the last k it read, and
+raises on divergence; the residue and inverted-coefficient routes end in
+_finish, which adds the k=0 boundary term or, on divergence, evaluates
+the GM k-sum instead.  park_poly_residue declares its bound.
 
 The residue and inverted-coefficient routes run on plain integer lists:
 each weight polynomial comes from its integer exponents, turns into the
@@ -50,22 +50,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm
-from typing import Optional
 
-from .series import (QAlgebraError, QSeries, _add_scaled, _products, exact_div,
-                     series_sum)
+from .series import (ConvergenceError, QAlgebraError, QSeries, _add_scaled,
+                     _products, exact_div, series_sum, sum_until)
 from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
 from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
 from .knots import KnotSpec, get_knot
-
-RUN_LENGTH = 3
-DIV_RUN_LENGTH = 5
-
-
-class ConvergenceError(QAlgebraError):
-    pass
-
 
 class FractionalExponentError(QAlgebraError):
     pass
@@ -134,39 +125,9 @@ def _k_cap(prec: Fraction, p: int) -> int:
     return max(64, 8 * (math.isqrt(max(n, 0)) + 2))
 
 
-def _trend_sum(terms, prec: Fraction) -> Optional[QSeries]:
-    """The sum of the terms to O(q^prec), stopped by their degree trend.
-
-    The sum is returned once RUN_LENGTH consecutive terms have degree
-    bounds at or above prec without decreasing; None (divergence) once
-    DIV_RUN_LENGTH consecutive bounds strictly decrease below zero.  The
-    caller caps the terms with _k_cap; running out of them raises
-    ConvergenceError.  The terms read are added once (series_sum).
-
-    Degree bounds x/s are compared as integers by cross-multiplication; the
-    exact zero's +inf is (1, 0), above every x/s with s >= 1."""
-    pn, pd = prec.numerator, prec.denominator
-    kept = []
-    run = div = 0
-    x0 = s0 = None
-    for term in terms:
-        x, s = ((term.offset if term.coeffs else term.prec, term.scale)
-                if term.coeffs or term.prec is not None else (1, 0))
-        kept.append(term)
-        up = x0 is None or x * s0 >= x0 * s
-        run = run + 1 if x * pd >= pn * s and up else 0
-        div = div + 1 if not up and x < 0 else 0
-        x0, s0 = x, s
-        if run >= RUN_LENGTH:
-            return series_sum(kept).truncate(prec)
-        if div >= DIV_RUN_LENGTH:
-            return None
-    raise ConvergenceError("divergent or undecidable for these parameters")
-
-
 def _fk_sum(diff, p: int, a: int, prec: Fraction):
     """The GM k-sum sum_k q^{-k^2/p} diff(k) over the in-class
-    k == +-a mod p with 0 <= k <= _k_cap, stopped by _trend_sum, as
+    k == +-a mod p with 0 <= k <= _k_cap, stopped by its degree trend, as
     (sum, K) with K the last k it read; ConvergenceError when it diverges.
 
     diff(k) is the difference f_{k-1} - f_k (f_{-1} = 0) to at least
@@ -175,15 +136,11 @@ def _fk_sum(diff, p: int, a: int, prec: Fraction):
     over the difference, not f_k, because the residue route gets it for
     less than f_{k-1} and f_k apart: r_0 cancels, and each r_j is needed
     once, at one precision."""
-    K = None
-
     def term(k: int) -> QSeries:
-        nonlocal K
-        K = k
         return diff(k)._shift(k * k if p < 0 else -k * k, abs(p))
 
     ks = (k for k in range(_k_cap(prec, p) + 1) if _in_class(k, p, a))
-    acc = _trend_sum(map(term, ks), prec)
+    acc, K = sum_until(term, ks, prec)
     if acc is None:
         raise ConvergenceError("divergent or undecidable for these parameters")
     return acc, K
@@ -324,7 +281,7 @@ def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
         rj = _residue(knot, j, pn * g - min(0, w[0][0]) * pd, pd * g)
         return _products([(rj, w)], g)
 
-    acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
+    acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
     return _finish(acc, knot, params,
                    lambda: _residue_diffs(knot, params),
                    "; termwise j-sum diverges, evaluated as the iterated "
@@ -444,7 +401,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
             inner = QSeries(coeffs, lo, g)._truncate(tn, td)
         return ak * inner
 
-    acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
+    acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
     return _finish(acc, knot, params, lambda: _f_diffs(f_from_a(knot.a)),
                    "; termwise k-sum diverges, evaluated as the iterated "
                    "k-sum over transformed coefficients")
@@ -514,19 +471,21 @@ def park_poly_residue(p: int, a: int, k: int) -> QSeries:
     pref_exp = -k * k + Fraction(a * (p - a), p)
     pref = poch(k + 1, k)
     # residue sum pairs x^{k+j} (from the inverse product) with x^{-(k+j)-1}
-    terms = []
-    target = prec - pref_exp - pref.delta()
-    for j in count():
-        m = k + j
-        theta_exp = Fraction(m * m, p)
-        # c_j degrees are >= -jk; stop once the exponent sum clears target
-        # (past the vertex of the quadratic, so later terms clear it too)
-        if theta_exp - j * k >= target and j > k * p:
-            break
-        if (m - a) % p == 0:
-            cj = qbinom(2 * k + j, j) - (qbinom(2 * k + j - 1, j - 1) if j else QSeries.zero())
-            terms.append(QSeries.monomial(theta_exp) * cj)
-    out = (QSeries.monomial(pref_exp) * pref * series_sum(terms)).truncate(prec)
+    # over the in-class j, k + j == a mod p
+
+    def term(j: int) -> QSeries:
+        cj = qbinom(2 * k + j, j) - (qbinom(2 * k + j - 1, j - 1) if j else QSeries.zero())
+        return cj._shift((k + j) ** 2, p)
+
+    # delta(c_j) >= -jk, so delta(term j) >= (k+j)^2/p - jk: a parabola in
+    # j with its vertex k^2(4-p)/4 at j = kp/2 - k, rising from j = kp on
+    def bound(j: int) -> Fraction:
+        return (Fraction((k + j) ** 2 - j * k * p, p) if j >= k * p
+                else Fraction(k * k * (4 - p), 4))
+
+    ks = (j for j in count() if (k + j - a) % p == 0)
+    acc, _ = sum_until(term, ks, prec - pref_exp - pref.delta(), bound)
+    out = (QSeries.monomial(pref_exp) * pref * acc).truncate(prec)
     if out.scale != 1:
         raise FractionalExponentError("fractional exponent did not cancel")
     return out

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +335,58 @@ class TestInversion:
             exact_div(mk({0: 1, 2: 1}), mk({0: 1, 1: -1}))
 
 
+def sum_bounded_by_fractions(terms, bound, prec):
+    """series_sum_bounded on Fraction bounds and delta_lb(), as it ran
+    before it became a name for series.sum_until's certified stop: the
+    reference for that stop."""
+    target = Fraction(prec)
+    kept = []
+    k = 0
+    prev = None
+    while True:
+        bk = Fraction(bound(k))
+        if prev is not None and bk < prev:
+            raise DegreeBoundError(f"declared bound is not monotone at k={k}")
+        prev = bk
+        if bk >= target:
+            break
+        t = terms(k)
+        if t.delta_lb() < bk:
+            raise DegreeBoundError(f"degree bound violated at k={k}")
+        kept.append(t)
+        k += 1
+    return series.series_sum(kept).truncate(target)
+
+
+@st.composite
+def bounded_sums(draw):
+    """(terms, bounds, prec): declared bounds that mostly rise, sometimes
+    fall, in steps on the grids 1/1, 1/2 and 1/3, each an int or a
+    Fraction; and per bound a term at, above or just below it: monomials,
+    truncated monomials, truncated zeros (degree bound: their precision)
+    and exact zeros (degree bound: +inf)."""
+    prec = Fraction(draw(st.integers(-6, 24)), draw(st.sampled_from((1, 2, 3))))
+    if prec.denominator == 1 and draw(st.booleans()):
+        prec = int(prec)
+    b = Fraction(math.floor(prec) - draw(st.integers(-2, 12)))
+    bounds, terms = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        scale = draw(st.sampled_from((1, 2, 3)))
+        b += Fraction(draw(st.sampled_from((-1,) + (0, 1, 2, 3) * 2)), scale)
+        bounds.append(int(b) if b.denominator == 1 and draw(st.booleans())
+                      else b)
+        d = b + Fraction(draw(st.sampled_from((-1,) + (0, 1, 2) * 3)), scale)
+        kind = draw(st.sampled_from(("monomial", "cut", "zero", "exact")))
+        if kind == "monomial":
+            terms.append(QSeries.monomial(d, draw(st.sampled_from((-2, 1)))))
+        elif kind == "cut":  # a cut at d itself leaves a truncated zero
+            cut = d + Fraction(draw(st.integers(0, 4)), scale)
+            terms.append(QSeries.monomial(d).truncate(cut))
+        else:
+            terms.append(QSeries.zero(d if kind == "zero" else None))
+    return terms, bounds, prec
+
+
 class TestBoundedSum:
     def test_geometric_tail(self):
         # term_k = q^k, degree bound k: sum to prec 10 is 1/(1-q)
@@ -342,13 +395,54 @@ class TestBoundedSum:
         )
         assert out == mk({i: 1 for i in range(10)}, prec=10)
 
+    def test_last_index_read(self):
+        # the stop reads bound(10) but not term 10
+        out, last = series.sum_until(QSeries.monomial, count(), 10, lambda k: k)
+        assert (out, last) == (mk({i: 1 for i in range(10)}, prec=10), 9)
+        assert series.sum_until(QSeries.monomial, count(), 0,
+                                lambda k: k) == (QSeries.zero(0), None)
+
     def test_bound_violation_detected(self):
-        with pytest.raises(DegreeBoundError):
+        with pytest.raises(DegreeBoundError, match="violated at k=1"):
             series_sum_bounded(
                 lambda k: QSeries.monomial(-k),
                 lambda k: Fraction(k),
                 5,
             )
+
+    def test_falling_bound_detected(self):
+        with pytest.raises(DegreeBoundError, match="not monotone at k=2"):
+            series_sum_bounded(lambda k: QSeries.zero(), (0, 2, 1).__getitem__,
+                               5)
+
+    def test_exhausted_indices_raise(self):
+        with pytest.raises(series.ConvergenceError):
+            series.sum_until(QSeries.monomial, range(5), 10, lambda k: k)
+
+    @given(bounded_sums())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_against_the_fraction_rule(self, case):
+        # the same sum or DegreeBoundError message after asking for the
+        # same terms
+        terms, bounds, prec = case
+        tail = max(bounds + [prec])  # stops the sum past the drawn bounds
+
+        def run(rule):
+            asked = []
+
+            def term(k):
+                asked.append(k)
+                return terms[k]
+
+            try:
+                out = rule(term, lambda k: bounds[k] if k < len(bounds)
+                           else tail, prec).to_json()
+            except DegreeBoundError as exc:
+                out = str(exc)
+            return out, asked
+
+        assert run(lambda t, b, p: series.sum_until(t, count(), p, b)[0]) \
+            == run(sum_bounded_by_fractions)
 
 
 def grid_series(rng, scale, prec=None, n=6):

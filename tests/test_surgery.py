@@ -29,16 +29,13 @@ from qhabiro import (
 )
 from qhabiro import surgery
 from qhabiro.residues import _j_window
-from qhabiro.series import series_sum
+from qhabiro.series import DIV_RUN_LENGTH, RUN_LENGTH, series_sum, sum_until
 from qhabiro.surgery import (
-    DIV_RUN_LENGTH,
-    RUN_LENGTH,
     _f_diffs,
     _finish,
     _fk_sum,
     _in_class,
     _k_cap,
-    _trend_sum,
     _weight_label,
 )
 
@@ -155,7 +152,7 @@ class TestRouteAgreement:
 
     @pytest.mark.xfail(strict=True, raises=ConvergenceError,
                        reason="the GM k-sum's term degrees converge but "
-                              "alternate, so _trend_sum's run of "
+                              "alternate, so sum_until's run of "
                               "non-decreasing bounds keeps resetting; "
                               "ROADMAP Direction 3 (a certified stop)")
     @pytest.mark.parametrize("a", [2, 3])
@@ -223,15 +220,16 @@ def zhat_via_ih_by_atoms(knot, params):
                 inner = inner.truncate(target)
         return ak * inner
 
-    acc = _trend_sum(map(term, range(1, _k_cap(prec, p) + 1)), prec)
+    acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
     return _finish(acc, knot, params, lambda: _f_diffs(f_from_a(knot.a)),
                    "; termwise k-sum diverges, evaluated as the iterated "
                    "k-sum over transformed coefficients")
 
 
 def trend_sum_by_fractions(terms, prec):
-    """The stop rule on delta_lb() Fractions, as _trend_sum ran before it
-    compared its degree bounds as integers: the reference for it."""
+    """The trend stop on delta_lb() Fractions, as the surgery sums ran it
+    before they compared degree bounds as integers: the reference for
+    sum_until without a bound."""
     kept = []
     run = div = 0
     prev = None
@@ -271,14 +269,15 @@ def walking_terms(draw):
 
 
 class TestTrendSum:
-    """The stopping rule of every surgery sum, on terms with set degrees."""
+    """The stopping rule of every surgery sum, sum_until without a bound,
+    on terms with set degrees."""
 
     PREC = Fraction(10)
 
     def run(self, degrees):
-        """_trend_sum over monomials q^d; (its result, terms it took)."""
+        """sum_until over monomials q^d; (its sum, terms it took)."""
         terms = iter([QSeries.monomial(d) for d in degrees])
-        out = _trend_sum(terms, self.PREC)
+        out, _ = sum_until(lambda t: t, terms, self.PREC)
         return out, len(degrees) - len(list(terms))
 
     def test_converges_after_run_length_terms_at_prec(self):
@@ -332,7 +331,8 @@ class TestTrendSum:
                 out = out.to_json()
             return out, len(list(it))
 
-        assert run(_trend_sum) == run(trend_sum_by_fractions)
+        assert run(lambda it, prec: sum_until(lambda t: t, it, prec)[0]) \
+            == run(trend_sum_by_fractions)
 
 
 SURGERY_CASES = [(name, p, a) for name in ("3_1l", "3_1r", "4_1")
