@@ -64,7 +64,6 @@ from .knots import (
 from .residues import (
     ResidueAtom,
     ResidueFamily,
-    branch_coeffs_41,
     branch_residue_41,
     descendant,
     residue_family,

@@ -220,7 +220,7 @@ def _cmd_verify(args) -> int:
 def _cmd_surgery(args) -> int:
     spec = knots.get_knot(args.knot)
     params = _checked(surgery.SurgeryParams, p=args.p, a=args.a,
-                      prec=args.prec, method=args.method.upper())
+                      prec=args.prec, method=args.method)
     result = surgery.zhat(spec, params)
     extra = {"delta": str(result.delta), "note": result.sign_convention}
     return _emit(args, dict(extra, series=result.series.to_json()),

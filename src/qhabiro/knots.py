@@ -12,7 +12,6 @@ loads; it never replaces the transform.
 from __future__ import annotations
 
 import json
-import threading
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -65,12 +64,10 @@ class KnotSpec:
         a_gen: Optional[Callable[[int], QSeries]] = None,
         f_gen: Optional[Callable[[int], QSeries]] = None,
         max_index: Optional[int] = None,
-        meta: Optional[dict] = None,
     ):
         if a_gen is None and f_gen is None:
             raise ValueError("a knot needs a_gen or f_gen")
         self.name = name
-        self.meta = dict(meta or {})
         if a_gen is not None:
             self.a = CoeffSeq("P", a_gen, max_index)
         if f_gen is not None:
@@ -127,39 +124,31 @@ def _f_trefoil(sgn: int) -> Callable[[int], QSeries]:
 _HALF = Fraction(1, 2)
 
 _REGISTRY: dict = {}
-_REGISTRY_LOCK = threading.Lock()
 
 
 def _register(spec: KnotSpec):
-    with _REGISTRY_LOCK:
-        if spec.name in _REGISTRY:
-            raise KnotError("knot %r already registered" % spec.name)
-        _REGISTRY[spec.name] = spec
+    # one dict.setdefault: atomic under the GIL, so two threads that
+    # register one name cannot both succeed
+    if _REGISTRY.setdefault(spec.name, spec) is not spec:
+        raise KnotError("knot %r already registered" % spec.name)
 
 
 def _install_builtins():
     _register(KnotSpec(
         "unknot",
         f_gen=lambda i: QSeries.one() if i == 0 else QSeries.zero(),
-        meta={"crossings": 0},
     ))
     _register(KnotSpec(
         "3_1l",
         _monomial_gen(1, 1, _HALF, -_HALF, Fraction(-1)),
         _f_trefoil(-1),
-        meta={"crossings": 3, "chirality": "left"},
     ))
     _register(KnotSpec(
         "3_1r",
         _monomial_gen(1, 1, -_HALF, _HALF, Fraction(1)),
         _f_trefoil(1),
-        meta={"crossings": 3, "chirality": "right"},
     ))
-    _register(KnotSpec(
-        "4_1",
-        lambda k: QSeries.one(),
-        meta={"crossings": 4, "chirality": "amphichiral"},
-    ))
+    _register(KnotSpec("4_1", lambda k: QSeries.one()))
 
 
 _install_builtins()
@@ -189,8 +178,7 @@ def mirror(knot) -> KnotSpec:
             raise ExactnessError("mirror requires exact coefficients")
         return a.mirror()
 
-    return KnotSpec(knot.name + "!", gen, max_index=knot.a.max_index,
-                    meta=dict(knot.meta, mirror_of=knot.name))
+    return KnotSpec(knot.name + "!", gen, max_index=knot.a.max_index)
 
 
 def _parse_fraction(v) -> Fraction:
@@ -238,7 +226,13 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
         coeffs = gen_spec.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise KnotFileError("list generator needs a nonempty coeffs array")
-        data = [QSeries.from_json(c) for c in coeffs]
+        data = []
+        for i, c in enumerate(coeffs):
+            try:
+                data.append(QSeries.from_json(c))
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise KnotFileError("knot %r has a malformed coeffs[%d]: %s: %s"
+                                    % (name, i, type(e).__name__, e)) from e
         max_index = len(data) - 1
         gen = data.__getitem__
     elif kind == "composite":
@@ -259,8 +253,7 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
     if handle is not None and not (
             isinstance(handle, str) and handle.startswith("builtin:")):
         raise KnotFileError("f_closed_form must be a builtin: handle")
-    return KnotSpec(name, gen, max_index=max_index,
-                    meta=entry.get("metadata", {}))
+    return KnotSpec(name, gen, max_index=max_index)
 
 
 def _check_closed_form(spec: KnotSpec, handle: str):
@@ -276,29 +269,21 @@ def _check_closed_form(spec: KnotSpec, handle: str):
 
 
 def _check_acyclic(entries: list, local: dict):
-    graph = {}
-    for entry in entries:
-        gen_spec = entry["generator"]
-        if gen_spec.get("kind") == "composite":
-            graph[entry["name"]] = list(gen_spec["summands"])
+    # imported here: load_knots is the only reader, and the import would
+    # add to every `import qhabiro`
+    from graphlib import CycleError, TopologicalSorter
 
-    state: dict = {}
-
-    def visit(name: str):
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise CompositeCycleError("cyclic composite reference through %r" % name)
-        state[name] = 1
-        for dep in graph.get(name, ()):
-            if dep in local:
-                visit(dep)
-            elif dep not in _REGISTRY:
+    graph = {entry["name"]: entry["generator"]["summands"] for entry in entries
+             if entry["generator"].get("kind") == "composite"}
+    for deps in graph.values():
+        for dep in deps:
+            if dep not in local and dep not in _REGISTRY:
                 raise KnotFileError("composite references unknown knot %r" % dep)
-        state[name] = 2
-
-    for name in graph:
-        visit(name)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as e:
+        raise CompositeCycleError(
+            "cyclic composite reference through %r" % e.args[1][0]) from None
 
 
 def load_knots(path) -> list:

@@ -23,8 +23,6 @@ from typing import Optional, Union
 
 from .series import ExpLike, QAlgebraError, QSeries
 
-HALF = Fraction(1, 2)
-
 # Entries kept by each memoised function here and by omega.gamma.  Left
 # unbounded, the fullest cache held 3,828 entries (qbinom) after the whole
 # test suite and 1,378 after a benchmark workload.

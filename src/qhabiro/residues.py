@@ -34,6 +34,7 @@ from math import lcm
 from typing import Union
 
 from .series import (
+    INF,
     DegreeBoundError,
     ExpLike,
     QSeries,
@@ -46,8 +47,6 @@ from .series import (
 from .qcomb import _div_one_minus_qm
 from .transform import CoeffSeq, LbcError, LbcReport, fk_degree_check
 from .knots import get_knot
-
-INF = math.inf
 
 
 def _binom2(n: int) -> Fraction:
@@ -364,45 +363,10 @@ def descendant(a: CoeffSeq, m: int) -> CoeffSeq:
     return CoeffSeq("P", lambda k: a[k] * QSeries.monomial(k * m), a.max_index)
 
 
-def branch_coeffs_41(branch: str, prec: ExpLike) -> CoeffSeq:
-    """Inverted Habiro coefficients of the two nonabelian branches of 4_1:
-    q^{k^2}/(q)_k for +1/2 and (-1)^k q^{-binom(k,2)}/(q)_k for -1/2,
-    truncated at prec."""
+def branch_residue_41(branch: str, j: int, prec: ExpLike) -> QSeries:
+    """Residues of the nonabelian-branch series of 4_1 at x=q^j, by
+    their closed single sums."""
     target = Fraction(prec)
-    if branch == "+1/2":
-        def gen(k: int) -> QSeries:
-            return (QSeries.monomial(k * k)
-                    * _inv_poch_product((k,), target - k * k)).truncate(target)
-    elif branch == "-1/2":
-        def gen(k: int) -> QSeries:
-            sign = -1 if k % 2 else 1
-            e = -_binom2(k)
-            return (QSeries.monomial(e, sign)
-                    * _inv_poch_product((k,), target - e)).truncate(target)
-    else:
-        raise ValueError("branch must be '+1/2' or '-1/2'")
-    return CoeffSeq("P", gen)
-
-
-def branch_residue_41(
-    branch: str, j: int, prec: ExpLike, route: str = "closed"
-) -> QSeries:
-    """Residues of the nonabelian-branch series of 4_1 at x=q^j.
-
-    route 'closed' evaluates the stated single sums; route 'family' runs
-    the generic residue machinery on the branch coefficients and applies
-    the q^{-+j^2} evaluation of the branch prefactor.
-    """
-    target = Fraction(prec)
-    if route == "family":
-        C = Fraction(-1)
-        rj = residue_series(branch_coeffs_41(branch, target + j * j), j,
-                            target + (j * j if branch == "+1/2" else -j * j), C)
-        shift = -j * j if branch == "+1/2" else j * j
-        return rj.shift(shift).truncate(target)
-    if route != "closed":
-        raise ValueError("route must be 'closed' or 'family'")
-
     if branch == "+1/2":
         def term(k: int) -> QSeries:
             if k < abs(j):

@@ -71,7 +71,8 @@ class PrecisionError(QAlgebraError):
 # multiplication kernel
 #
 # Small products are one scaled slice-add per nonzero coefficient of the
-# shorter factor (_add_scaled, also the residue and surgery sums' kernel).
+# shorter factor (_add_scaled, also the residue and surgery sums' kernel,
+# exact_div's multiply-subtract and series_invert_unit's convolution).
 # _products adds r_i P_i, each P_i given by its monomials, into one list
 # by one _add_scaled per pair (surgery's residue route and the theta
 # route); series_dot adds exact _polymul products into one list.
@@ -253,9 +254,6 @@ class DeltaAtLeast:
 
     bound: Fraction
 
-    def __ge__(self, other):
-        return NotImplemented
-
 
 class QSeries:
     __slots__ = ("scale", "offset", "coeffs", "prec")
@@ -408,8 +406,7 @@ class QSeries:
         if f == 1:
             return self.offset, list(self.coeffs), self.prec
         coeffs = [0] * (len(self.coeffs) * f - (f - 1)) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * f] = c
+        coeffs[::f] = self.coeffs
         prec = None if self.prec is None else self.prec * f
         return self.offset * f, coeffs, prec
 
@@ -662,15 +659,12 @@ def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:
         m = min(m, ap - ao)
     if m <= 0:
         return QSeries.zero(Fraction(want, s) - 2 * Fraction(ao, s))
-    u = list(ac[:m]) + [0] * max(0, m - len(ac))
-    w = [0] * m
-    w[0] = lead  # 1/lead == lead for +-1
-    for i in range(1, m):
-        acc = 0
-        for j in range(1, min(i, len(u) - 1) + 1):
-            if u[j]:
-                acc += u[j] * w[i - j]
-        w[i] = -lead * acc
+    u = ac[1:m]
+    w = [0] * m  # w[i] gathers sum_{j>=1} u_j w_{i-j} until w_i is due
+    for i in range(m):
+        w[i] = lead if i == 0 else -lead * w[i]  # 1/lead == lead for +-1
+        if w[i]:  # w_i q^i u[1:] into the later sums
+            _add_scaled(w, 0, m, 1, [(i, w[i])], 1, u, len(u), 1)
     return QSeries(w, -ao, s, m - ao)
 
 
@@ -683,13 +677,12 @@ def exact_div(a: QSeries, b: QSeries) -> QSeries:
     if a.is_zero:
         return QSeries()
     s = lcm(a.scale, b.scale)
-    ao, ac, _ = a._rescaled(s)
+    ao, rem, _ = a._rescaled(s)  # a fresh list: the remainder in place
     bo, bc, _ = b._rescaled(s)
     lead = bc[0]
-    n = len(ac) - len(bc) + 1
+    n = len(rem) - len(bc) + 1
     if n < 1:
         raise RemainderError("division leaves a remainder")
-    rem = list(ac)
     quo = [0] * n
     for i in range(n):
         c = rem[i]
@@ -697,11 +690,8 @@ def exact_div(a: QSeries, b: QSeries) -> QSeries:
             continue
         if c % lead:
             raise RemainderError("division leaves a remainder")
-        f = c // lead
-        quo[i] = f
-        for j, bcj in enumerate(bc):
-            if bcj:
-                rem[i + j] -= f * bcj
+        quo[i] = c // lead
+        _add_scaled(rem, 0, len(rem), 1, [(i, quo[i])], 0, bc, len(bc), -1)
     if any(rem):
         raise RemainderError("division leaves a remainder")
     return QSeries(quo, ao - bo, s)

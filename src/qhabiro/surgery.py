@@ -88,9 +88,7 @@ class ZhatResult:
 
 
 def _divide_content(s: QSeries):
-    g = 0
-    for c in s.coeffs:
-        g = gcd(g, abs(c))
+    g = gcd(*s.coeffs)
     if g <= 1:
         return s, 1
     return QSeries([c // g for c in s.coeffs], s.offset, s.scale, s.prec), g

@@ -174,6 +174,9 @@ class _Cascade:
         self._shadow: list = []  # filter t -> l1 bound of its state
         self._precs: list = []  # what the prec rule reads, see _emit
         self._rows: list = []
+        # a batch updates _rows, _z, _base, _shadow and _precs over many
+        # bytecodes, which the GIL does not make atomic: threads that read
+        # one cascade take turns (TestConcurrentAccess)
         self._lock = threading.Lock()
 
     def __call__(self, k: int) -> QSeries:

@@ -1,12 +1,16 @@
 """Knot registry, mirrors, and JSON-defined knots."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
 from qhabiro import (
     CompositeCycleError,
     ExponentIntegralityError,
+    KnotError,
     KnotFileError,
     KnotSpec,
     PrecisionError,
@@ -18,6 +22,7 @@ from qhabiro import (
     mirror,
 )
 
+from qhabiro import knots
 from conftest import a_unknot_closed, f_41_closed
 
 
@@ -52,6 +57,43 @@ class TestRegistry:
         one = lambda k: QSeries.one()
         spec = KnotSpec("test_both_sides", one, one)
         assert spec.a[5] == spec.f[5] == QSeries.one()
+
+    def test_racing_registrations_of_one_name(self):
+        class YieldingName(str):
+            # hashing lets the other threads run, so a registry that looked
+            # the name up and then inserted it would let two of them in
+            def __hash__(self):
+                time.sleep(0.001)
+                return str.__hash__(self)
+
+        name = YieldingName("test_registry_race")
+        specs = [KnotSpec(name, lambda k: QSeries.one()) for _ in range(8)]
+        won, lost = [], []
+        start = threading.Barrier(len(specs), timeout=60)
+
+        def work(spec):
+            start.wait()
+            try:
+                knots._register(spec)
+            except KnotError:
+                lost.append(spec)
+            else:
+                won.append(spec)
+
+        threads = [threading.Thread(target=work, args=(spec,)) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(won) == 1 and len(lost) == len(specs) - 1
+            assert knots._REGISTRY[name] is won[0]
+        finally:
+            sys.setswitchinterval(interval)
+            knots._REGISTRY.pop(name, None)
 
 
 class TestMirror:
@@ -162,9 +204,45 @@ class TestLoadKnots:
              "generator": {"kind": "composite", "summands": ["test_cyc_b"]}},
             {"name": "test_cyc_b",
              "generator": {"kind": "composite", "summands": ["test_cyc_a"]}},
+            {"name": "test_cyc_c",
+             "generator": {"kind": "composite", "summands": ["test_cyc_a",
+                                                             "4_1"]}},
         ]
-        with pytest.raises(CompositeCycleError):
+        with pytest.raises(CompositeCycleError,
+                           match="through 'test_cyc_[ab]'"):
             load_knots(write_doc(tmp_path, doc))
+        assert "test_cyc_c" not in knot_names()
+
+    def test_composite_unknown_reference_rejected(self, tmp_path):
+        doc = [
+            {"name": "test_ref_a",
+             "generator": {"kind": "composite", "summands": ["test_ref_b"]}},
+            {"name": "test_ref_b",
+             "generator": {"kind": "composite",
+                           "summands": ["test_ref_a", "test_ref_missing"]}},
+        ]
+        with pytest.raises(KnotFileError, match="unknown knot 'test_ref_missing'"):
+            load_knots(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", [
+        {"scale": 1},
+        5,
+        {"coeffs": ["x"], "offset": 0, "scale": 1},
+        {"coeffs": ["1"], "offset": 0, "scale": 0},
+        {"coeffs": ["1"], "offset": 0, "scale": 1, "prec": "abc"},
+        "{bad",
+    ], ids=["no-coeffs", "number", "bad-coeff", "zero-scale", "bad-prec",
+            "bad-json"])
+    def test_malformed_list_coefficient_rejected(self, tmp_path, bad):
+        doc = [{
+            "name": "test_bad_coefficient",
+            "generator": {"kind": "list",
+                          "coeffs": [QSeries.one().to_json(), bad]},
+        }]
+        with pytest.raises(KnotFileError,
+                           match=r"'test_bad_coefficient' .*coeffs\[1\]"):
+            load_knots(write_doc(tmp_path, doc))
+        assert "test_bad_coefficient" not in knot_names()
 
     def test_duplicate_name_rejected(self, tmp_path):
         doc = [{

@@ -31,7 +31,8 @@ from qhabiro import (
     trefoil_recurrence_check,
 )
 
-from qhabiro.residues import ResidueFamily, _inv_poch_product, _j_window
+from qhabiro.residues import (ResidueFamily, _binom2, _inv_poch_product,
+                              _j_window)
 from qhabiro.series import ExpLike, PrecisionError
 
 from conftest import seq_from_list
@@ -81,6 +82,35 @@ def theta_route_termwise(f, j, prec, C):
     head = QSeries.monomial(Fraction(j * (j + 1), 2)) * acc
     inv3 = _inv_poch_product((math.inf,) * 3, max(target - head.delta_lb(), 1))
     return (-(head * inv3)).truncate(target)
+
+
+def branch_coeffs_41(branch: str, prec: ExpLike) -> CoeffSeq:
+    """Inverted Habiro coefficients of the two nonabelian branches of 4_1:
+    q^{k^2}/(q)_k for +1/2 and (-1)^k q^{-binom(k,2)}/(q)_k for -1/2,
+    truncated at prec."""
+    target = Fraction(prec)
+    if branch == "+1/2":
+        def gen(k: int) -> QSeries:
+            return (QSeries.monomial(k * k)
+                    * _inv_poch_product((k,), target - k * k)).truncate(target)
+    else:
+        def gen(k: int) -> QSeries:
+            sign = -1 if k % 2 else 1
+            e = -_binom2(k)
+            return (QSeries.monomial(e, sign)
+                    * _inv_poch_product((k,), target - e)).truncate(target)
+    return CoeffSeq("P", gen)
+
+
+def branch_residue_by_family(branch: str, j: int, prec: ExpLike) -> QSeries:
+    """branch_residue_41's reference: residue_series on the branch
+    coefficients (LBC constant -1), times the q^{-+j^2} evaluation of the
+    branch prefactor."""
+    target = Fraction(prec)
+    shift = -j * j if branch == "+1/2" else j * j
+    rj = residue_series(branch_coeffs_41(branch, target + j * j), j,
+                        target - shift, Fraction(-1))
+    return rj.shift(shift).truncate(target)
 
 
 def inv_qpoch_inf(prec):
@@ -315,8 +345,8 @@ class TestBranches:
         for branch in ("+1/2", "-1/2"):
             for j in range(-5, 6):
                 for prec in (-2, 0, 1, Fraction(7, 2), 12, 25):
-                    closed = branch_residue_41(branch, j, prec, route="closed")
-                    family = branch_residue_41(branch, j, prec, route="family")
+                    closed = branch_residue_41(branch, j, prec)
+                    family = branch_residue_by_family(branch, j, prec)
                     assert closed == family, (branch, j, prec)
 
     def test_plus_branch_matches_knot_residues(self):
