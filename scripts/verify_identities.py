@@ -1,41 +1,21 @@
 #!/usr/bin/env python3
-"""Run every built-in identity suite (residue theorem instances, theta-route
-equivalence, trefoil recurrences, tail targets, ...) and exit nonzero on the
-first failure.
+"""Run the built-in identity suites (residue theorem instances, theta-route
+equivalence, trefoil recurrences, tail targets, ...) through
+``qhabiro verify``; the exit code is nonzero if any suite fails.
 
 Usage:
     python scripts/verify_identities.py [--prec N] [--json] [suite ...]
 
-With no positional arguments all suites run.  Suite names are the ones
-accepted by ``qhabiro verify``.
+With no suite named all suites run.  Suite names are the ones accepted by
+``qhabiro verify``, and the arguments pass through to it unchanged.
 """
 
-import argparse
 import sys
 
-from qhabiro.cli import VERIFY_SUITES, main as cli_main
-
-
-def run() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("suites", nargs="*", choices=[[]] + list(VERIFY_SUITES),
-                    help="suites to run (default: all)")
-    ap.add_argument("--prec", type=int, default=None,
-                    help="truncation order O(q^prec) for the checks")
-    ap.add_argument("--json", action="store_true", help="machine output")
-    args = ap.parse_args()
-
-    suites = args.suites or ["all"]
-    worst = 0
-    for suite in suites:
-        argv = ["verify", suite]
-        if args.prec is not None:
-            argv += ["--prec", str(args.prec)]
-        if args.json:
-            argv.append("--json")
-        worst = max(worst, cli_main(argv))
-    return worst
-
+from qhabiro.cli import VERIFY_SUITES, main
 
 if __name__ == "__main__":
-    sys.exit(run())
+    argv = sys.argv[1:]
+    if not {"all", *VERIFY_SUITES} & set(argv):
+        argv.insert(0, "all")
+    sys.exit(main(["verify", *argv]))

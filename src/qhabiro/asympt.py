@@ -116,17 +116,14 @@ class _RootData:
             self.prefix = prefix
 
     def gauss_binom(self, a: int, b: int):
-        """Unbalanced Gaussian binomial C[a, b] at zeta_N via q-Lucas."""
-        if b < 0 or b > a:
-            return mp.mpc(0)
+        """Unbalanced Gaussian binomial C[a, b] at zeta_N via q-Lucas, for
+        0 <= b <= a (so the binomial of a // N over b // N is nonzero)."""
         N = self.N
-        hi = math.comb(a // N, b // N)
-        if hi == 0:
-            return mp.mpc(0)
         r, s = a % N, b % N
         if s > r:
             return mp.mpc(0)
-        return hi * self.prefix[r] / (self.prefix[s] * self.prefix[r - s])
+        return (math.comb(a // N, b // N) * self.prefix[r]
+                / (self.prefix[s] * self.prefix[r - s]))
 
 
 def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS) -> "mp.mpc":
@@ -138,6 +135,8 @@ def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS) -> "mp.mpc":
     64 + log2(N * sum_i |term_i| / |f_n(zeta_N)|): the bits that
     cancellation in the sum costs, with a 64-bit guard.
     """
+    if n < 0 or N <= 0:
+        raise ValueError("need n >= 0 and N > 0, got n = %d, N = %d" % (n, N))
     root = _RootData(N, bits)
     with mp.workprec(bits):
         total = mp.mpc(0)
@@ -221,6 +220,12 @@ def richardson(seq: Sequence[Tuple[int, float]], order: int):
     to h = 0)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if any(n < 1 for n, _ in seq):
+        raise ValueError("the sizes n must be positive")
+    ns = sorted(n for n, _ in seq)
+    for n, m in zip(ns, ns[1:]):
+        if n == m:
+            raise ExtrapolationError("n = %d appears twice" % n)
     if len(seq) < order + 1:
         raise ExtrapolationError("need at least order+1 points")
     pts = sorted(seq, key=lambda t: t[0])[-(order + 1):]
@@ -342,18 +347,12 @@ def series_sqrt_inv(s: PerturbSeries, prefactor: str = "1") -> PerturbSeries:
     """Formal s^{-1/2} in the c-convention (requires c_0 = 1)."""
     _require_unit(s)
     sa = s.a_coeffs()
-    # t = s^{-1/2}  <=>  t^2 * s = 1; recurse on plain coefficients
+    # t = s^alpha with s_0 = 1 obeys k t_k = sum_{i=1..k} ((alpha+1)i - k)
+    # s_i t_{k-i} on plain coefficients; here alpha = -1/2
     ta = [Fraction(1)]
     for k in range(1, s.depth + 1):
-        # coefficient of u^k in t^2*s must vanish:
-        # 2*t_k + sum_{i+j+l=k, i,j<k} t_i t_j s_l = 0
-        acc = Fraction(0)
-        for i in range(k + 1):
-            for j in range(k - i + 1):
-                if i == k or j == k:
-                    continue
-                acc += ta[i] * ta[j] * sa[k - i - j]
-        ta.append(-acc / 2)
+        ta.append(sum((i - 2 * k) * sa[i] * ta[k - i]
+                      for i in range(1, k + 1)) / (2 * k))
     coeffs = tuple(a * math.factorial(k) for k, a in enumerate(ta))
     return PerturbSeries(coeffs, prefactor)
 

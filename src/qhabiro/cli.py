@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import knots, omega, residues, surgery, transform
-from .series import PrecisionError, QAlgebraError, QSeries, series_sum_bounded
+from .series import PrecisionError, QAlgebraError, series_sum_bounded
 
 VERIFY_SUITES = (
     "pentagonal",
@@ -196,11 +196,10 @@ def _run_suite(name: str, prec) -> tuple:
         shifted = residues.descendant(spec.a, 1)
         r0 = residues.residue_series(shifted, 0, prec, Fraction(-1))
         # direct sum: -r_0 = sum_k (-1)^k q^{binom(k+1,2)+k}/(q)_k^2
-        def term(k: int) -> QSeries:
-            e = k * (k + 1) // 2 + k
-            return QSeries.monomial(e, -1 if k % 2 else 1) \
-                * residues._inv_poch_product((k, k), Fraction(prec) - e)
-        acc = series_sum_bounded(term, lambda k: k * (k + 1) // 2 + k, prec)
+        e = lambda k: k * (k + 1) // 2 + k
+        acc = series_sum_bounded(
+            lambda k: residues.ResidueAtom(k, 0, -1 if k % 2 else 1, e(k),
+                                           (k, k)).to_series(prec), e, prec)
         ok = (r0 + acc).truncate(prec).is_zero
         return ok, ("descendant m=1 residue matches the G series"
                     if ok else "descendant residue mismatch")
@@ -208,7 +207,7 @@ def _run_suite(name: str, prec) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    names = VERIFY_SUITES if "all" in args.suite else dict.fromkeys(args.suite)
     results = {name: _run_suite(name, args.prec) for name in names}
     return _emit(args, {name: {"ok": ok, "detail": detail}
                         for name, (ok, detail) in results.items()},
@@ -329,8 +328,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=_size, default=2)
     p.add_argument("--prec", type=_size, default=prec_default)
 
-    p = add("verify", _cmd_verify, help="run a named identity suite")
-    p.add_argument("suite", choices=VERIFY_SUITES + ("all",))
+    p = add("verify", _cmd_verify, help="run named identity suites")
+    p.add_argument("suite", nargs="+", choices=VERIFY_SUITES + ("all",))
     p.add_argument("--prec", type=_size, default=prec_default)
 
     p = add("surgery", _cmd_surgery, help="surgery q-series invariant")

@@ -214,7 +214,7 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
             raise KnotFileError("monomial generator needs sign and exponent objects")
         alpha = sign.get("alpha", 0)
         beta = sign.get("beta", 0)
-        if not isinstance(alpha, int) or not isinstance(beta, int):
+        if type(alpha) is not int or type(beta) is not int:  # no bools
             raise KnotFileError("sign exponents must be integers")
         c2 = _parse_fraction(exp.get("c2", 0))
         c1 = _parse_fraction(exp.get("c1", 0))

@@ -108,8 +108,9 @@ def _j_window(k: int, n: int, d: int, C) -> int:
 
 @dataclass(frozen=True)
 class ResidueAtom:
-    """Residue of the basis function with k+1 inverted factors at x=q^j
-    (or at x=infinity), kept symbolic: sign * q^exponent / prod (q)_d."""
+    """A residue term sign * q^exponent / prod_d (q)_d, kept symbolic: the
+    residue of the basis function with k+1 inverted factors at x=q^j (or
+    at x=infinity), or a term of a closed residue sum."""
 
     k: int
     j: Union[int, float]
@@ -320,14 +321,13 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
     target = Fraction(prec)
     if kind not in ("L", "R"):
         raise ValueError("kind must be 'L' or 'R'")
-    if J == 0:
-        return True
     knot = get_knot("3_1l" if kind == "L" else "3_1r")
-    fam = residue_family(knot.a, J, target, knot.lbc_constant)
+    r = [residue_series(knot.a, j, target, knot.lbc_constant)
+         for j in range(J + 1)]
     if kind == "L":
         for j in range(J):
-            lhs = fam.r(j + 1)
-            rhs = -fam.r(j).shift(3 * j + 2)
+            lhs = r[j + 1]
+            rhs = -r[j].shift(3 * j + 2)
             if lhs.truncate(target) != rhs.truncate(target):
                 return False
         return True
@@ -335,10 +335,10 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
     inv2 = _inv_poch_product((INF, INF), target)
     for j in range(J):
         p = target - (3 * j + 2)
-        lhs = fam.r(j + 1)
+        lhs = r[j + 1]
         sign = -1 if j % 2 else 1
         extra = QSeries.monomial(-2 * j) - QSeries.monomial(1)
-        rhs = -fam.r(j).shift(-3 * j - 1) \
+        rhs = -r[j].shift(-3 * j - 1) \
             + sign * QSeries.monomial(_binom2(j + 1)) * extra * inv2
         if lhs.truncate(p) != rhs.truncate(p):
             return False
@@ -350,7 +350,7 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
             # certified, so they cannot witness further stabilization
             break
         sign = -1 if j % 2 else 1
-        norm = sign * fam.r(j).shift(-_binom2(j + 2))
+        norm = sign * r[j].shift(-_binom2(j + 2))
         d = (norm - inv2).truncate(p).delta_lb()
         if prev is not None and d < prev:
             return False
@@ -360,7 +360,7 @@ def trefoil_recurrence_check(kind: str, J: int, prec: ExpLike) -> bool:
 
 def descendant(a: CoeffSeq, m: int) -> CoeffSeq:
     """a_{-k-1} -> a_{-k-1} q^{km}."""
-    return CoeffSeq("P", lambda k: a[k] * QSeries.monomial(k * m), a.max_index)
+    return CoeffSeq("P", lambda k: a[k].shift(k * m), a.max_index)
 
 
 def branch_residue_41(branch: str, j: int, prec: ExpLike) -> QSeries:
@@ -368,28 +368,17 @@ def branch_residue_41(branch: str, j: int, prec: ExpLike) -> QSeries:
     their closed single sums."""
     target = Fraction(prec)
     if branch == "+1/2":
-        def term(k: int) -> QSeries:
-            if k < abs(j):
-                return QSeries.zero(target)
-            e = Fraction(3 * k * k + k - j * j + j, 2)
-            sign = -1 if (k + j) % 2 == 0 else 1
-            return (QSeries.monomial(e, sign)
-                    * _inv_poch_product((k + j, k - j, k), target - e)).truncate(target)
-
-        bound = lambda k: Fraction(3 * k * k + k - j * j + j, 2)
+        e = lambda k: Fraction(3 * k * k + k - j * j + j, 2)
+        sign = lambda k: 1 if (k + j) % 2 else -1
     elif branch == "-1/2":
-        def term(k: int) -> QSeries:
-            if k < abs(j):
-                return QSeries.zero(target)
-            e = k + Fraction(j * (3 * j + 1), 2)
-            sign = 1 if j % 2 else -1
-            return (QSeries.monomial(e, sign)
-                    * _inv_poch_product((k + j, k - j, k), target - e)).truncate(target)
-
-        bound = lambda k: k + Fraction(j * (3 * j + 1), 2)
+        e = lambda k: k + Fraction(j * (3 * j + 1), 2)
+        sign = lambda k: 1 if j % 2 else -1
     else:
         raise ValueError("branch must be '+1/2' or '-1/2'")
-    return series_sum_bounded(term, bound, target)
+    return series_sum_bounded(
+        lambda k: ResidueAtom(k, j, sign(k) if k >= abs(j) else 0, e(k),
+                              (k + j, k - j, k)).to_series(target),
+        e, target)
 
 
 def tail_check(parity: str, n: int, prec: ExpLike):
@@ -397,6 +386,8 @@ def tail_check(parity: str, n: int, prec: ExpLike):
     stabilized theta-quotient target; returns (normalized, target,
     agree_to) with agree_to the first disagreement exponent (or prec)."""
     target_prec = Fraction(prec)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if parity == "even":
         k = 2 * n
         expo = lambda m: m * m
@@ -414,5 +405,4 @@ def tail_check(parity: str, n: int, prec: ExpLike):
     inv1 = _inv_poch_product((INF,), target_prec)
     tail_target = (theta * inv1).truncate(target_prec)
     diff = (normalized - tail_target).truncate(target_prec)
-    agree_to = diff.delta_lb() if not diff.is_zero or not diff.is_exact else target_prec
-    return normalized, tail_target, min(Fraction(agree_to), target_prec)
+    return normalized, tail_target, min(diff.delta_lb(), target_prec)

@@ -23,9 +23,11 @@ from qhabiro import (
     richardson,
     series_mul,
     series_sqrt_inv,
+    tail_check,
     vol_41,
 )
-from qhabiro.asympt import AsymptoticsError, PrecisionError as EvalPrecisionError
+from qhabiro.asympt import (AsymptoticsError, ExtrapolationError,
+                            PrecisionError as EvalPrecisionError)
 
 QUOTIENT_TABLE_PREFIX = (1, 9, 513, 109593)
 
@@ -93,10 +95,24 @@ class TestRichardson:
         assert richardson(seq, 0) == 3.0
 
     def test_too_few_points(self):
-        from qhabiro.asympt import ExtrapolationError
-
         with pytest.raises(ExtrapolationError):
             richardson([(3, 1.0)], 2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: growth_rate("4_1", [0]), ValueError, "N > 0"),
+    (lambda: f41_eval(3, 0), ValueError, "N > 0"),
+    (lambda: f41_eval(-1, 5), ValueError, "n >= 0"),
+    (lambda: richardson([(5, 1.0), (5, 2.0)], 1), ExtrapolationError,
+     "n = 5 appears twice"),
+    (lambda: richardson([(0, 1.0), (5, 2.0)], 1), ValueError, "positive"),
+    (lambda: tail_check("even", -1, 10), ValueError, "nonnegative"),
+], ids=["growth-n0", "f41-N0", "f41-n-1", "richardson-repeat",
+        "richardson-n0", "tail-n-1"])
+def test_bad_sizes_rejected(call, error, message):
+    # sizes the CLI never passes, rejected before any division by them
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestPeriodicity:

@@ -10,7 +10,7 @@ import pytest
 
 import qhabiro
 from qhabiro import QSeries
-from qhabiro.cli import main
+from qhabiro.cli import VERIFY_SUITES, main
 
 
 def run(capsys, *argv):
@@ -173,6 +173,34 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "fermat")
         assert code == 1
 
+    def test_several_suites_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "pentagonal", "theta-route",
+                           "--prec", "8")
+        assert code == 0
+        assert out.splitlines() == [
+            "OK: defect 0 to O(q^8)",
+            "OK: theta route matches direct residues to O(q^8)",
+        ]
+
+    def test_several_suites_json_is_one_object(self, capsys):
+        code, out, _ = run(capsys, "verify", "pentagonal", "theta-route",
+                           "--prec", "8", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert sorted(obj) == ["pentagonal", "theta-route"]
+        assert all(v["ok"] for v in obj.values())
+
+    def test_all_among_names_runs_every_suite_once(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "pentagonal", "--prec",
+                           "6", "--json")
+        assert code == 0
+        assert sorted(json.loads(out)) == sorted(VERIFY_SUITES)
+
+    def test_repeated_suite_runs_once(self, capsys):
+        code, out, _ = run(capsys, "verify", "pentagonal", "pentagonal",
+                           "--prec", "6")
+        assert (code, out) == (0, "OK: defect 0 to O(q^6)\n")
+
     @pytest.mark.parametrize("suite", ["tails-even", "tails-odd"])
     @pytest.mark.parametrize("prec", [0, 5, 8, 40])
     def test_tails_at_any_precision(self, capsys, suite, prec):
@@ -311,7 +339,7 @@ class TestLazyMpmath:
     SCRIPT = """
 import sys
 import qhabiro
-from qhabiro.cli import main
+from qhabiro.cli import VERIFY_SUITES, main
 qhabiro.get_knot("3_1l")
 assert main(["surgery", "--knot", "3_1l", "-p", "-2", "--prec", "6"]) == 0
 assert "mpmath" not in sys.modules

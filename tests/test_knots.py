@@ -147,6 +147,12 @@ def write_doc(tmp_path, doc, fname="knots.json"):
     return p
 
 
+def monomial_generator(sign=None, exponent=None):
+    return {"kind": "monomial",
+            "sign": {"alpha": 0, "beta": 0} if sign is None else sign,
+            "exponent": {} if exponent is None else exponent}
+
+
 class TestLoadKnots:
     def test_monomial_roundtrip(self, tmp_path):
         doc = [{
@@ -307,3 +313,51 @@ class TestLoadKnots:
         doc = [{"name": "test_unknown_kind", "generator": {"kind": "spline"}}]
         with pytest.raises(KnotFileError):
             load_knots(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("entry,message", [
+        (5, "must be an object"),
+        ({"generator": {"kind": "list"}}, "nonempty name"),
+        ({"name": "", "generator": {"kind": "list"}}, "nonempty name"),
+        ({"name": "test_schema", "generator": {}}, "generator with a kind"),
+        ({"name": "test_schema", "generator": monomial_generator(),
+          "convention": []}, "convention must be an object"),
+        ({"name": "test_schema", "generator": monomial_generator(),
+          "convention": {"x_half_shift": True}}, "x_half_shift"),
+        ({"name": "test_schema", "generator": monomial_generator(sign=[])},
+         "sign and exponent objects"),
+        ({"name": "test_schema", "generator": monomial_generator(exponent=2)},
+         "sign and exponent objects"),
+        ({"name": "test_schema",
+          "generator": monomial_generator(sign={"alpha": 1.5})},
+         "sign exponents must be integers"),
+        ({"name": "test_schema",
+          "generator": monomial_generator(sign={"alpha": True})},
+         "sign exponents must be integers"),
+        ({"name": "test_schema",
+          "generator": monomial_generator(sign={"beta": False})},
+         "sign exponents must be integers"),
+        ({"name": "test_schema",
+          "generator": monomial_generator(exponent={"c1": 1.5})},
+         "integer or fraction string"),
+        ({"name": "test_schema",
+          "generator": monomial_generator(exponent={"c2": "1/0"})},
+         "bad rational '1/0'"),
+        ({"name": "test_schema", "generator": {"kind": "list"}},
+         "nonempty coeffs array"),
+        ({"name": "test_schema", "generator": {"kind": "composite"}},
+         "summands array"),
+        ({"name": "test_schema",
+          "generator": {"kind": "composite", "summands": ["4_1", 5]}},
+         "summands must be knot names"),
+    ], ids=["not-object", "no-name", "empty-name", "no-kind",
+            "convention-list", "x-half-shift", "sign-list", "exponent-number",
+            "alpha-float", "alpha-true", "beta-false", "exponent-float",
+            "one-over-zero", "list-no-coeffs", "composite-no-summands",
+            "summand-number"])
+    def test_schema_error_registers_nothing(self, tmp_path, entry, message):
+        # the valid entry before the bad one is not registered either
+        good = {"name": "test_schema_good", "generator": monomial_generator()}
+        names = knot_names()
+        with pytest.raises(KnotFileError, match=message):
+            load_knots(write_doc(tmp_path, [good, entry]))
+        assert knot_names() == names

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end, and bad input ends in
 one-line errors, not tracebacks."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import qhabiro
+from qhabiro.cli import VERIFY_SUITES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,6 +30,19 @@ def test_verify_identities():
         "OK: defect 0 to O(q^8)",
         "OK: theta route matches direct residues to O(q^8)",
     ]
+
+
+def test_verify_identities_runs_every_suite_by_default():
+    proc = run_script("verify_identities.py", "--prec", "4", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(json.loads(proc.stdout)) == sorted(VERIFY_SUITES)
+
+
+def test_verify_identities_bad_suite():
+    proc = run_script("verify_identities.py", "fermat")
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("usage error: ") and "'fermat'" in line
 
 
 def test_run_asymptotics():

@@ -133,6 +133,20 @@ class TestRouteAgreement:
             assert other.series.truncate(PREC) == base.series.truncate(PREC), \
                 (name, p, a)
 
+    @pytest.mark.parametrize("p", [-1, -2, -3])
+    def test_three_routes_match_over_an_exact_zero_coefficient(self, p):
+        # 4_1's a-side with a_{-2} = 0 (C = -1): the ih route returns the
+        # exact zero as term k = 1
+        knot = KnotSpec("gap", lambda k: QSeries.zero() if k == 1
+                        else QSeries.one())
+        for a in range(abs(p)):
+            params = SurgeryParams(p, a, 12)
+            out = {(str(r.delta), str(r.series))
+                   for r in (zhat_via_fk(knot, params),
+                             zhat_via_residues(knot, params),
+                             zhat_via_ih(knot, params))}
+            assert len(out) == 1, (p, a, out)
+
     @pytest.mark.parametrize("name,p,labels", [
         ("3_1r", -4, range(4)), ("3_1r", -5, range(5)),
         ("3_1l", -4, range(4)), ("3_1l", -5, (0, 1, 4))])
