@@ -22,9 +22,9 @@ prefactor tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import mpmath as mp
 
@@ -170,12 +170,14 @@ def _eval_f_at(knot: KnotSpec, n: int, N: int, bits: int) -> "mp.mpc":
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
-    period: Optional[int]          # None when aperiodic on the window
-    phase: Optional[int]           # first index where the period locks in
-    values: Tuple[float, ...]      # one period of values (sorted multiset)
-    message: str = ""
+class PeriodicityReport(namedtuple("PeriodicityReport",
+                                   "period phase values message",
+                                   defaults=("",))):
+    """``period`` and ``phase`` (ints, None when aperiodic on the window;
+    the phase is the first index where the period locks in), ``values``
+    (a tuple of floats: one period, as a sorted multiset) and ``message``
+    (a str, default "")."""
+    __slots__ = ()
 
 
 # bound on |Im f_{n-1}(zeta_n)| and on the gap between repeated values
@@ -246,12 +248,12 @@ def vol_41(bits: int = DEFAULT_BITS):
         return 2 * mp.im(mp.polylog(2, mp.expjpi(mp.mpf(1) / 3)))
 
 
-@dataclass(frozen=True)
-class GrowthResult:
-    estimate: float
-    order: int
-    flagged: bool                  # True when residuals were non-monotone
-    raw: Tuple[Tuple[int, float], ...] = ()
+class GrowthResult(namedtuple("GrowthResult", "estimate order flagged raw",
+                               defaults=((),))):
+    """A float ``estimate``, its Richardson ``order`` (an int), ``flagged``
+    (True when the residuals were non-monotone) and ``raw``, the (n, float)
+    pairs extrapolated (default ())."""
+    __slots__ = ()
 
 
 # Richardson order of the growth estimate, lowered when fewer points are given
@@ -286,13 +288,12 @@ def growth_rate(knot, n_list: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbSeries:
-    """Phi(h) = prefactor * sum_k c_k u^k / k!, u = h/(72*sqrt(-3))."""
-
-    coeffs: tuple                  # c_0, c_1, ... (Fractions when exact)
-    prefactor: str = "1"
-    exact: bool = True
+class PerturbSeries(namedtuple("PerturbSeries", "coeffs prefactor exact",
+                                defaults=("1", True))):
+    """Phi(h) = prefactor * sum_k c_k u^k / k!, u = h/(72*sqrt(-3)): the
+    tuple ``coeffs`` of c_0, c_1, ... (Fractions when exact), the str
+    ``prefactor`` (default "1") and the bool ``exact`` (default True)."""
+    __slots__ = ()
 
     @property
     def depth(self) -> int:

@@ -299,7 +299,7 @@ def _cmd_asympt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
     prec_default = _default_prec()
     top = _Parser(prog="qhabiro", description=__doc__)
     sub = top.add_subparsers(dest="command")
@@ -361,13 +361,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--bits", type=_size, default=256)
     p.add_argument("--depth", type=_size, default=2)
 
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv[:1] == ["verify"]:
+            # suite names may stand on both sides of an option: only an
+            # intermixed parse gathers them, and a parser with subparsers
+            # refuses one
+            args = commands["verify"].parse_intermixed_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         if not getattr(args, "func", None):
             parser.print_usage(sys.stderr)
             return 1

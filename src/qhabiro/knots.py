@@ -11,7 +11,6 @@ loads; it never replaces the transform.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -288,6 +287,7 @@ def _check_acyclic(entries: list, local: dict):
 
 def load_knots(path) -> list:
     """Register knots from a JSON file; returns the new KnotSpecs."""
+    import json  # here, as graphlib: only knot files need it
     with open(path) as fh:
         try:
             doc = json.load(fh)

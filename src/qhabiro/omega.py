@@ -14,7 +14,7 @@ E^{-1}(E(a) E(b)) through the transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 from typing import Optional
@@ -35,21 +35,18 @@ def gamma(m: int, n: int, i: int) -> QSeries:
     return curly_poch(m, i) * curly_poch(n, i) * qbinom(m + n + 1, i)
 
 
-@dataclass(frozen=True)
-class OmegaElement:
-    """sigma0 * sigma_0 + sum_{k>=0} a[k] * sigma_{-k-1}.
+class OmegaElement(namedtuple("OmegaElement", "a sigma0 lbc")):
+    """sigma0 * sigma_0 + sum_{k>=0} a[k] * sigma_{-k-1}, for a P-side
+    CoeffSeq ``a`` and a QSeries ``sigma0`` (default the exact zero);
+    ``lbc``, an LbcReport or None (the default), certifies the lower bound
+    condition for the negative-index part, and products demand it."""
+    __slots__ = ()
 
-    ``lbc`` certifies the lower bound condition for the negative-index
-    part; products demand it.
-    """
-
-    a: CoeffSeq
-    sigma0: QSeries = QSeries.zero()
-    lbc: Optional[LbcReport] = None
-
-    def __post_init__(self):
-        if self.a.side != "P":
+    def __new__(cls, a: CoeffSeq, sigma0: QSeries = QSeries.zero(),
+                lbc: Optional[LbcReport] = None):
+        if a.side != "P":
             raise ValueError("OmegaElement coefficients must be P-side")
+        return super().__new__(cls, a, sigma0, lbc)
 
 
 def omega_from_a(a: CoeffSeq, K: int) -> OmegaElement:

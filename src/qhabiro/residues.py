@@ -28,7 +28,7 @@ prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -106,17 +106,13 @@ def _j_window(k: int, n: int, d: int, C) -> int:
         j += 1
 
 
-@dataclass(frozen=True)
-class ResidueAtom:
+class ResidueAtom(namedtuple("ResidueAtom", "k j sign exponent denom")):
     """A residue term sign * q^exponent / prod_d (q)_d, kept symbolic: the
     residue of the basis function with k+1 inverted factors at x=q^j (or
-    at x=infinity), or a term of a closed residue sum."""
-
-    k: int
-    j: Union[int, float]
-    sign: int
-    exponent: Fraction
-    denom: tuple
+    at x=infinity, j = math.inf), or a term of a closed residue sum.  The
+    ints k, j and sign (0 for a vanishing residue), the Fraction exponent
+    and the tuple denom of the ints d."""
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -152,15 +148,11 @@ def _lbc_constant(C) -> Fraction:
     return C if isinstance(C, Fraction) else Fraction(C)
 
 
-@dataclass(frozen=True)
-class ResidueFamily:
-    """Residues r_j for |j| <= J plus r_infinity, all at one precision."""
-
-    J: int
-    rmap: dict
-    r_inf: QSeries
-    prec: Fraction
-    lbc_constant: Fraction
+class ResidueFamily(namedtuple("ResidueFamily", "J rmap r_inf prec lbc_constant")):
+    """Residues r_j for |j| <= J (an int), a dict ``rmap`` from j to QSeries,
+    plus the QSeries r_infinity ``r_inf``, all at the Fraction ``prec``
+    and summed under the Fraction LBC constant ``lbc_constant``."""
+    __slots__ = ()
 
     def r(self, j: int) -> QSeries:
         if abs(j) > self.J:

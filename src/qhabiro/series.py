@@ -10,10 +10,9 @@ All values are immutable; every operation returns a fresh series.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from fractions import Fraction
 from math import gcd, lcm
@@ -247,12 +246,10 @@ def _polymul(a: list, b: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaAtLeast:
+class DeltaAtLeast(namedtuple("DeltaAtLeast", "bound")):
     """Marker: the series vanishes up to its precision, so only a lower
-    bound on the valuation is known."""
-
-    bound: Fraction
+    bound (a Fraction) on the valuation is known."""
+    __slots__ = ()
 
 
 class QSeries:
@@ -556,6 +553,7 @@ class QSeries:
     @staticmethod
     def from_json(obj) -> "QSeries":
         if isinstance(obj, str):
+            import json  # here: `import qhabiro` does without it
             obj = json.loads(obj)
         prec = obj.get("prec", "exact")
         return QSeries(

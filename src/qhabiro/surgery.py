@@ -45,14 +45,14 @@ routes can be compared verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, lcm
 
-from .series import (ConvergenceError, QAlgebraError, QSeries, _add_scaled,
-                     _products, exact_div, series_sum, sum_until)
+from .series import (ConvergenceError, ExpLike, QAlgebraError, QSeries,
+                     _add_scaled, _products, exact_div, series_sum, sum_until)
 from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
 from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
@@ -62,29 +62,27 @@ class FractionalExponentError(QAlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class SurgeryParams:
-    p: int
-    a: int
-    prec: Fraction
-    method: str = "fk"
+class SurgeryParams(namedtuple("SurgeryParams", "p a prec method")):
+    """A surgery case: the int coefficient ``p``, the int spin-c label
+    ``a``, the precision ``prec`` (kept as a Fraction) and the route name
+    ``method`` (a str, default "fk", read case-insensitively by ``zhat``).
+    ValueError unless p != 0 and 0 <= a < |p|."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p == 0:
+    def __new__(cls, p: int, a: int, prec: ExpLike, method: str = "fk"):
+        if p == 0:
             raise ValueError("surgery coefficient must be nonzero")
-        if not 0 <= self.a < abs(self.p):
+        if not 0 <= a < abs(p):
             raise ValueError("spin-c label must satisfy 0 <= a < |p|")
-        object.__setattr__(self, "prec", Fraction(self.prec))
+        return super().__new__(cls, p, a, Fraction(prec), method)
 
 
-@dataclass(frozen=True)
-class ZhatResult:
+class ZhatResult(namedtuple("ZhatResult", "delta series sign_convention")):
     """Canonicalized surgery series: q^delta * (sign/content adjustments
-    applied to) series, equality understood up to sign and q-power."""
-
-    delta: Fraction
-    series: QSeries
-    sign_convention: str
+    applied to) series, equality understood up to sign and q-power; the
+    Fraction ``delta``, the QSeries ``series`` and the str
+    ``sign_convention`` noting the adjustments."""
+    __slots__ = ()
 
 
 def _divide_content(s: QSeries):
@@ -229,7 +227,7 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
     if acc is not None:
         return _normalize((acc + _boundary_term(knot, p, a)).truncate(prec), p)
     out = _normalize(_fk_sum(fallback(), p, a, prec)[0], p)
-    return replace(out, sign_convention=out.sign_convention + note)
+    return out._replace(sign_convention=out.sign_convention + note)
 
 
 def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:

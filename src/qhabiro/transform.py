@@ -20,7 +20,7 @@ and the knots' closed forms serve the tests as oracles.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -78,19 +78,15 @@ class CoeffSeq:
         return [self[k] for k in range(K + 1)]
 
 
-@dataclass(frozen=True)
-class LbcReport:
-    """Result of checking delta(a_{-k-1}) >= -(k+1)(k-2)/2 + C on a prefix.
-
-    ``constant`` is the largest C for which the inequality holds for all
-    checked indices; ``indeterminate`` lists indices whose coefficient
+class LbcReport(namedtuple("LbcReport", "checked_range constant indeterminate",
+                           defaults=((),))):
+    """Result of checking delta(a_{-k-1}) >= -(k+1)(k-2)/2 + C on indices
+    0..``checked_range`` (an int): ``constant`` is the largest C (a
+    Fraction) for which the inequality holds for all checked indices;
+    ``indeterminate`` (a tuple, default ()) lists indices whose coefficient
     vanishes up to its precision, where only a lower bound on delta is
-    known (the reported constant is then itself only a lower bound).
-    """
-
-    checked_range: int
-    constant: Fraction
-    indeterminate: tuple = ()
+    known (the reported constant is then itself only a lower bound)."""
+    __slots__ = ()
 
 
 def lbc_margin(k: int) -> Fraction:

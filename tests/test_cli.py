@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, environment defaults."""
 
+import ast
 import hashlib
 import json
 import os
@@ -139,6 +140,13 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and "--jobs" in err
         assert out == ""
 
+    def test_knot_after_another_option_is_a_usage_error(self, capsys):
+        # --knots is an option's list: it ends at the next option
+        code, out, err = run(capsys, "connect-sum", "--knots", "3_1l",
+                             "--depth", "8", "3_1r")
+        assert (code, out) == (1, "")
+        assert err == "usage error: unrecognized arguments: 3_1r\n"
+
 
 VERIFY_ALL_DIGESTS = {
     6: "15318ff77be1109a776784bcf7e971b61b1f9d92e691e23ae34623969e9950f6",
@@ -181,6 +189,18 @@ class TestVerify:
             "OK: defect 0 to O(q^8)",
             "OK: theta route matches direct residues to O(q^8)",
         ]
+
+    @pytest.mark.parametrize("argv", [
+        ("pentagonal", "--prec", "8", "theta-route"),
+        ("--prec", "8", "pentagonal", "theta-route"),
+        ("pentagonal", "--json", "theta-route", "--prec", "8"),
+    ])
+    def test_suite_names_on_both_sides_of_an_option(self, capsys, argv):
+        suites = [a for a in argv if a in VERIFY_SUITES]
+        options = [a for a in argv if a not in VERIFY_SUITES]
+        mixed = run(capsys, "verify", *argv)
+        assert mixed[0] == 0 and suites == ["pentagonal", "theta-route"]
+        assert mixed == run(capsys, "verify", *suites, *options)
 
     def test_several_suites_json_is_one_object(self, capsys):
         code, out, _ = run(capsys, "verify", "pentagonal", "theta-route",
@@ -334,17 +354,21 @@ class TestEnvironment:
 
 class TestLazyMpmath:
     """Only asympt needs mpmath: importing qhabiro and running any other
-    command leave it unloaded, and asympt's names still resolve."""
+    command leave it unloaded, and asympt's names still resolve.  Only the
+    CLI and knot files need json, and nothing needs dataclasses (nor the
+    inspect chain it imports)."""
 
     SCRIPT = """
 import sys
 import qhabiro
-from qhabiro.cli import VERIFY_SUITES, main
 qhabiro.get_knot("3_1l")
+assert "json" not in sys.modules
+from qhabiro.cli import VERIFY_SUITES, main
 assert main(["surgery", "--knot", "3_1l", "-p", "-2", "--prec", "6"]) == 0
 assert "mpmath" not in sys.modules
 assert qhabiro.PHI_J.coeffs[1] == 11
 assert "mpmath" in sys.modules
+assert "dataclasses" not in sys.modules
 """
 
     def test_import_and_other_commands_leave_mpmath_unloaded(self):
@@ -353,6 +377,18 @@ assert "mpmath" in sys.modules
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_imports_dataclasses(self):
+        package = os.path.dirname(os.path.abspath(qhabiro.__file__))
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name)) as fh:
+                    tree = ast.parse(fh.read(), name)
+                imported = {n.module for n in ast.walk(tree)
+                            if isinstance(n, ast.ImportFrom)} | {
+                    a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for a in n.names}
+                assert "dataclasses" not in imported, name
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
