@@ -173,10 +173,10 @@ def _eval_f_at(knot: KnotSpec, n: int, N: int, bits: int) -> "mp.mpc":
 class PeriodicityReport(namedtuple("PeriodicityReport",
                                    "period phase values message",
                                    defaults=("",))):
-    """``period`` and ``phase`` (ints, None when aperiodic on the window;
-    the phase is the first index where the period locks in), ``values``
-    (a tuple of floats: one period, as a sorted multiset) and ``message``
-    (a str, default "")."""
+    """periodicity_check's result: ``period`` and ``phase`` (ints, None when
+    aperiodic on the window; the phase is the first index where the period
+    locks in), ``values`` (a tuple of floats: one period, as a sorted
+    multiset) and ``message`` (a str, default "")."""
     __slots__ = ()
 
 
@@ -250,9 +250,9 @@ def vol_41(bits: int = DEFAULT_BITS):
 
 class GrowthResult(namedtuple("GrowthResult", "estimate order flagged raw",
                                defaults=((),))):
-    """A float ``estimate``, its Richardson ``order`` (an int), ``flagged``
-    (True when the residuals were non-monotone) and ``raw``, the (n, float)
-    pairs extrapolated (default ())."""
+    """growth_rate's result: a float ``estimate``, its Richardson ``order``
+    (an int), ``flagged`` (True when the residuals were non-monotone) and
+    ``raw``, the (n, float) pairs extrapolated (default ())."""
     __slots__ = ()
 
 

@@ -368,13 +368,10 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv[:1] == ["verify"]:
-            # suite names may stand on both sides of an option: only an
-            # intermixed parse gathers them, and a parser with subparsers
-            # refuses one
-            args = commands["verify"].parse_intermixed_args(argv[1:])
-        else:
-            args = parser.parse_args(argv)
+        # verify's suite names may stand on both sides of an option: only
+        # an intermixed parse gathers them, and the top parser refuses one
+        args = (commands["verify"].parse_intermixed_args(argv[1:])
+                if argv[:1] == ["verify"] else parser.parse_args(argv))
         if not getattr(args, "func", None):
             parser.print_usage(sys.stderr)
             return 1

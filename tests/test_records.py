@@ -40,7 +40,7 @@ def records():
 
 @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
 def test_records_are_immutable(record):
-    name = repr(record).partition("(")[2].partition("=")[0]
+    name = repr(record).partition("(")[2].partition("=")[0]  # first field
     with pytest.raises(AttributeError):
         setattr(record, name, None)
     with pytest.raises(AttributeError):
@@ -51,7 +51,7 @@ class TestSurgeryParams:
     @pytest.mark.parametrize("p, a, message", [
         (0, 0, "surgery coefficient must be nonzero"),
         (2, 5, "spin-c label must satisfy 0 <= a < |p|"),
-    ])
+    ], ids=["zero_p", "a_out_of_range"])
     def test_bad_params_rejected(self, capsys, p, a, message):
         with pytest.raises(ValueError) as info:
             SurgeryParams(p, a, 6)
@@ -64,10 +64,6 @@ class TestSurgeryParams:
         params = SurgeryParams(-1, 0, 6)
         assert params.prec == Fraction(6) and type(params.prec) is Fraction
         assert params.method == "fk"
-
-    def test_repr(self):
-        assert repr(SurgeryParams(-1, 0, 6)) == \
-            "SurgeryParams(p=-1, a=0, prec=Fraction(6, 1), method='fk')"
 
 
 class TestOmegaElement:
@@ -82,15 +78,20 @@ class TestOmegaElement:
         assert el.lbc is None
 
 
-def test_lbc_report_defaults_and_repr():
+def test_lbc_report_default():
     assert LbcReport(0, Fraction(0)).indeterminate == ()
-    assert repr(LbcReport(3, Fraction(1, 2), (1,))) == \
-        "LbcReport(checked_range=3, constant=Fraction(1, 2), indeterminate=(1,))"
 
 
-def test_residue_atom_repr():
-    assert repr(residue_sigma(2, 1)) == \
-        "ResidueAtom(k=2, j=1, sign=1, exponent=Fraction(4, 1), denom=(1, 3))"
+@pytest.mark.parametrize("record, text", [
+    (SurgeryParams(-1, 0, 6),
+     "SurgeryParams(p=-1, a=0, prec=Fraction(6, 1), method='fk')"),
+    (LbcReport(3, Fraction(1, 2), (1,)),
+     "LbcReport(checked_range=3, constant=Fraction(1, 2), indeterminate=(1,))"),
+    (residue_sigma(2, 1),
+     "ResidueAtom(k=2, j=1, sign=1, exponent=Fraction(4, 1), denom=(1, 3))"),
+], ids=["SurgeryParams", "LbcReport", "ResidueAtom"])
+def test_repr(record, text):
+    assert repr(record) == text
 
 
 def test_residue_family_window():
