@@ -4,19 +4,21 @@ perfbench/tracing.py rebinds qhabiro's layer functions by name.  A name
 that leaves src/, or a route that stops calling a layer through its module
 binding, would break ``perfbench/run.py --trace 1`` without failing any
 other test; this module catches it.  The tracer is loaded from its file
-and never modified.
+and never modified.  ``perfbench/selftest.py``, the tracer's own check
+across fresh interpreters, runs here too.
 """
 
 import importlib.util
 import os
+import subprocess
 import sys
 
 from qhabiro import SurgeryParams, residues, surgery
 
 from conftest import fresh_knot
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def load_tracing():
@@ -96,3 +98,10 @@ def test_tracer_sees_the_certified_sums():
     finally:
         tracer.uninstall()
     assert tracer.restored()
+
+
+def test_selftest_passes():
+    # traced and untraced samples of every workload at the small size
+    proc = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
