@@ -119,6 +119,15 @@ def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
 _HEADROOM = 32  # spare slot bits on a one-row call, as more rows follow
 
 
+def _strip(z: int, base: int, width: int, mask: int) -> tuple:
+    """(z, base) without its zero low slots.  As |c_i| < 2^(width-1), slot
+    0 is zero iff z = 0 mod 2^width (abs: no two's complement of a z < 0)."""
+    if abs(z) & mask or not z:
+        return z, base
+    n = ((z & -z).bit_length() - 1) // width
+    return z >> n * width, base + n
+
+
 class _Cascade:
     """Row-by-row transform through the factors (1 - q^l x), |l| <= k.
 
@@ -146,15 +155,18 @@ class _Cascade:
 
     Laurent polynomials on the grid (1/scale)Z are packed as (z, base):
     z = sum c_i 2^(width*i), base the exponent of slot 0.  Multiplying by
-    q^c moves base; adding aligns by one left shift.  z is exact whatever
-    its slots hold, but reading slots back needs |c_i| < 2^(width-1).  A
-    scalar shadow of the cascade on l1 norms (the same filters with every
-    sign +, on the same layout) bounds every state's l1 norm, hence every
-    |c_i|.  A call computes the rows up to k not yet computed as one
-    batch: it reads their inputs top index first (so a cascade feeding
-    this one gets one call too), and runs the shadow over them all before
-    sizing the slots to the largest bound and the grids' lcm, repacking
-    at most once.
+    q^c moves base; adding aligns by one left shift.  A nonzero state
+    keeps a nonzero slot 0 (base is its lowest exponent): inputs are
+    canonical QSeries, a repack keeps slot 0, and a shifted add keeps the
+    unshifted operand's, so only the aligned add (equal bases) can cancel
+    it, and only it strips zero low slots.  z is exact whatever its slots
+    hold, but reading slots back needs |c_i| < 2^(width-1).  A scalar
+    shadow of the cascade on l1 norms (the same filters with every sign +,
+    on the same layout) bounds every state's l1 norm, hence every |c_i|.
+    A call computes the rows up to k not yet computed as one batch: it
+    reads their inputs top index first (so a cascade feeding this one gets
+    one call too), and runs the shadow over them all before sizing the
+    slots to the largest bound and the grids' lcm, repacking at most once.
     Each input is packed once and each row read back once, by the
     byte-column codec of series.py: whole slot columns move in strided
     slices, and slots that fit int64 cross in one struct call.
@@ -216,6 +228,7 @@ class _Cascade:
         zs += (0, 0) if i else (0,)
         bs += (0, 0) if i else (0,)
         scale, width = self._scale, self._width
+        mask = (1 << width) - 1
         f = scale // x.scale
         coeffs = list(x.coeffs)
         if f > 1 and coeffs:
@@ -233,8 +246,10 @@ class _Cascade:
                     bv = bs[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
                     if not zu:
                         zu, bu = zv, bv
-                    elif bu <= bv:
+                    elif bu < bv:
                         zu += zv << (bv - bu) * width
+                    elif bu == bv:
+                        zu, bu = _strip(zu + zv, bu, width, mask)
                     else:
                         zu = (zu << (bu - bv) * width) + zv
                         bu = bv
@@ -247,8 +262,10 @@ class _Cascade:
                     bv += (t + 1 >> 1) * (-scale if t & 1 else scale)
                     if not zu:
                         zu, bu = -zv, bv
-                    elif bu <= bv:
+                    elif bu < bv:
                         zu -= zv << (bv - bu) * width
+                    elif bu == bv:
+                        zu, bu = _strip(zu - zv, bu, width, mask)
                     else:
                         zu = (zu << (bu - bv) * width) - zv
                         bu = bv
@@ -267,11 +284,9 @@ class _Cascade:
                     if p is not None), default=None)
         if not self._divide:
             self._precs[i] = prec
-        if not z:
-            return QSeries((), 0, scale, prec)
-        low = ((z & -z).bit_length() - 1) // self._width
-        return QSeries(_unpack(z >> low * self._width, self._width),
-                       base + low, scale, prec)
+        # z is normalised (see _Cascade): base is the row's offset, and the
+        # constructor drops the top slots' zeros (a zero z unpacks to [0])
+        return QSeries(_unpack(z, self._width), base, scale, prec)
 
 
 def f_from_a(a: CoeffSeq) -> CoeffSeq:

@@ -293,6 +293,98 @@ class TestBatchedRows:
         assert back._gen._width == 8 * -(-(b.bit_length() + 1) // 8)
 
 
+def _assert_live(seq):
+    """Every nonzero state of the sequence's cascade holds a nonzero
+    coefficient in slot 0: no cancelled low slots are carried along."""
+    g = seq._gen
+    mask = (1 << g._width) - 1
+    for t, z in enumerate(g._z):
+        assert not z or abs(z) & mask, t
+
+
+class TestLiveSlots:
+    """The cascades keep their states normalised (see transform._Cascade),
+    read by prefix and index by index, on both sides."""
+
+    @staticmethod
+    def check(side, data_or_seq):
+        run = f_from_a if side == "P" else a_from_f
+        make = (lambda: data_or_seq) if isinstance(data_or_seq, CoeffSeq) \
+            else (lambda: seq_from_list(side, data_or_seq))
+        K = 24
+        by_prefix = run(make())
+        rows = by_prefix.prefix(K)
+        _assert_live(by_prefix)
+        one = run(make())
+        for k in range(K + 1):
+            assert one[k] == rows[k], k
+            _assert_live(one)
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
+    def test_builtin_knots(self, name):
+        knot = get_knot(name)
+        self.check("P", knot.a)
+        self.check("F", knot.f)
+        f = f_from_a(knot.a)
+        f.prefix(51)
+        _assert_live(f)
+
+    @pytest.mark.parametrize("side", ["P", "F"])
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    @pytest.mark.parametrize("prec_prob", [0.0, 0.5], ids=["exact", "truncated"])
+    def test_random_grids(self, rng, side, scale, prec_prob):
+        for _ in range(3):
+            self.check(side, [_random_grid_series(rng, scale, prec_prob)
+                              for _ in range(25)])
+        self.check(side, _mixed_grid_data(rng, 25, prec_prob))
+
+    @pytest.mark.parametrize("side", ["P", "F"])
+    def test_state_cancelling_to_zero(self, side):
+        # row 1's aligned add at filter 0 cancels exactly, a_{-1} + a_{-2}
+        # on the dividing side and f_1 - f_0 on the multiplying one, and
+        # the zero state runs on to row 1's output
+        one, q = QSeries.one(), QSeries.monomial(1)
+        data = [one, -one if side == "P" else one, q, 2 * q, -q]
+        run = f_from_a if side == "P" else a_from_f
+        assert run(seq_from_list(side, data))[1].is_zero
+        self.check(side, data)
+
+
+class TestMirror:
+    """q -> 1/q commutes with both transforms, as the factors (1 - q^l x)
+    come in pairs l, -l; an oracle that does not read the packing."""
+
+    @staticmethod
+    def mirrored(seq, K):
+        return [s.mirror().to_json() for s in seq.prefix(K)]
+
+    @pytest.mark.parametrize("side", ["P", "F"])
+    def test_random_exact_data(self, rng, side):
+        run = f_from_a if side == "P" else a_from_f
+        K = 24
+        for _ in range(4):
+            data = _mixed_grid_data(rng, K + 1, 0.0)
+            flip = [s.mirror() for s in data]
+            got = [s.to_json()
+                   for s in run(seq_from_list(side, flip)).prefix(K)]
+            assert got == self.mirrored(run(seq_from_list(side, data)), K)
+
+    def test_trefoil_pair(self):
+        K = 51
+        left, right = get_knot("3_1l"), get_knot("3_1r")
+        for run, side in ((f_from_a, "a"), (a_from_f, "f")):
+            got = [s.to_json()
+                   for s in run(getattr(right, side)).prefix(K)]
+            assert got == self.mirrored(run(getattr(left, side)), K), side
+        # the chiral pair costs the cascade about the same work
+        bits = []
+        for knot in (left, right):
+            f = f_from_a(knot.a)
+            f.prefix(K)
+            bits.append(sum(z.bit_length() for z in f._gen._z))
+        assert bits[1] <= 1.25 * bits[0], bits
+
+
 class TestFrozenRows:
     """Both cascades and the LBC audit pinned byte for byte on truncated
     inputs on the grids 1/1, 1/2 and 1/3: sha256 of the canonical JSON,
