@@ -121,7 +121,7 @@ _HEADROOM = 32  # spare slot bits on a one-row call, as more rows follow
 
 def _strip(z: int, base: int, width: int, mask: int) -> tuple:
     """(z, base) without its zero low slots.  As |c_i| < 2^(width-1), slot
-    0 is zero iff z = 0 mod 2^width (abs: no two's complement of a z < 0)."""
+    0 is zero iff z = 0 mod 2^width; abs spares & the two's complement."""
     if abs(z) & mask or not z:
         return z, base
     n = ((z & -z).bit_length() - 1) // width

@@ -307,15 +307,12 @@ class TestLiveSlots:
     read by prefix and index by index, on both sides."""
 
     @staticmethod
-    def check(side, data_or_seq):
-        run = f_from_a if side == "P" else a_from_f
-        make = (lambda: data_or_seq) if isinstance(data_or_seq, CoeffSeq) \
-            else (lambda: seq_from_list(side, data_or_seq))
-        K = 24
-        by_prefix = run(make())
+    def check(source, K=24):
+        run = f_from_a if source.side == "P" else a_from_f
+        by_prefix = run(source)
         rows = by_prefix.prefix(K)
         _assert_live(by_prefix)
-        one = run(make())
+        one = run(source)
         for k in range(K + 1):
             assert one[k] == rows[k], k
             _assert_live(one)
@@ -323,20 +320,17 @@ class TestLiveSlots:
     @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
     def test_builtin_knots(self, name):
         knot = get_knot(name)
-        self.check("P", knot.a)
-        self.check("F", knot.f)
-        f = f_from_a(knot.a)
-        f.prefix(51)
-        _assert_live(f)
+        self.check(knot.a, 51)
+        self.check(knot.f)
 
     @pytest.mark.parametrize("side", ["P", "F"])
     @pytest.mark.parametrize("scale", [1, 2, 3])
     @pytest.mark.parametrize("prec_prob", [0.0, 0.5], ids=["exact", "truncated"])
     def test_random_grids(self, rng, side, scale, prec_prob):
         for _ in range(3):
-            self.check(side, [_random_grid_series(rng, scale, prec_prob)
-                              for _ in range(25)])
-        self.check(side, _mixed_grid_data(rng, 25, prec_prob))
+            self.check(seq_from_list(side, [
+                _random_grid_series(rng, scale, prec_prob) for _ in range(25)]))
+        self.check(seq_from_list(side, _mixed_grid_data(rng, 25, prec_prob)))
 
     @pytest.mark.parametrize("side", ["P", "F"])
     def test_state_cancelling_to_zero(self, side):
@@ -347,7 +341,7 @@ class TestLiveSlots:
         data = [one, -one if side == "P" else one, q, 2 * q, -q]
         run = f_from_a if side == "P" else a_from_f
         assert run(seq_from_list(side, data))[1].is_zero
-        self.check(side, data)
+        self.check(seq_from_list(side, data))
 
 
 class TestMirror:
