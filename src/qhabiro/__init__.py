@@ -96,7 +96,7 @@ __version__ = "1.0.0"
 _ASYMPT_NAMES = frozenset("""
     PHI_F PHI_J AsymptoticsError GrowthResult IntegralityError
     PerturbSeries PeriodicityReport emit_csv eval_root_of_unity
-    extract_phi f41_eval f_poly_exact growth_rate periodicity_check
+    extract_phi f_at_root f_poly_exact growth_rate periodicity_check
     phi_quotient_check richardson series_mul series_sqrt_inv vol_41
 """.split())
 

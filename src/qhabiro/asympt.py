@@ -1,10 +1,10 @@
 """Numerical asymptotics of the series coefficients f_n at roots of unity.
 
-Covers: exact coefficient polynomials, arbitrary-precision evaluation at
-q = e^{2*pi*i/N}, the periodicity of f_{n-1}(zeta_n) for the figure-eight
-knot, volume growth of f_n(zeta_{2n}) with Richardson acceleration,
-extraction of the perturbative series Phi^F, and the exact-rational
-quotient check Phi^J / sqrt(Phi^F).
+Covers: f_n at q = e^{2*pi*i/N}, evaluated from the side the knot was
+given on, whatever its name (``f_at_root``); the periodicity of
+f_{n-1}(zeta_n); volume growth of f_n(zeta_{2n}) with Richardson
+acceleration; extraction of the perturbative series Phi^F; and the
+exact-rational quotient check Phi^J / sqrt(Phi^F).
 
 Index conventions: the periodicity sequence is f_{n-1}(zeta_n) (the
 coefficient one below the order of the root, as in the colored Jones
@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import mpmath as mp
 
-from .knots import KnotSpec, get_knot
+from .knots import get_knot
 from .series import PrecisionError, QAlgebraError, QSeries
 
 DEFAULT_BITS = 256
@@ -95,7 +95,7 @@ def eval_root_of_unity(poly: QSeries, N: int, bits: int) -> "mp.mpc":
 
 
 # ---------------------------------------------------------------------------
-# Fast figure-eight evaluator (Gaussian binomials via q-Lucas)
+# Evaluation of f_n at roots of unity, from the side the knot was given on
 # ---------------------------------------------------------------------------
 
 
@@ -106,14 +106,12 @@ class _RootData:
         self.N = N
         with mp.workprec(bits):
             w = mp.expjpi(mp.mpf(2) / N)
-            powers = [mp.mpc(1)]
+            self.powers = powers = [mp.mpc(1)]
             for _ in range(N - 1):
                 powers.append(powers[-1] * w)
-            prefix = [mp.mpc(1)]
+            self.prefix = prefix = [mp.mpc(1)]
             for m in range(1, N):
                 prefix.append(prefix[-1] * (1 - powers[m]))
-            self.powers = powers
-            self.prefix = prefix
 
     def gauss_binom(self, a: int, b: int):
         """Unbalanced Gaussian binomial C[a, b] at zeta_N via q-Lucas, for
@@ -126,43 +124,45 @@ class _RootData:
                 / (self.prefix[s] * self.prefix[r - s]))
 
 
-def f41_eval(n: int, N: int, bits: int = DEFAULT_BITS) -> "mp.mpc":
-    """f_n of the figure-eight knot at q = zeta_N, via
-    f_n = sum_i [n+i choose 2i] and q-Lucas reduction of each balanced
-    binomial ([m choose k] = q^{-k(m-k)/2} C[m, k]; here k(m-k)/2 = i(n-i)).
-
-    Raises PrecisionError when ``bits`` is below
-    64 + log2(N * sum_i |term_i| / |f_n(zeta_N)|): the bits that
-    cancellation in the sum costs, with a 64-bit guard.
-    """
+def f_at_root(knot, n: int, N: int, bits: int = DEFAULT_BITS) -> "mp.mpc":
+    """f_n of the knot at q = zeta_N, from the side the knot was given on:
+    the exact f_n, or else sum_i [n+i choose 2i] a_{-i-1}, each balanced
+    binomial by q-Lucas ([m choose k] = q^{-k(m-k)/2} C[m, k], k(m-k)/2 =
+    i(n-i)) on a table of N powers, into which a_{-i-1} = +-q^e folds.
+    The sum raises PrecisionError when ``bits`` is below 64 + log2(N sum_i
+    |binomial_i| l1(a_{-i-1}) / max(1, |f_n(zeta_N)|)), the bits that its
+    cancellation costs for an error below 2^-64 max(1, |f_n(zeta_N)|)."""
     if n < 0 or N <= 0:
         raise ValueError("need n >= 0 and N > 0, got n = %d, N = %d" % (n, N))
+    K = get_knot(knot)
+    if "f" in K.given:
+        poly = f_poly_exact(K, n)
+        return eval_root_of_unity(poly, N,
+                                  max(bits, 64 + _coeff_magnitude_bits(poly)))
     root = _RootData(N, bits)
     with mp.workprec(bits):
-        total = mp.mpc(0)
-        size = mp.mpf(0)
+        total, size = mp.mpc(0), mp.mpf(0)
         for i in range(n + 1):
+            a = K.a[i]
+            if not a.is_exact:
+                raise AsymptoticsError("coefficient a_{-%d} is not exact" % (i + 1))
             c = root.gauss_binom(n + i, 2 * i)
             if c == 0:
                 continue
-            total += c * root.powers[(-i * (n - i)) % N]
-            size += abs(c)
+            e = -i * (n - i)
+            if a.scale == 1 and a.coeffs in ((1,), (-1,)):  # +-q^e folds
+                term = c * root.powers[(e + a.offset) % N]
+                total += term if a.coeffs[0] > 0 else -term
+                size += abs(c)
+            else:
+                total += c * root.powers[e % N] * eval_root_of_unity(a, N, bits)
+                size += abs(c) * sum(map(abs, a.coeffs))
         if size:
-            # a sum that cancels to exactly 0 certifies no bit of it
-            lost = mp.log(N * size / abs(total), 2) if total else bits
-            needed = 64 + int(mp.ceil(lost))
+            needed = 64 + int(mp.ceil(mp.log(N * size / max(1, abs(total)), 2)))
             if bits < needed:
                 raise PrecisionError("need at least %d bits for f_%d(zeta_%d)"
                                      % (needed, n, N), needed)
         return total
-
-
-def _eval_f_at(knot: KnotSpec, n: int, N: int, bits: int) -> "mp.mpc":
-    if knot.name == "4_1":
-        return f41_eval(n, N, bits)
-    poly = f_poly_exact(knot, n)
-    use_bits = max(bits, 64 + _coeff_magnitude_bits(poly))
-    return eval_root_of_unity(poly, N, use_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def periodicity_check(knot, n_max: int,
     K = get_knot(knot)
     vals: List[float] = []
     for n in range(1, n_max + 1):
-        v = _eval_f_at(K, n - 1, n, bits)
+        v = f_at_root(K, n - 1, n, bits)
         if abs(mp.im(v)) > PERIOD_TOL:
             raise AsymptoticsError(
                 "f_%d(zeta_%d) has imaginary part %s beyond tolerance"
@@ -270,7 +270,7 @@ def growth_rate(knot, n_list: Sequence[int],
     seq = []
     with mp.workprec(bits):
         for n in n_list:
-            v = _eval_f_at(K, n, 2 * n, bits)
+            v = f_at_root(K, n, 2 * n, bits)
             m = abs(v)
             g = mp.pi / n * mp.log(m) if m != 0 else mp.mpf(0)
             seq.append((n, g))
@@ -398,7 +398,7 @@ def extract_phi(knot, depth: int, n_max: int,
         u0 = mp.pi / (36 * sqrt3)
         rows, rhs = [], []
         for n in ns:
-            v = _eval_f_at(K, n, 2 * n, bits)
+            v = f_at_root(K, n, 2 * n, bits)
             s = mp.re(v) * mp.e ** (-n * vol / mp.pi) * sqrt3
             u = u0 / n
             rows.append([u ** k for k in range(m)])
@@ -431,7 +431,7 @@ def emit_csv(stream, knot, n_max: int, bits: int = DEFAULT_BITS):
         vol = vol_41(bits)
         sqrt3 = mp.sqrt(3)
         for n in range(1, n_max + 1):
-            v = mp.chop(_eval_f_at(K, n, 2 * n, bits), 2 ** -64)
+            v = mp.chop(f_at_root(K, n, 2 * n, bits), 2 ** -64)
             norm = mp.re(v) * mp.e ** (-n * vol / mp.pi) * sqrt3
             writer.writerow([n, mp.nstr(mp.re(v), 17), mp.nstr(mp.im(v), 17),
                              mp.nstr(abs(v), 17),

@@ -12,7 +12,7 @@ loads; it never replaces the transform.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .qcomb import jacobi_symbol
@@ -50,6 +50,7 @@ class KnotSpec:
     at least one is given.  ``self.a`` and ``self.f`` hold both sides; a
     side not given is ``f_from_a``/``a_from_f`` of the other.  Two given
     sides are taken as they are (the tests pin the built-in pairs).
+    ``given``, read-only, names the sides received: "a", "f" or "af".
 
     A knot also carries what the surgery routes share across slopes and
     spin^c labels: ``lbc_constant``, computed on first use, and
@@ -67,15 +68,17 @@ class KnotSpec:
         if a_gen is None and f_gen is None:
             raise ValueError("a knot needs a_gen or f_gen")
         self.name = name
-        if a_gen is not None:
-            self.a = CoeffSeq("P", a_gen, max_index)
-        if f_gen is not None:
-            self.f = CoeffSeq("F", f_gen, max_index)
+        self._given = "a" * (a_gen is not None) + "f" * (f_gen is not None)
         if a_gen is None:
+            self.f = CoeffSeq("F", f_gen, max_index)
             self.a = a_from_f(self.f)
-        if f_gen is None:
-            self.f = f_from_a(self.a)
+        else:
+            self.a = CoeffSeq("P", a_gen, max_index)
+            self.f = (f_from_a(self.a) if f_gen is None
+                      else CoeffSeq("F", f_gen, max_index))
         self.residues: dict = {}
+
+    given = property(lambda self: self._given)
 
     @cached_property
     def lbc_constant(self) -> Fraction:
@@ -168,16 +171,18 @@ def knot_names() -> list:
 
 
 def mirror(knot) -> KnotSpec:
-    """q -> q^{-1} on every coefficient; requires exact coefficients."""
+    """q -> q^{-1} on every coefficient of each side the knot was given on
+    (both transforms commute with it); requires exact coefficients."""
     knot = get_knot(knot)
 
-    def gen(k: int) -> QSeries:
-        a = knot.a_coeff(k)
-        if not a.is_exact:
+    def gen(seq: CoeffSeq, k: int) -> QSeries:
+        if not seq[k].is_exact:
             raise ExactnessError("mirror requires exact coefficients")
-        return a.mirror()
+        return seq[k].mirror()
 
-    return KnotSpec(knot.name + "!", gen, max_index=knot.a.max_index)
+    sides = [partial(gen, getattr(knot, s)) if s in knot.given else None
+             for s in "af"]
+    return KnotSpec(knot.name + "!", *sides, max_index=knot.a.max_index)
 
 
 def _parse_fraction(v) -> Fraction:

@@ -33,11 +33,14 @@ def seq_from_list(side, items):
 
 
 def fresh_knot(name: str) -> KnotSpec:
-    """An unregistered copy of a registered knot, built from its
-    generators: its coefficient memos, residue store and LBC constant start
-    empty, whatever earlier tests computed on the registered knot."""
+    """An unregistered copy of a registered knot, built from the generators
+    it was given (a side it was not given is a new transform): its
+    coefficient memos, residue store and LBC constant start empty, whatever
+    earlier tests computed on the registered knot."""
     ref = get_knot(name)
-    return KnotSpec(name, ref.a._gen, ref.f._gen, max_index=ref.a.max_index)
+    gens = [getattr(ref, side)._gen if side in ref.given else None
+            for side in "af"]
+    return KnotSpec(name, *gens, max_index=ref.a.max_index)
 
 
 def random_laurent(rng: random.Random, span: int = 4, lo: int = -6,

@@ -1,6 +1,7 @@
 """Numerical evaluation at roots of unity and perturbative extraction."""
 
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -10,14 +11,18 @@ import pytest
 import qhabiro
 from qhabiro import (
     PHI_F,
+    KnotSpec,
     PerturbSeries,
     QSeries,
     emit_csv,
     eval_root_of_unity,
     extract_phi,
-    f41_eval,
+    f_at_root,
     f_poly_exact,
+    get_knot,
     growth_rate,
+    load_knots,
+    mirror,
     periodicity_check,
     phi_quotient_check,
     richardson,
@@ -80,9 +85,73 @@ class TestRootEvaluation:
     def test_fast_evaluator_matches_direct(self):
         for n in (1, 2, 3, 5, 9):
             for N in (n, 2 * n, 2 * n + 1):
-                fast = f41_eval(n, N, 256)
+                fast = f_at_root("4_1", n, N, 256)
                 direct = eval_root_of_unity(f_poly_exact("4_1", n), N, 256)
                 assert abs(fast - direct) < 1e-40, (n, N)
+
+
+def figure_eight_copy() -> KnotSpec:
+    """4_1's a-side under another name."""
+    return KnotSpec("4_1copy", lambda k: QSeries.one())
+
+
+@pytest.fixture(scope="module")
+def file_knots(tmp_path_factory):
+    """A monomial file knot with 3_1l's a-side, and a list file knot whose
+    a_{-k-1}, k <= 12, lie on the half-integer grid."""
+    half_grid = [QSeries.from_terms({Fraction(k, 2): 1, Fraction(-2 * k - 1, 2):
+                                     -2, 1: k % 3}) for k in range(13)]
+    path = tmp_path_factory.mktemp("knots") / "knots.json"
+    path.write_text(json.dumps([
+        {"name": "asympt_3_1l_a",
+         "generator": {"kind": "monomial", "sign": {"alpha": 1, "beta": 1},
+                       "exponent": {"c2": "1/2", "c1": "-1/2", "c0": -1}}},
+        {"name": "asympt_half_grid",
+         "generator": {"kind": "list",
+                       "coeffs": [c.to_json() for c in half_grid]}},
+    ]))
+    return {spec.name: spec for spec in load_knots(path)}
+
+
+class TestRootEvaluator:
+    """f_at_root takes its path from the side a knot was given on, never
+    from its name."""
+
+    @pytest.mark.parametrize("name", [
+        "unknot", "3_1l", "3_1r", "4_1", "unknot!", "3_1l!", "3_1r!", "4_1!",
+        "asympt_3_1l_a", "asympt_half_grid", "4_1copy"])
+    def test_matches_the_dense_polynomial(self, name, file_knots):
+        if name == "4_1copy":
+            knot = figure_eight_copy()
+        elif name.endswith("!"):
+            knot = mirror(name[:-1])
+        else:
+            knot = file_knots.get(name) or get_knot(name)
+        for n in range(1, 13):
+            for N in (n, 2 * n, 2 * n + 1):
+                want = eval_root_of_unity(f_poly_exact(knot, n), N, 1024)
+                got = f_at_root(knot, n, N)
+                assert abs(got - want) <= 2.0 ** -64 * max(1, abs(want)), (n, N)
+
+    def test_renamed_copy_equals_the_figure_eight(self):
+        copy = figure_eight_copy()
+        assert periodicity_check(copy, 40) == periodicity_check("4_1", 40)
+        ns = [20, 30, 40, 50]
+        assert growth_rate(copy, ns) == growth_rate("4_1", ns)
+        assert copy.f._memo == {}  # the f-side cascade is never read
+
+    def test_vanishing_values_pass_the_absolute_guard(self, file_knots):
+        # 3_1l's f_n is 0 at n = 1 mod 3: the a-side sum cancels to noise
+        # at the working precision, which the guard bounds by 2^-64
+        knot = file_knots["asympt_3_1l_a"]
+        for n in range(1, 41, 3):
+            for N in (n, 2 * n, 2 * n + 1):
+                assert abs(f_at_root(knot, n, N)) < 2.0 ** -64, (n, N)
+
+    def test_inexact_a_side_rejected(self):
+        knot = KnotSpec("t", lambda k: QSeries.one().truncate(3))
+        with pytest.raises(AsymptoticsError, match="a_{-1}"):
+            f_at_root(knot, 2, 5)
 
 
 class TestRichardson:
@@ -101,8 +170,8 @@ class TestRichardson:
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: growth_rate("4_1", [0]), ValueError, "N > 0"),
-    (lambda: f41_eval(3, 0), ValueError, "N > 0"),
-    (lambda: f41_eval(-1, 5), ValueError, "n >= 0"),
+    (lambda: f_at_root("4_1", 3, 0), ValueError, "N > 0"),
+    (lambda: f_at_root("4_1", -1, 5), ValueError, "n >= 0"),
     (lambda: richardson([(5, 1.0), (5, 2.0)], 1), ExtrapolationError,
      "n = 5 appears twice"),
     (lambda: richardson([(0, 1.0), (5, 2.0)], 1), ValueError, "positive"),

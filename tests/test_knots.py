@@ -9,6 +9,7 @@ import pytest
 
 from qhabiro import (
     CompositeCycleError,
+    ExactnessError,
     ExponentIntegralityError,
     KnotError,
     KnotFileError,
@@ -34,6 +35,13 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(UnknownKnotError):
             get_knot("5_2")
+
+    def test_given_names_the_sides_received(self):
+        assert [get_knot(name).given
+                for name in ("unknot", "3_1l", "3_1r", "4_1")] == [
+            "f", "af", "af", "a"]
+        with pytest.raises(AttributeError):
+            get_knot("4_1").given = "f"
 
     def test_unknot_coefficients(self):
         u = get_knot("unknot")
@@ -100,8 +108,25 @@ class TestMirror:
     def test_trefoil_mirror_pair(self):
         m = mirror("3_1l")
         r = get_knot("3_1r")
+        assert m.given == "af"
         for k in range(11):
             assert m.a_coeff(k) == r.a_coeff(k), k
+            assert m.f_coeff(k) == r.f_coeff(k), k
+
+    def test_unknot_amphichiral_on_its_given_side(self):
+        m = mirror("unknot")
+        orig = get_knot("unknot")
+        assert m.given == "f"
+        for k in range(11):
+            assert m.f_coeff(k) == orig.f_coeff(k), k
+            assert m.a_coeff(k) == orig.a_coeff(k), k
+
+    @pytest.mark.parametrize("side", ["a", "f"])
+    def test_inexact_coefficient_raises(self, side):
+        inexact = lambda k: QSeries.one().truncate(3)
+        knot = KnotSpec("t", **{side + "_gen": inexact})
+        with pytest.raises(ExactnessError):
+            getattr(mirror(knot), side)[0]
 
     def test_involution(self):
         m2 = mirror(mirror("3_1l"))
