@@ -512,6 +512,47 @@ class TestAdd:
             assert (n + a).to_json() == want
 
 
+@st.composite
+def mul_operands(draw):
+    """A series on the grid 1/1, 1/2 or 1/3: exact, truncated (perhaps zero
+    to its precision), the exact zero or a truncated zero."""
+    scale = draw(st.sampled_from((1, 2, 3)))
+    kind = draw(st.sampled_from(("exact", "truncated", "exact zero",
+                                 "truncated zero")))
+    if kind == "exact zero":
+        return QSeries.zero()
+    prec = Fraction(draw(st.integers(-6, 12)), draw(st.sampled_from((1, 2, 3))))
+    if kind == "truncated zero":
+        return QSeries.zero(prec)
+    t = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6))
+    return mk({Fraction(e, scale): c for e, c in t.items()},
+              None if kind == "exact" else prec)
+
+
+class TestProductRule:
+    """QSeries.__mul__ against the rule it keeps: an exact-zero operand
+    gives the exact zero; otherwise the product is known to
+    min(prec(a) + delta_lb(b), prec(b) + delta_lb(a)) over the truncated
+    operands, and its coefficients are the termwise product's below that."""
+
+    @given(mul_operands(), mul_operands())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_precision_and_coefficients(self, a, b):
+        got = a * b
+        if a == QSeries.zero() or b == QSeries.zero():
+            assert got.to_json() == QSeries.zero().to_json()
+            return
+        cuts = [x.prec_q + y.delta_lb() for x, y in ((a, b), (b, a))
+                if x.prec is not None]
+        prec = min(cuts) if cuts else None
+        assert got.prec_q == prec
+        prod = {}
+        for ea, ca in a.terms():
+            for eb, cb in b.terms():
+                prod[ea + eb] = prod.get(ea + eb, 0) + ca * cb
+        assert got.to_json() == mk(prod, prec).to_json()
+
+
 class TestSeriesSum:
     """series.series_sum against a fold of the reference merge."""
 
