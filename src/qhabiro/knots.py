@@ -291,7 +291,12 @@ def _check_acyclic(entries: list, local: dict):
 
 
 def load_knots(path) -> list:
-    """Register knots from a JSON file; returns the new KnotSpecs."""
+    """Register knots from a JSON file; returns the new KnotSpecs.
+
+    An entry's generator gives a_{-k-1} by its kind: ``monomial`` (a sign
+    and an exponent quadratic in k), ``list`` (one serialized QSeries per
+    index) or ``composite`` (the coefficientwise sum of its summands'
+    a-sides; their connected sum is omega_mul, ``qhabiro connect-sum``)."""
     import json  # here, as graphlib: only knot files need it
     with open(path) as fh:
         try:

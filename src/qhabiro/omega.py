@@ -117,6 +117,7 @@ def omega_mul(
 
     def units(s: QSeries):
         """(delta, prec) of s in units of 1/unit, None if s has no terms."""
+        # unlike QSeries.low, a truncated zero is absent, else products change
         if not s.is_zero:
             u = unit // s.scale
             return s.offset * u, None if s.prec is None else s.prec * u

@@ -23,6 +23,8 @@ results across slopes and spin^c labels through the knot's residue store
 theta route (residues_from_f) adds each f_k times the monomials of its
 theta term into one list too (series._products), known to the least of
 prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k.
+Both routes bound a term's degree below by QSeries.low (a truncated
+zero's precision) and skip the exact zero, whose low is None.
 """
 
 from __future__ import annotations
@@ -202,11 +204,12 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
         ak = terms[k]
         n = stop - k  # >= 1
         u = _inv_poch_pair(u, k, j, n)
-        if ak.is_zero and ak.is_exact:
+        low = ak.low
+        if low is None:  # the exact zero
             continue
         f = g // ak.scale
         e = (ej + k * (k + 1) // 2) * g
-        low = (ak.offset if ak.coeffs else ak.prec) * f + e
+        low = low * f + e
         if low < bound_g + k * g:
             raise DegreeBoundError("degree bound violated at k=%d" % k)
         if low >= top:
@@ -260,8 +263,8 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
 
     The k-sum runs on series._products: each f_k but an exact zero pairs
     with the merged monomials of (-1)^{k+j} q^{binom(k+1,2)} theta_k,
-    whose n-sum stops once its terms clear prec over delta(f_k) (a
-    truncated zero's delta is its precision).  The sum is known to the
+    whose n-sum stops once its terms clear prec over f_k.low, a bound on
+    delta(f_k) (a truncated zero's precision).  The sum is known to the
     least of prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over
     the truncated f_k, zero-to-precision ones included.
     """
@@ -274,11 +277,11 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
         raise LbcError("theta route requires LBC-grade input")
     pairs = []
     for k, fk in enumerate(fs):
-        if fk.is_zero and fk.is_exact:
+        # delta(f_k) >= low/g; QSeries.low is None for the exact zero
+        g, low = fk.scale, fk.low
+        if low is None:
             continue
         b = k * (k + 1) // 2
-        # delta(f_k) = low/g, a truncated zero's delta its precision
-        g, low = fk.scale, fk.offset if fk.coeffs else fk.prec
         sign = 1 if (k + j) % 2 == 0 else -1
         monos = {b: sign}
         n = 1
@@ -296,7 +299,7 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     acc = _products(pairs, td, tn)._shift(j * (j + 1) // 2, 1)
     # acc is truncated; 1/(q)_inf^3 to n >= 1 terms and to prec - delta(acc)
     # keeps the product known as far as acc is
-    low = acc.offset if acc.coeffs else acc.prec
+    low = acc.low
     n = max(-((low * td - tn * acc.scale) // (td * acc.scale)), 1)
     inv3 = QSeries(_inv_poch_list((INF, INF, INF), n), 0, 1, n)
     return (-(acc * inv3))._truncate(tn, td)

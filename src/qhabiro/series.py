@@ -352,6 +352,12 @@ class QSeries:
         return not self.coeffs
 
     @property
+    def low(self) -> Optional[int]:
+        """The least exponent a term can have, in units of 1/scale: offset
+        if there are coefficients, else prec (None for the exact zero)."""
+        return self.offset if self.coeffs else self.prec
+
+    @property
     def prec_q(self) -> Optional[Fraction]:
         """Precision as a q-exponent, or None when exact."""
         if self.prec is None:
@@ -373,8 +379,8 @@ class QSeries:
 
     def delta_lb(self) -> Union[Fraction, float]:
         """Certified lower bound on the valuation (inf for exact zero)."""
-        d = self.delta()
-        return d.bound if isinstance(d, DeltaAtLeast) else d
+        low = self.low
+        return INF if low is None else Fraction(low, self.scale)
 
     def coeff(self, exp: ExpLike) -> int:
         """Coefficient of q^exp. Raises PrecisionError beyond prec."""
@@ -412,9 +418,9 @@ class QSeries:
             other = QSeries((other,))
         if not isinstance(other, QSeries):
             return NotImplemented
-        if not other.coeffs and other.prec is None:  # immutable: share it
+        if other.low is None:  # the exact zero; immutable: share self
             return self
-        if not self.coeffs and self.prec is None:
+        if self.low is None:
             return other
         s = lcm(self.scale, other.scale)
         return _sum_lists((self._rescaled(s), other._rescaled(s)), s)
@@ -441,24 +447,16 @@ class QSeries:
             )
         if not isinstance(other, QSeries):
             return NotImplemented
+        da, db = self.low, other.low
+        if da is None or db is None:  # an exact zero times anything
+            return QSeries()
         s = lcm(self.scale, other.scale)
         ao, ac, ap = self._rescaled(s)
         bo, bc, bp = other._rescaled(s)
         # pessimistic truncation: prec_a + delta(b) against prec_b + delta(a)
-        prec = None
-        da = ao if ac else (ap if ap is not None else None)  # lower bound, units 1/s
-        db = bo if bc else (bp if bp is not None else None)
-        cands = []
-        if ap is not None:
-            if db is None:  # other is exact zero
-                return QSeries.zero()
-            cands.append(ap + db)
-        if bp is not None:
-            if da is None:
-                return QSeries.zero()
-            cands.append(bp + da)
-        if cands:
-            prec = min(cands)
+        pa = None if ap is None else ap + db * (s // other.scale)
+        pb = None if bp is None else bp + da * (s // self.scale)
+        prec = pb if pa is None else pa if pb is None else min(pa, pb)
         if not ac or not bc:
             return QSeries((), 0, s, prec)
         return QSeries(_polymul(ac, bc), ao + bo, s, prec)
@@ -651,12 +649,10 @@ def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:
     s = lcm(a.scale, d)
     ao, ac, ap = a._rescaled(s)
     want = n * (s // d)  # target prec in units 1/s
-    # b = q^{-d(a)} * w with u*w = 1; need w to exponent < want - (-d) ...
-    m = want - ao  # unit-part length needed so that a*b is known below want
+    # a = q^ao u, 1/a = q^-ao w with u w = 1: w is needed below want + ao
+    m = want + ao
     if ap is not None:
         m = min(m, ap - ao)
-    if m <= 0:
-        return QSeries.zero(Fraction(want, s) - 2 * Fraction(ao, s))
     u = ac[1:m]
     w = [0] * m  # w[i] gathers sum_{j>=1} u_j w_{i-j} until w_i is due
     for i in range(m):
@@ -730,8 +726,8 @@ def sum_until(term: Callable[[int], QSeries], ks, prec: ExpLike,
         t = term(k)
         last = k
         kept.append(t)
-        x, s = ((t.offset if t.coeffs else t.prec, t.scale)
-                if t.coeffs or t.prec is not None else (1, 0))
+        x = t.low
+        x, s = (1, 0) if x is None else (x, t.scale)
         if bound is not None:
             if x * bd < bn * s:
                 raise DegreeBoundError(f"degree bound violated at k={k}")

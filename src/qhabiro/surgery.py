@@ -369,9 +369,9 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
 
     def term(k: int) -> QSeries:
         ak = knot.a[k]
-        if ak.is_zero and ak.is_exact:
+        x, s = ak.low, ak.scale  # delta >= x/s
+        if x is None:  # the exact zero
             return ak
-        x, s = ak.offset if ak.coeffs else ak.prec, ak.scale  # delta >= x/s
         tn, td = pn * s - x * pd, pd * s  # target = prec - x/s
         inner = QSeries((), 0, td, max(tn, pn * s))  # O(q^max(prec, target))
         top = -(-tn * g // td)

@@ -103,11 +103,11 @@ def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
     best = None
     indeterminate = []
     for k, s in enumerate(a.prefix(K)):
+        d = s.low
+        if d is None:
+            continue
         if not s.coeffs:
-            if s.prec is None:
-                continue
             indeterminate.append(k)
-        d = s.offset if s.coeffs else s.prec
         m = 2 * d + (k + 1) * (k - 2) * s.scale
         if best is None or m * best[1] < best[0] * s.scale:
             best = m, s.scale, d, k
@@ -154,10 +154,11 @@ class _Cascade:
     multiplying.
 
     Laurent polynomials on the grid (1/scale)Z are packed as (z, base):
-    z = sum c_i 2^(width*i), base the exponent of slot 0.  Multiplying by
-    q^c moves base; adding aligns by one left shift.  A nonzero state
-    keeps a nonzero slot 0 (base is its lowest exponent): inputs are
-    canonical QSeries, a repack keeps slot 0, and a shifted add keeps the
+    z = sum c_i 2^(width*i), base the exponent of slot 0.  An input comes
+    onto the grid through QSeries._rescaled.  Multiplying by q^c moves
+    base; adding aligns by one left shift.  A nonzero state keeps a
+    nonzero slot 0, so base is the low of its QSeries: inputs are canonical
+    QSeries, a repack keeps slot 0, and a shifted add keeps the
     unshifted operand's, so only the aligned add (equal bases) can cancel
     it, and only it strips zero low slots.  z is exact whatever its slots
     hold, but reading slots back needs |c_i| < 2^(width-1).  A scalar
@@ -229,16 +230,10 @@ class _Cascade:
         bs += (0, 0) if i else (0,)
         scale, width = self._scale, self._width
         mask = (1 << width) - 1
-        f = scale // x.scale
-        coeffs = list(x.coeffs)
-        if f > 1 and coeffs:
-            spread = [0] * ((len(coeffs) - 1) * f + 1)
-            spread[::f] = coeffs
-            coeffs = spread
+        bu, coeffs, prec = x._rescaled(scale)
         # a single coefficient is its own packing (every built-in knot's
         # a-side); each factor is u +- q^c v, aligned by one left shift
         zu = coeffs[0] if len(coeffs) == 1 else _pack(coeffs, width)
-        bu = x.offset * f
         if self._divide:
             for t in range(2 * i, -1, -1):
                 zv = zs[t]
@@ -269,17 +264,16 @@ class _Cascade:
                     else:
                         zu = (zu << (bu - bv) * width) - zv
                         bu = bv
-        return self._emit(i, x, zu, bu)
+        return self._emit(i, prec, zu, bu)
 
-    def _emit(self, i: int, x: QSeries, z: int, base: int) -> QSeries:
+    def _emit(self, i: int, xprec: Optional[int], z: int, base: int) -> QSeries:
         # precision exactly as the sum over k of [k+i choose 2k] a_{-k-1}
         # (or its back-substitution) propagates it: a truncated term moves
         # its bound by delta([k+i choose 2k]) = -k(i-k).  The sum reads the
         # inputs' precs, the back-substitution the earlier outputs' and
-        # its own input's; all are integers on the cascade's grid.
+        # its own input's (xprec); all are integers on the cascade's grid.
         scale = self._scale
-        self._precs.append(None if x.prec is None
-                           else x.prec * (scale // x.scale))
+        self._precs.append(xprec)
         prec = min((p - k * (i - k) * scale for k, p in enumerate(self._precs)
                     if p is not None), default=None)
         if not self._divide:
@@ -336,7 +330,7 @@ def fk_degree_check(f: CoeffSeq, C, K: int) -> bool:
     n, d = b.numerator, b.denominator
     for i in range(K + 1):
         fi = f[i]
-        x = fi.offset if fi.coeffs else fi.prec
+        x = fi.low
         if x is not None and 2 * x * d < (2 * n - i * (i - 1) * d) * fi.scale:
             return False
     return True

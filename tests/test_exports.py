@@ -12,7 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.dirname(os.path.abspath(qhabiro.__file__))
 
 # The knot registry's entry points for users, which no command calls, and
-# residue_sigma, which stays beside ResidueAtom while the tracer rebinds it.
+# residue_sigma, the public residue-atom constructor, whose atoms
+# tests/test_residues.py sums as the oracle for residue_series.
 UNCALLED = {"knot_names", "load_knots", "mirror", "residue_sigma"}
 
 

@@ -31,6 +31,23 @@ def mk(d, prec=None):
     return QSeries.from_terms(d, prec)
 
 
+@st.composite
+def operands(draw):
+    """A series on the grid 1/1, 1/2 or 1/3: exact, truncated (perhaps zero
+    to its precision), the exact zero or a truncated zero."""
+    scale = draw(st.sampled_from((1, 2, 3)))
+    kind = draw(st.sampled_from(("exact", "truncated", "exact zero",
+                                 "truncated zero")))
+    if kind == "exact zero":
+        return QSeries.zero()
+    prec = Fraction(draw(st.integers(-6, 12)), draw(st.sampled_from((1, 2, 3))))
+    if kind == "truncated zero":
+        return QSeries.zero(prec)
+    t = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6))
+    return mk({Fraction(e, scale): c for e, c in t.items()},
+              None if kind == "exact" else prec)
+
+
 def naive_convolution(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -303,6 +320,36 @@ class TestDelta:
         assert QSeries.zero().delta() == math.inf
 
 
+class TestLow:
+    """QSeries.low: the least exponent a term can have, in units of
+    1/scale; None only for the exact zero."""
+
+    def test_exact_zero_truncated_zero_and_nonzero(self):
+        assert QSeries.zero().low is None
+        assert QSeries.zero(7).low == 7
+        assert mk({2: 1, 5: -1}).low == 2
+        assert mk({2: 1, 5: -1}, prec=4).low == 2
+        assert mk({5: 1}, prec=4).low == 4  # zero to its precision
+
+    def test_negative_precision(self):
+        assert QSeries.zero(-3).low == -3
+        assert mk({-5: 1, 0: 2}, prec=-2).low == -5
+        assert mk({-1: 1}, prec=-2).low == -2
+
+    def test_half_integer_grid(self):
+        s = mk({Fraction(3, 2): 1, 4: -1})
+        assert (s.scale, s.low) == (2, 3)
+        z = QSeries.zero(Fraction(-5, 2))
+        assert (z.scale, z.low) == (2, -5)
+
+    @given(operands())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_low_is_the_certified_valuation_bound(self, s):
+        want = s.delta_lb()
+        assert (math.inf if s.low is None else Fraction(s.low, s.scale)) \
+            == want
+
+
 class TestInversion:
     def test_invert_unit_oracle(self):
         inv = series_invert_unit(mk({0: 1, 1: -1}), 6)
@@ -324,6 +371,28 @@ class TestInversion:
         u = mk(t)
         inv = series_invert_unit(u, prec)
         assert (u * inv).truncate(prec) == QSeries.one().truncate(prec)
+
+    def test_shifted_unit_keeps_the_asked_precision(self):
+        # 1/(q + q^2) = q^-1 - 1 + q - q^2 + ... to O(q^3) as asked, not to
+        # O(q^(3 - 2 delta)); 1/q to O(q^0) keeps its term q^-1
+        assert series_invert_unit(mk({1: 1, 2: 1}), 3) == \
+            mk({-1: 1, 0: -1, 1: 1, 2: -1}, prec=3)
+        assert series_invert_unit(mk({1: 1}), 0) == mk({-1: 1}, prec=0)
+        assert series_invert_unit(mk({2: -1}), -3) == QSeries.zero(-3)
+
+    @given(operands(), st.integers(-6, 12), st.sampled_from((1, 2, 3)))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_precision_of_the_inverse(self, a, n, d):
+        """1/a is known to O(q^prec), or to prec(a) - 2 delta(a) where
+        that is lower, and a * (1/a) is 1 as far as the product is known."""
+        if a.is_zero or a.coeffs[0] not in (1, -1):
+            return
+        prec = Fraction(n, d)
+        inv = series_invert_unit(a, prec)
+        delta = a.delta_lb()
+        want = prec if a.is_exact else min(prec, a.prec_q - 2 * delta)
+        assert inv.prec_q == want
+        assert a * inv == QSeries.one().truncate(want + delta)
 
     def test_exact_div(self):
         num = mk({0: 1, 3: -1})
@@ -512,30 +581,13 @@ class TestAdd:
             assert (n + a).to_json() == want
 
 
-@st.composite
-def mul_operands(draw):
-    """A series on the grid 1/1, 1/2 or 1/3: exact, truncated (perhaps zero
-    to its precision), the exact zero or a truncated zero."""
-    scale = draw(st.sampled_from((1, 2, 3)))
-    kind = draw(st.sampled_from(("exact", "truncated", "exact zero",
-                                 "truncated zero")))
-    if kind == "exact zero":
-        return QSeries.zero()
-    prec = Fraction(draw(st.integers(-6, 12)), draw(st.sampled_from((1, 2, 3))))
-    if kind == "truncated zero":
-        return QSeries.zero(prec)
-    t = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6))
-    return mk({Fraction(e, scale): c for e, c in t.items()},
-              None if kind == "exact" else prec)
-
-
 class TestProductRule:
     """QSeries.__mul__ against the rule it keeps: an exact-zero operand
     gives the exact zero; otherwise the product is known to
     min(prec(a) + delta_lb(b), prec(b) + delta_lb(a)) over the truncated
     operands, and its coefficients are the termwise product's below that."""
 
-    @given(mul_operands(), mul_operands())
+    @given(operands(), operands())
     @settings(derandomize=True, max_examples=400, deadline=None)
     def test_precision_and_coefficients(self, a, b):
         got = a * b
