@@ -57,6 +57,16 @@ def series_from_str_coeffs(pairs) -> QSeries:
     return QSeries.from_terms({Fraction(e): c for e, c in pairs.items()})
 
 
+def residue_plus_q_at(residue_series, bad_j: int):
+    """residue_series with q added to r_{bad_j}: a wrong residue for the
+    checks built on residues to catch."""
+    def broken(a, j, prec, C):
+        r = residue_series(a, j, prec, C)
+        return r + QSeries.monomial(1) if j == bad_j else r
+
+    return broken
+
+
 # Closed forms of coefficients that the library computes by the transform
 # cascade, kept as oracles for it.
 

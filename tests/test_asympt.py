@@ -202,6 +202,10 @@ class TestPeriodicity:
         for x, y in zip(a.values, b.values):
             assert abs(x - y) < 1e-9
 
+    def test_aperiodic_on_a_short_window(self):
+        # period 5 from n = 1 needs n_max >= 10
+        assert periodicity_check("4_1", 8) == (None, None, (), "aperiodic on window")
+
     @pytest.mark.parametrize("n_max", [12, 100])
     def test_unknot_locks_in_after_the_first_value(self, n_max):
         # f_{n-1}(zeta_n) = 1, 0, 0, ...: period 1 from n = 2 on

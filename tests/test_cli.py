@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import qhabiro
-from qhabiro import QSeries
+from qhabiro import QSeries, residues
 from qhabiro.cli import VERIFY_SUITES, main
+
+from conftest import residue_plus_q_at
 
 
 def run(capsys, *argv):
@@ -221,6 +223,24 @@ class TestVerify:
                            "--prec", "6")
         assert (code, out) == (0, "OK: defect 0 to O(q^6)\n")
 
+    def test_theta_route_mismatch_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(residues, "residues_from_f",
+                            lambda f, j, prec, C: QSeries.zero(prec))
+        code, out, _ = run(capsys, "verify", "theta-route", "--prec", "8")
+        assert (code, out) == (2, "FAIL: mismatch at 3_1l, j=0\n")
+
+    def test_a_broken_residue_fails_its_suites(self, capsys, monkeypatch):
+        monkeypatch.setattr(residues, "residue_series",
+                            residue_plus_q_at(residues.residue_series, 2))
+        code, out, _ = run(capsys, "verify", "residue-symmetry",
+                           "trefoil-recurrence-l", "branch-half", "--prec", "8")
+        assert code == 2
+        assert out.splitlines() == [
+            "FAIL: r_{-2} != q^{-2} r_2 for 3_1l",
+            "FAIL: recurrence fails",
+            "FAIL: branch relation fails at j=2",
+        ]
+
     @pytest.mark.parametrize("suite", ["tails-even", "tails-odd"])
     @pytest.mark.parametrize("prec", [0, 5, 8, 40])
     def test_tails_at_any_precision(self, capsys, suite, prec):
@@ -289,6 +309,11 @@ class TestOtherCommands:
         argv = ("asympt", "--mode", "period", "--knot", "unknot", "--n-max", "12")
         assert run(capsys, *argv)[:2] == (0, "period 1, values [0.0] from n = 2\n")
         assert json.loads(run(capsys, *argv, "--json")[1])["phase"] == 2
+
+    def test_asympt_aperiodic_window(self, capsys):
+        # 4_1's period 5 needs two periods past the phase: n_max = 8 is short
+        code, out, _ = run(capsys, "asympt", "--mode", "period", "--n-max", "8")
+        assert (code, out) == (2, "aperiodic on window\n")
 
     def test_asympt_csv_header(self, capsys):
         code, out, _ = run(capsys, "asympt", "--mode", "csv",

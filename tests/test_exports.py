@@ -1,5 +1,7 @@
-"""Every name ``import qhabiro`` serves is read outside its own definition
-by src/qhabiro (bar ``__init__.py``), scripts/ or perfbench/ (by string too)."""
+"""Every name ``import qhabiro`` serves, and every top-level function and
+class of src/qhabiro, private ones included, is read outside its own
+definition by src/qhabiro (bar ``__init__.py``), scripts/ or perfbench/ (by
+string too)."""
 
 import ast
 import os
@@ -37,11 +39,7 @@ def reads(path: str, strings: bool) -> set:
     return {name for name, stmt in out if name != getattr(stmt, "name", None)}
 
 
-def test_every_served_name_is_read_by_the_program():
-    served = qhabiro._ASYMPT_NAMES | {
-        name for name, value in vars(qhabiro).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert UNCALLED <= served
+def program_reads() -> set:
     used = set()
     for directory in (PACKAGE, os.path.join(ROOT, "scripts"),
                       os.path.join(ROOT, "perfbench")):
@@ -49,4 +47,24 @@ def test_every_served_name_is_read_by_the_program():
             if name.endswith(".py") and (directory, name) != (PACKAGE, "__init__.py"):
                 used |= reads(os.path.join(directory, name),
                               strings=directory.endswith("perfbench"))
-    assert not served - used - UNCALLED, sorted(served - used - UNCALLED)
+    return used
+
+
+def test_every_served_name_is_read_by_the_program():
+    served = qhabiro._ASYMPT_NAMES | {
+        name for name, value in vars(qhabiro).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert UNCALLED <= served
+    unread = served - program_reads() - UNCALLED
+    assert not unread, sorted(unread)
+
+
+def test_every_top_level_definition_is_read_by_the_program():
+    # __getattr__ is read by the import system (PEP 562)
+    defined = {
+        stmt.name for name in os.listdir(PACKAGE) if name.endswith(".py")
+        for stmt in ast.parse(open(os.path.join(PACKAGE, name)).read()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert {"__getattr__"} | UNCALLED <= defined
+    unread = defined - program_reads() - UNCALLED - {"__getattr__"}
+    assert not unread, sorted(unread)

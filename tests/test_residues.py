@@ -31,11 +31,12 @@ from qhabiro import (
     trefoil_recurrence_check,
 )
 
+from qhabiro import residues
 from qhabiro.residues import (ResidueFamily, _binom2, _inv_poch_product,
                               _j_window)
 from qhabiro.series import ExpLike, PrecisionError
 
-from conftest import seq_from_list
+from conftest import residue_plus_q_at, seq_from_list
 
 
 def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
@@ -316,6 +317,12 @@ class TestRecurrences:
 
     def test_right(self):
         assert trefoil_recurrence_check("R", 6, 40)
+
+    @pytest.mark.parametrize("kind", ["L", "R"])
+    def test_a_broken_residue_fails_the_check(self, monkeypatch, kind):
+        monkeypatch.setattr(residues, "residue_series",
+                            residue_plus_q_at(residues.residue_series, 2))
+        assert not trefoil_recurrence_check(kind, 6, 12)
 
 
 class TestDescendants:

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from qhabiro import (
     ConvergenceError,
+    FractionalExponentError,
     KnotSpec,
     get_knot,
     lbc_check,
     load_knots,
     PrecisionError,
     QSeries,
+    RemainderError,
     SurgeryParams,
     f_from_a,
     park_poly_explicit,
@@ -782,6 +784,8 @@ class TestShortListKnot:
 
 PARK_RESIDUE_DIGEST = \
     "331a0a5bf89bc26fbf1048d68293520204fdcbe833bfd16431d5b86b31e6d0b9"
+PARK_EXPLICIT_DIGEST = \
+    "496c0dc27b23f05a67e2da017dc8df74099f1563d03a9aa5b186802e343f49f9"
 
 
 class TestParkPolynomials:
@@ -818,6 +822,29 @@ class TestParkPolynomials:
         blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == \
             PARK_RESIDUE_DIGEST
+
+    def test_explicit_form_frozen(self):
+        # sha256 of the canonical JSON of park_poly_explicit(p, a, k).to_json()
+        # over 1 <= p <= 6, 0 <= a < p, 0 <= k <= 10 (231 polynomials), as
+        # the explicit form computed them by one long division over
+        # (q)_k (q)_{2k}
+        records = [park_poly_explicit(p, a, k).to_json()
+                   for p in range(1, 7) for a in range(p) for k in range(11)]
+        blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            PARK_EXPLICIT_DIGEST
+
+    def test_explicit_form_checks_exactness(self, monkeypatch):
+        # with every weight polynomial replaced by 1 the numerator is no
+        # longer divisible by the denominator, and at k = 1 the prefactor's
+        # fractional exponent no longer cancels
+        monkeypatch.setattr(surgery, "surgery_weight_poly",
+                            lambda j, p, a: QSeries.one())
+        for k in (2, 3):
+            with pytest.raises(RemainderError):
+                park_poly_explicit(2, 1, k)
+        with pytest.raises(FractionalExponentError):
+            park_poly_explicit(2, 1, 1)
 
     def test_explicit_oracle_p1_k1(self):
         # p=1, a=0, k=1 reduces to the constant polynomial 1
