@@ -17,7 +17,6 @@ from .series import (
     QAlgebraError,
     QSeries,
     RemainderError,
-    exact_div,
     series_invert_unit,
     series_sum_bounded,
 )
@@ -25,12 +24,10 @@ from .qcomb import (
     DivergentPochhammerError,
     curly_fact,
     curly_poch,
-    jacobi_symbol,
     poch,
     qbinom,
     qfact,
     qint,
-    qpoch,
 )
 from .transform import (
     CoeffSeq,

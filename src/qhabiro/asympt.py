@@ -330,9 +330,9 @@ def _require_unit(s: PerturbSeries):
         raise AsymptoticsError("series must be exact with c_0 = 1")
 
 
-def series_mul(s: PerturbSeries, t: PerturbSeries,
-               prefactor: str = "1") -> PerturbSeries:
-    """Formal product in the c-convention, to the shorter depth."""
+def series_mul(s: PerturbSeries, t: PerturbSeries) -> PerturbSeries:
+    """Formal product in the c-convention, to the shorter depth; the
+    prefactor is "1"."""
     _require_unit(s)
     _require_unit(t)
     depth = min(s.depth, t.depth)
@@ -341,11 +341,12 @@ def series_mul(s: PerturbSeries, t: PerturbSeries,
     for k in range(depth + 1):
         out.append(sum(sa[i] * ta[k - i] for i in range(k + 1)))
     coeffs = tuple(a * math.factorial(k) for k, a in enumerate(out))
-    return PerturbSeries(coeffs, prefactor)
+    return PerturbSeries(coeffs)
 
 
-def series_sqrt_inv(s: PerturbSeries, prefactor: str = "1") -> PerturbSeries:
-    """Formal s^{-1/2} in the c-convention (requires c_0 = 1)."""
+def series_sqrt_inv(s: PerturbSeries) -> PerturbSeries:
+    """Formal s^{-1/2} in the c-convention (requires c_0 = 1); the
+    prefactor is "1"."""
     _require_unit(s)
     sa = s.a_coeffs()
     # t = s^alpha with s_0 = 1 obeys k t_k = sum_{i=1..k} ((alpha+1)i - k)
@@ -355,7 +356,7 @@ def series_sqrt_inv(s: PerturbSeries, prefactor: str = "1") -> PerturbSeries:
         ta.append(sum((i - 2 * k) * sa[i] * ta[k - i]
                       for i in range(1, k + 1)) / (2 * k))
     coeffs = tuple(a * math.factorial(k) for k, a in enumerate(ta))
-    return PerturbSeries(coeffs, prefactor)
+    return PerturbSeries(coeffs)
 
 
 def phi_quotient_check(depth: int) -> tuple:

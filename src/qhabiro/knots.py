@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from .qcomb import jacobi_symbol
 from .series import ExactnessError, QAlgebraError, QSeries, series_sum
 from .transform import CoeffSeq, a_from_f, f_from_a, lbc_check
 
@@ -113,12 +112,17 @@ def _monomial_gen(alpha: int, beta: int, c2: Fraction, c1: Fraction, c0: Fractio
 
 
 def _f_trefoil(sgn: int) -> Callable[[int], QSeries]:
-    """f_k = -(3|2k+1) q^{sgn (k(k+1)/6 + 1)}; sgn = +1 for 3_1r."""
+    """f_k = eps_{2k+1} q^{sgn (k(k+1)/6 + 1)}; sgn = +1 for 3_1r.
+
+    eps_m = -(3|m) is Gukov-Manolescu's sign for T(2,3) (arXiv:1904.06057):
+    -1 at m = +-1, +1 at m = +-5 and 0 where 3 divides m, all mod 12."""
+    eps = {1: -1, 5: 1, 7: 1, 11: -1}
+
     def gen(k: int) -> QSeries:
-        j = jacobi_symbol(3, 2 * k + 1)
-        if j == 0:
+        e = eps.get((2 * k + 1) % 12)
+        if e is None:
             return QSeries.zero()
-        return QSeries.monomial(sgn * (Fraction(k * (k + 1), 6) + 1), -j)
+        return QSeries.monomial(sgn * (Fraction(k * (k + 1), 6) + 1), e)
 
     return gen
 

@@ -1,5 +1,5 @@
 """Balanced q-combinatorics: q-integers, q-binomials, curly brackets,
-Pochhammer symbols, Jacobi symbol.
+Pochhammer symbols.
 
 Balanced quantities live on the half-integer exponent grid (v = q^{1/2});
 results that happen to lie in Z[q^{+-1}] come back scale-normalized.
@@ -8,8 +8,9 @@ Every q-Pochhammer quotient is computed by one in-place kernel on a
 coefficient list c_0 + c_1 q + ..., truncated at its length: multiplying
 by (1 - q^m) is one shifted subtraction, dividing by it is a prefix sum
 along each residue class mod m.  Gaussian binomials, [k]!, poch (and
-through it the curly brackets {n}_k and {k}!) and the inverse Pochhammer
-products of residues.py are chains of these two steps.
+through it the curly brackets {n}_k and {k}!), the inverse Pochhammer
+products of residues.py and the Park quotient num / (q)_k^2 of surgery.py
+are chains of these two steps.
 """
 
 from __future__ import annotations
@@ -162,27 +163,3 @@ def poch(
             _mul_one_minus_qm(c, abs(e))
     out = QSeries(c, shift, den)
     return out if prec is None else out.truncate(prec)
-
-
-def qpoch(n: Union[int, float], prec: Optional[ExpLike] = None) -> QSeries:
-    """(q)_n = (q; q)_n shortcut."""
-    return poch(1, n, prec)
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd positive n."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("n must be an odd positive integer")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-

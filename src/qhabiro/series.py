@@ -70,8 +70,8 @@ class PrecisionError(QAlgebraError):
 # multiplication kernel
 #
 # Small products are one scaled slice-add per nonzero coefficient of the
-# shorter factor (_add_scaled, also the residue and surgery sums' kernel,
-# exact_div's multiply-subtract and series_invert_unit's convolution).
+# shorter factor (_add_scaled, also the residue and surgery sums' kernel
+# and series_invert_unit's convolution).
 # _products adds r_i P_i, each P_i given by its monomials, into one list
 # by one _add_scaled per pair (surgery's residue route and the theta
 # route); series_dot adds exact _polymul products into one list.
@@ -660,35 +660,6 @@ def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:
         if w[i]:  # w_i q^i u[1:] into the later sums
             _add_scaled(w, 0, m, 1, [(i, w[i])], 1, u, len(u), 1)
     return QSeries(w, -ao, s, m - ao)
-
-
-def exact_div(a: QSeries, b: QSeries) -> QSeries:
-    """Exact Laurent-polynomial division a/b; raises on nonzero remainder."""
-    if not (a.is_exact and b.is_exact):
-        raise ExactnessError("exact_div requires exact inputs")
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero series")
-    if a.is_zero:
-        return QSeries()
-    s = lcm(a.scale, b.scale)
-    ao, rem, _ = a._rescaled(s)  # a fresh list: the remainder in place
-    bo, bc, _ = b._rescaled(s)
-    lead = bc[0]
-    n = len(rem) - len(bc) + 1
-    if n < 1:
-        raise RemainderError("division leaves a remainder")
-    quo = [0] * n
-    for i in range(n):
-        c = rem[i]
-        if c == 0:
-            continue
-        if c % lead:
-            raise RemainderError("division leaves a remainder")
-        quo[i] = c // lead
-        _add_scaled(rem, 0, len(rem), 1, [(i, quo[i])], 0, bc, len(bc), -1)
-    if any(rem):
-        raise RemainderError("division leaves a remainder")
-    return QSeries(quo, ao - bo, s)
 
 
 RUN_LENGTH = 3

@@ -52,8 +52,9 @@ from itertools import compress, count
 from math import gcd, lcm
 
 from .series import (ConvergenceError, ExpLike, QAlgebraError, QSeries,
-                     _add_scaled, _products, exact_div, series_sum, sum_until)
-from .qcomb import CACHE_SIZE, poch, qbinom, qpoch
+                     RemainderError, _add_scaled, _products, series_sum,
+                     sum_until)
+from .qcomb import CACHE_SIZE, _div_one_minus_qm, poch, qbinom
 from .transform import f_from_a
 from .residues import _inv_poch_pair, _j_window, residue_series
 from .knots import KnotSpec, get_knot
@@ -415,8 +416,9 @@ def zhat(knot, params: SurgeryParams) -> ZhatResult:
 def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
     """-q^{a(p-a)/p} (q^{k+1};q)_k sum_{j=1}^k (-1)^{k+j} (1-q^{-j})
     q^{binom(j+1,2)-binom(k,2)} / ((q)_{k+j}(q)_{k-j}) *
-    sum_n q^{(np+a)^2/p - j(np+a)}, assembled exactly over the common
-    denominator (q)_k (q)_{2k}; the n-sum is weight_poly(j) mirrored.
+    sum_n q^{(np+a)^2/p - j(np+a)}; the n-sum is weight_poly(j) mirrored.
+    Over the common denominator (q)_k (q)_{2k} of the j-sum, with numerator
+    num, the product is num / (q)_k^2, as (q)_{2k} = (q)_k (q^{k+1};q)_k.
 
     At k = 0 the j-sum is empty and the polynomial is 0 for every a; the
     residue form (park_poly_residue) keeps the theta constant term there
@@ -431,11 +433,16 @@ def park_poly_explicit(p: int, a: int, k: int) -> QSeries:
         * poch(k - j + 1, j) * poch(k + j + 1, k - j)
         * surgery_weight_poly(j, p, a).mirror()
         for j in range(1, k + 1))
-    # (q^{k+1};q)_k must join the numerator before dividing: num/den alone
-    # need not be polynomial, the full product is
-    den = qpoch(k) * qpoch(2 * k)
-    out = -QSeries.monomial(Fraction(a * (p - a), p)) \
-        * exact_div(poch(k + 1, k) * num, den)
+    # num/(q)_k^2 as a power series truncated at num's length; the quotient
+    # is a polynomial exactly when nothing is left past its degree
+    s, c = num.scale, list(num.coeffs)
+    n = max(len(c) - k * (k + 1) * s, 0)  # the quotient's length
+    for i in range(1, k + 1):
+        _div_one_minus_qm(c, i * s)
+        _div_one_minus_qm(c, i * s)
+    if any(c[n:]):
+        raise RemainderError("division leaves a remainder")
+    out = -QSeries(c[:n], num.offset, s)._shift(a * (p - a), p)
     if out.scale != 1:
         raise FractionalExponentError("fractional exponent did not cancel")
     return out

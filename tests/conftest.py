@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import pytest
 
 from qhabiro import (
     CoeffSeq,
+    ExactnessError,
     KnotSpec,
     LbcError,
     OmegaElement,
     QSeries,
-    exact_div,
+    RemainderError,
     gamma,
     get_knot,
     lbc_margin,
@@ -19,7 +21,7 @@ from qhabiro import (
     qfact,
     qint,
 )
-from qhabiro.series import ExpLike
+from qhabiro.series import ExpLike, _add_scaled
 
 
 def seq_from_list(side, items):
@@ -65,6 +67,36 @@ def residue_plus_q_at(residue_series, bad_j: int):
         return r + QSeries.monomial(1) if j == bad_j else r
 
     return broken
+
+
+def exact_div(a: QSeries, b: QSeries) -> QSeries:
+    """Exact Laurent-polynomial division a/b by long division; raises
+    RemainderError on a nonzero remainder."""
+    if not (a.is_exact and b.is_exact):
+        raise ExactnessError("exact_div requires exact inputs")
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero series")
+    if a.is_zero:
+        return QSeries()
+    s = lcm(a.scale, b.scale)
+    ao, rem, _ = a._rescaled(s)  # a fresh list: the remainder in place
+    bo, bc, _ = b._rescaled(s)
+    lead = bc[0]
+    n = len(rem) - len(bc) + 1
+    if n < 1:
+        raise RemainderError("division leaves a remainder")
+    quo = [0] * n
+    for i in range(n):
+        c = rem[i]
+        if c == 0:
+            continue
+        if c % lead:
+            raise RemainderError("division leaves a remainder")
+        quo[i] = c // lead
+        _add_scaled(rem, 0, len(rem), 1, [(i, quo[i])], 0, bc, len(bc), -1)
+    if any(rem):
+        raise RemainderError("division leaves a remainder")
+    return QSeries(quo, ao - bo, s)
 
 
 # Closed forms of coefficients that the library computes by the transform

@@ -42,7 +42,7 @@ from qhabiro import (
     zhat_via_ih,
     zhat_via_residues,
 )
-from qhabiro.qcomb import qpoch
+from qhabiro.qcomb import poch
 from qhabiro.transform import CoeffSeq
 
 from conftest import lbc_product_bound, verify_sigma_product
@@ -60,7 +60,7 @@ def budget(seconds):
 
 
 def inv_qpoch_inf(prec):
-    return series_invert_unit(qpoch(math.inf, prec), prec)
+    return series_invert_unit(poch(1, math.inf, prec), prec)
 
 
 # -- frozen residue tables (right-handed trefoil and figure-eight) ----------

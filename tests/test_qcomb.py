@@ -13,12 +13,10 @@ from qhabiro import (
     QSeries,
     curly_fact,
     curly_poch,
-    jacobi_symbol,
     poch,
     qbinom,
     qfact,
     qint,
-    qpoch,
 )
 
 small = st.integers(min_value=0, max_value=12)
@@ -228,13 +226,13 @@ class TestCaches:
 
 class TestPochhammer:
     def test_finite(self):
-        assert qpoch(0) == QSeries.one()
-        assert qpoch(2) == QSeries.from_terms({0: 1, 1: -1}) * \
+        assert poch(1, 0) == QSeries.one()
+        assert poch(1, 2) == QSeries.from_terms({0: 1, 1: -1}) * \
             QSeries.from_terms({0: 1, 2: -1})
 
     def test_infinite_pentagonal(self):
         # Euler: (q)_inf = sum (-1)^n q^{n(3n-1)/2} over all n
-        s = qpoch(math.inf, 30)
+        s = poch(1, math.inf, 30)
         expected = {}
         n = 0
         while True:
@@ -285,22 +283,3 @@ class TestPochhammer:
                         continue
                     assert poch(a, n, prec) == reference_poch(a, n, prec), \
                         (a, n, prec)
-
-
-class TestJacobiSymbol:
-    def test_small_values(self):
-        assert jacobi_symbol(1, 1) == 1
-        assert jacobi_symbol(2, 3) == -1
-        assert jacobi_symbol(2, 7) == 1
-        assert jacobi_symbol(3, 9) == 0
-
-    def test_multiplicative(self):
-        for n in (3, 5, 7, 9, 15):
-            for a in range(1, 10):
-                for b in range(1, 10):
-                    assert (jacobi_symbol(a * b, n)
-                            == jacobi_symbol(a, n) * jacobi_symbol(b, n))
-
-    def test_rejects_even(self):
-        with pytest.raises(ValueError):
-            jacobi_symbol(1, 4)

@@ -18,7 +18,7 @@ from qhabiro import (
     get_knot,
     omega_from_a,
     omega_mul,
-    qpoch,
+    poch,
     residue_family,
     residue_series,
     residue_sigma,
@@ -115,7 +115,7 @@ def branch_residue_by_family(branch: str, j: int, prec: ExpLike) -> QSeries:
 
 
 def inv_qpoch_inf(prec):
-    return series_invert_unit(qpoch(math.inf, prec), prec)
+    return series_invert_unit(poch(1, math.inf, prec), prec)
 
 
 def atom_sum(a, j, prec, C):
@@ -530,19 +530,19 @@ class TestInversePochhammer:
     def test_finite(self, indices, prec):
         den = QSeries.one()
         for m in indices:
-            den = den * qpoch(m)
+            den = den * poch(1, m)
         assert _inv_poch_product(indices, prec) == \
             series_invert_unit(den, prec)
 
     @pytest.mark.parametrize("power", [1, 2, 3])
     @pytest.mark.parametrize("prec", [1, Fraction(7, 2), 40, 90])
     def test_infinite(self, power, prec):
-        expected = series_invert_unit(qpoch(math.inf, prec) ** power, prec)
+        expected = series_invert_unit(poch(1, math.inf, prec) ** power, prec)
         assert _inv_poch_product((math.inf,) * power, prec) == expected
 
     def test_mixed(self):
         prec = Fraction(45, 2)
-        den = qpoch(4) * qpoch(math.inf, prec)
+        den = poch(1, 4) * poch(1, math.inf, prec)
         assert _inv_poch_product((4, math.inf), prec) == \
             series_invert_unit(den, prec)
 

@@ -16,11 +16,12 @@ from qhabiro import (
     NotInvertibleError,
     QSeries,
     RemainderError,
-    exact_div,
     series_invert_unit,
     series_sum_bounded,
 )
 from qhabiro import series
+
+from conftest import exact_div
 
 exps = st.integers(min_value=-8, max_value=8)
 coeffs = st.integers(min_value=-9, max_value=9)
