@@ -16,7 +16,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .series import ExactnessError, QAlgebraError, QSeries, series_sum
-from .transform import CoeffSeq, a_from_f, f_from_a, lbc_check
+from .transform import CoeffSeq, LbcError, a_from_f, f_from_a, lbc_check
 
 INTEGRALITY_WINDOW = 64
 LBC_WINDOW = 24  # lbc_constant audits the a-side over indices 0..LBC_WINDOW at most
@@ -230,6 +230,13 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
         gen = _monomial_gen(alpha, beta, c2, c1, c0)
         for k in range(INTEGRALITY_WINDOW + 1):
             gen(k)  # raises on a non-integral exponent
+        # the LBC margin delta(a_{-k-1}) + (k+1)(k-2)/2 of every index is
+        # (c2 + 1/2)k^2 + (c1 - 1/2)k + c0 - 1: no constant bounds it from
+        # below when it falls without bound
+        if c2 < -_HALF or (c2 == -_HALF and c1 < _HALF):
+            raise LbcError("knot %r has no LBC constant: its margin "
+                           "(c2 + 1/2)k^2 + (c1 - 1/2)k + c0 - 1 falls "
+                           "without bound" % name)
     elif kind == "list":
         coeffs = gen_spec.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
@@ -298,7 +305,8 @@ def load_knots(path) -> list:
     """Register knots from a JSON file; returns the new KnotSpecs.
 
     An entry's generator gives a_{-k-1} by its kind: ``monomial`` (a sign
-    and an exponent quadratic in k), ``list`` (one serialized QSeries per
+    and an exponent quadratic in k; LbcError when the LBC margin that the
+    quadratic gives falls without bound), ``list`` (one serialized QSeries per
     index) or ``composite`` (the coefficientwise sum of its summands'
     a-sides; their connected sum is omega_mul, ``qhabiro connect-sum``)."""
     import json  # here, as graphlib: only knot files need it

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import lcm
+from math import inf as INF, lcm
 from typing import Optional
 
-from .series import ExpLike, QSeries, _as_ratio, series_dot
+from .series import ExpLike, QSeries, _as_ratio, _dot
 from .qcomb import CACHE_SIZE, curly_poch, qbinom
 from .transform import (CoeffSeq, LbcError, LbcReport, a_from_f, f_from_a,
                         lbc_check)
@@ -89,27 +89,25 @@ def omega_mul(
     delta(b_n) lies below p_l; prec(a_m b_n) is as QSeries multiplication
     gives it.  With no such pair c_l is exact zero; a coefficient that is
     zero only to its precision has no terms.
+
+    Those cuts P_k are known before any row is computed, so every stage
+    computes only below what they need, each transform's precision rule
+    inverted (see transform._Cascade): f^c_i is needed below pi_i =
+    max_{read k>=i} P_k + binom(k,2), minus binom(i,2); f^a_t below
+    pi_t - delta(s_b) and below pi_{j+1} - lb(f^b_{j-t}) for j >= t, the
+    dot j being cut at pi_{j+1}, where lb(f_n) = min_k delta(b_k) - k(n-k)
+    is the valuation the partner's own terms allow; and the known a_k is
+    fed in truncated at max_{t>=k} of f^a_t's need + k(t-k).  The
+    cascades then cut their states, the dots multiply only below their
+    precision (series._dot), and c_l comes out exactly as the exact
+    computation cut at P_k.  All of it runs on integers in units of
+    1/unit.
     """
     if a.lbc is None or b.lbc is None:
         raise LbcError("LBC required")
 
     def known(s: QSeries) -> QSeries:
         return QSeries(s.coeffs, s.offset, s.scale)
-
-    fa, fb = (f_from_a(CoeffSeq("P", lambda k, el=el: known(el.a[k]), L - 1))
-              for el in (a, b))
-    sa, sb = known(a.sigma0), known(b.sigma0)
-    conv = [QSeries.zero()]  # conv[i]: the double sum over j < i
-
-    def f_product(i: int) -> QSeries:
-        fa[i], fb[i]  # each cascade's rows up to i in one batch
-        while len(conv) <= i:
-            j = len(conv) - 1
-            conv.append(conv[j] + series_dot((fa[t], fb[j - t])
-                                             for t in range(j + 1)))
-        return sa * fb[i] + sb * fa[i] + conv[i]
-
-    exact = a_from_f(CoeffSeq("F", f_product, L - 1))
 
     # the precision scan runs on integers, in units of 1/unit
     rows = [[el.sigma0] + el.a.prefix(L - 1) for el in (a, b)]
@@ -157,18 +155,74 @@ def omega_mul(
                         P = p + d + v
         return (P, p_k) if hit else None
 
+    cuts = [cut(kk) for kk in range(L)]
+    hits = [kk for kk, ct in enumerate(cuts) if ct]
+    top = hits[-1] if hits else -1
+    # what each stage needs (docstring), in units of 1/unit, inf when
+    # exact; pi falls with i, so conv[i], which sums the dots j < i, is
+    # known below pi_i when dot j is cut at pi_{j+1}
+    pi = [0] * (top + 1)
+    most = -INF
+    for i in range(top, -1, -1):
+        b2 = unit * (i * (i - 1) // 2)
+        if cuts[i]:
+            most = max(most, INF if cuts[i][0] is None else cuts[i][0] + b2)
+        pi[i] = most - b2
+
+    def over(p, d):  # what a factor of valuation d needs for p; -inf: none
+        return -INF if d == INF else p - d
+
+    def levels(t_other: list) -> list:
+        """The precision each known input a_k needs, so that its f-side
+        row t is known where s_other f_t and the dots read it.  The
+        partner's f_n has valuation at least lb_n = min_k delta(b_k) -
+        k(n-k), from the partner's own terms t_other; f_from_a's row t is
+        known below min_k prec(a_k) - k(t-k)."""
+        lb = [min([d[0] - unit * k * (n - k)
+                   for k, d in enumerate(t_other[1:n + 2]) if d],
+                  default=INF) for n in range(top + 1)]
+        ds = INF if t_other[0] is None else t_other[0][0]
+        need = [max([over(pi[t], ds)] + [over(pi[j + 1], lb[j - t])
+                                         for j in range(t, top)])
+                for t in range(top + 1)]
+        return [max([need[t] + unit * k * (t - k) for t in range(k, top + 1)])
+                for k in range(top + 1)]
+
+    def feed(el: OmegaElement, lv: list) -> CoeffSeq:
+        def gen(k: int) -> QSeries:
+            s = known(el.a[k])
+            if not s.coeffs or abs(lv[k]) == INF:  # exact, or read nowhere
+                return s
+            f = unit // s.scale  # the level, rounded up onto s's own grid
+            return s._truncate(-(-lv[k] // f), s.scale)
+        return f_from_a(CoeffSeq("P", gen, top))
+
+    fa, fb = feed(a, levels(tb)), feed(b, levels(ta))
+    sa, sb = known(a.sigma0), known(b.sigma0)
+    conv = [QSeries.zero()]  # conv[i]: the double sum over j < i
+
+    def f_product(i: int) -> QSeries:
+        fa[i], fb[i]  # each cascade's rows up to i in one batch
+        while len(conv) <= i:
+            j = len(conv) - 1
+            n = pi[j + 1]
+            conv.append(conv[j] + _dot([(fa[t], fb[j - t])
+                                        for t in range(j + 1)],
+                                       None if n == INF else n, unit))
+        return sa * fb[i] + sb * fa[i] + conv[i]
+
+    prod = a_from_f(CoeffSeq("F", f_product, top))
+
     def gen(kk: int, ct) -> QSeries:
         if ct is None:
             return QSeries.zero()
         P, p_k = ct
-        out = exact[kk] if P is None else exact[kk]._truncate(P, unit)
+        out = prod[kk] if P is None else prod[kk]._truncate(P, unit)
         return out if p_k is None else out.truncate(p_k)
 
-    cuts = [cut(kk) for kk in range(L)]
-    hits = [kk for kk, ct in enumerate(cuts) if ct]
     if hits:
-        exact[hits[-1]]  # every exact row that gen reads, in one batch
-    # computed here, so that the exact intermediates die with this call
+        prod[top]  # every row that gen reads, in one batch
+    # computed here, so that the intermediates die with this call
     c = CoeffSeq("P", list(map(gen, range(L), cuts)).__getitem__, L - 1)
     s0 = a.sigma0 * b.sigma0
     if prec is not None:

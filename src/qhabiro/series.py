@@ -74,9 +74,11 @@ class PrecisionError(QAlgebraError):
 # and series_invert_unit's convolution).
 # _products adds r_i P_i, each P_i given by its monomials, into one list
 # by one _add_scaled per pair (surgery's residue route and the theta
-# route); series_dot adds exact _polymul products into one list.
+# route); _dot adds _polymul products into one list, exact or only
+# below a precision (series_dot is its exact case, omega_mul's
+# convolution the cut one).
 # Series add through one list adder, _sum_lists: QSeries.__add__ is its
-# two-term case, series_dot's products go through it, and series_sum is
+# two-term case, _dot's products go through it, and series_sum is
 # every running sum in the package (sum_until, the one engine that stops
 # a term-by-term sum, the residue-theorem defect, the theta sums, the
 # explicit Park polynomial, composite knots), each added once.
@@ -228,14 +230,19 @@ def _polymul_kronecker(a: list, b: list) -> list:
     return _unpack(x * y if _mpz is None else int(_mpz(x) * y), bits)
 
 
-def _polymul(a: list, b: list) -> list:
+def _polymul(a: list, b: list, n: Optional[int] = None) -> list:
+    """The coefficients of a * b, or only its first n (n >= 1)."""
+    if n is not None:
+        a, b = a[:n], b[:n]
     if not a or not b:
         return []
     if len(a) * len(b) > _KRONECKER_CUTOFF:
-        return _polymul_kronecker(a, b)
+        return _polymul_kronecker(a, b)[:n]
     if len(a) > len(b):
         a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
+    if n is not None:
+        del out[n:]
     _add_scaled(out, 0, len(out), 1, [(i, c) for i, c in enumerate(a) if c],
                 0, b, len(b), 1)
     return out
@@ -623,15 +630,31 @@ def series_sum(terms) -> QSeries:
 
 def series_dot(pairs) -> QSeries:
     """sum(x * y for x, y in pairs) over exact x, y (ExactnessError
-    otherwise): each product is one _polymul on the pairs' common grid,
-    added into one list."""
+    otherwise), by _dot."""
     pairs = list(pairs)
     if not all(x.is_exact and y.is_exact for x, y in pairs):
         raise ExactnessError("series_dot requires exact inputs")
+    return _dot(pairs)
+
+
+def _dot(pairs: list, n: Optional[int] = None, d: int = 1) -> QSeries:
+    """sum(x * y for x, y in pairs), each product one _polymul on the
+    pairs' common grid, added into one list; exact, or with n to
+    O(q^(n/d)), where only the coefficients below it are multiplied.
+
+    With n the caller vouches that the known terms of x and y fix every
+    product below q^(n/d), as they do when prec(x) + delta(y) and prec(y)
+    + delta(x) reach it for the true valuations, which may lie above what
+    a truncated zero's prec says."""
     s = lcm(1, *(t.scale for xy in pairs for t in xy))
     rows = [(x._rescaled(s), y._rescaled(s)) for x, y in pairs]
-    return _sum_lists([(xo + yo, _polymul(xc, yc), None)
-                       for (xo, xc, _), (yo, yc, _) in rows], s)
+    if n is None:
+        return _sum_lists([(xo + yo, _polymul(xc, yc), None)
+                           for (xo, xc, _), (yo, yc, _) in rows], s)
+    top = -(-n * s // d)  # the first exponent on the grid 1/s at or past n/d
+    return _sum_lists([(xo + yo, _polymul(xc, yc, top - xo - yo), top)
+                       for (xo, xc, _), (yo, yc, _) in rows
+                       if top > xo + yo] or [(0, (), top)], s)
 
 
 def series_invert_unit(a: QSeries, prec: ExpLike) -> QSeries:

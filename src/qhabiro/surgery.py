@@ -22,13 +22,14 @@ theta route (residues.residues_from_f) shares.  The bookkeeping is
 integer too: precisions, degree bounds, windows and store keys are
 numerators on a known grid or (num, den) pairs compared by
 cross-multiplication.  Fraction is met only at the edges: SurgeryParams.prec
-in, ZhatResult.delta out, and the precision residue_series gets on a miss.
+in, ZhatResult.delta out, and the precision r_j is computed at on a miss.
 
 State that depends only on the knot is computed once per process and
 shared across routes, slopes and spin^c labels: the LBC constant
-(KnotSpec.lbc_constant), the residues r_j (_residue, which keeps the most
-precise r_j computed so far in the knot's store, keyed by j, and serves
-lower precisions as its truncation), and the monomials of each weight
+(KnotSpec.lbc_constant), the residues r_j (_residue, which computes r_j
+from the side the knot was given on, keeps the most precise r_j computed
+so far in the knot's store, keyed by j, and serves lower precisions as
+its truncation), and the monomials of each weight
 polynomial (_weight_monos, memoised per (j, p, a)).  The residue route's
 fallback reads difference k of the GM k-sum only to O(q^{prec + k^2/p}),
 the precision its shifted term keeps; it asks for each r_j once, at the
@@ -56,7 +57,8 @@ from .series import (ConvergenceError, ExpLike, QAlgebraError, QSeries,
                      sum_until)
 from .qcomb import CACHE_SIZE, _div_one_minus_qm, poch, qbinom
 from .transform import f_from_a
-from .residues import _inv_poch_pair, _j_window, residue_series
+from .residues import (_inv_poch_pair, _j_window, residue_series,
+                       residues_from_f)
 from .knots import KnotSpec, get_knot
 
 class FractionalExponentError(QAlgebraError):
@@ -234,22 +236,27 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
 def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
     """r_j of the knot to O(q^prec), prec = n/d, from the knot's store.
 
-    The store keeps, per j, the most precise r_j computed so far and
-    the precision it was asked at.  A request at or below that precision
-    gets its truncation, which is residue_series at the lower precision
-    exactly: QSeries is canonical, and every term past the lower window
-    lies at or above that window's precision.  A request above it calls
-    residue_series (the module's binding, read at call time) at prec and
+    r_j comes from the side the knot was given on: residues_from_f over
+    knot.f for a knot given only its f-side (the a-side would be the
+    cascade's dense transform of it), else residue_series over knot.a;
+    both are the modules' bindings, read at call time.  The store keeps,
+    per j, the most precise r_j computed so far and the precision it was
+    asked at.  A request at or below that precision gets its truncation,
+    which is the computation at the lower precision exactly: QSeries is
+    canonical, and every term past the lower window lies at or above that
+    window's precision.  A request above it computes r_j at prec and
     replaces the entry.  The store holds at most CACHE_SIZE entries and
     drops the oldest first.  Precisions are kept as (n, d) and compared by
-    cross-multiplication; residue_series is handed Fraction(n, d)."""
+    cross-multiplication; the computation is handed Fraction(n, d)."""
     store = knot.residues
     have = store.get(j)
     if have is None or have[0] * d < n * have[1]:
         if have is None and len(store) >= CACHE_SIZE:
             store.pop(next(iter(store)), None)
-        have = store[j] = (n, d, residue_series(
-            knot.a, j, Fraction(n, d), knot.lbc_constant))
+        prec, C = Fraction(n, d), knot.lbc_constant
+        have = store[j] = (n, d, residues_from_f(knot.f, j, prec, C)
+                           if knot.given == "f"
+                           else residue_series(knot.a, j, prec, C))
     hn, hd, r = have
     return r if hn * d == n * hd else r._truncate(n, d)
 

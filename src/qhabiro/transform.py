@@ -12,9 +12,13 @@ binomials or products: f_from_a divides through the factors
 (1 - q^{+-(k+1)} x) by the recurrence H_j += q^c H_{j-1}, and a_from_f
 multiplies by them (H_j -= q^c H_{j-1}), each step a shift and an add on
 packed integers; each row is read back once, a byte column at a time
-(``series._unpack``).  They are the only routes between the two sides: the
-explicit inverse a_{-k-1} = sum_i (-1)^{k+i} [2k choose k-i] [2i+1]/[k+i+1] f_i
-and the knots' closed forms serve the tests as oracles.
+(``series._unpack``).  Truncated inputs are followed state by state: each
+filter state knows the precision QSeries arithmetic would give it, every
+row takes its output state's, and the states drop their slots at or past
+it, so a truncated cascade stops at its precision (``_Cascade``).  They
+are the only routes between the two sides: the explicit inverse
+a_{-k-1} = sum_i (-1)^{k+i} [2k choose k-i] [2i+1]/[k+i+1] f_i and the
+knots' closed forms serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import inf as INF, lcm
 from typing import Callable, Optional
 
 from .series import (PrecisionError, QAlgebraError, QSeries, _pack, _repack,
@@ -171,6 +175,21 @@ class _Cascade:
     Each input is packed once and each row read back once, by the
     byte-column codec of series.py: whole slot columns move in strided
     slices, and slots that fit int64 cross in one struct call.
+
+    Precision follows the states as QSeries arithmetic would: once an
+    input is truncated, every filter state carries the exponent below
+    which it is known (inf if exact), on the shadow's layout; multiplying
+    by q^c moves it by c and a sum keeps the least of its parts, and a
+    row's precision is its output state's.  That is the defining sums'
+    rule over the inputs' precisions p_k: min_k p_k - k(i-k) for f_from_a,
+    as every path from input k to row i adds and the least shift along
+    them is delta([k+i choose 2k]) = -k(i-k); min_k p_k + binom(k,2) -
+    binom(i,2) for a_from_f, which solves the back-substitution's
+    P_i = min(p_i, min_{k<i} P_k - k(i-k)).  After each row every state
+    is cut to its slots below its precision (_cut), so a truncated
+    cascade carries only the slots its rows can still be known at.  A
+    cascade whose inputs are all exact keeps no precisions and cuts
+    nothing.
     """
 
     def __init__(self, source: CoeffSeq, divide: bool):
@@ -181,9 +200,9 @@ class _Cascade:
         self._z: list = []  # filter t -> packed state
         self._base: list = []  # filter t -> exponent of its slot 0
         self._shadow: list = []  # filter t -> l1 bound of its state
-        self._precs: list = []  # what the prec rule reads, see _emit
+        self._prec = None  # filter t -> precision of its state, once truncated
         self._rows: list = []
-        # a batch updates _rows, _z, _base, _shadow and _precs over many
+        # a batch updates _rows, _z, _base, _shadow and _prec over many
         # bytecodes, which the GIL does not make atomic: threads that read
         # one cascade take turns (TestConcurrentAccess)
         self._lock = threading.Lock()
@@ -221,7 +240,8 @@ class _Cascade:
             stride = scale // self._scale
             self._z = [_repack(z, self._width, width, stride) for z in self._z]
             self._base = [b * stride for b in self._base]
-            self._precs = [p if p is None else p * stride for p in self._precs]
+            if self._prec is not None:
+                self._prec = [p * stride for p in self._prec]
             self._scale, self._width = scale, width
 
     def _row(self, i: int, x: QSeries) -> QSeries:
@@ -264,23 +284,53 @@ class _Cascade:
                     else:
                         zu = (zu << (bu - bv) * width) - zv
                         bu = bv
-        return self._emit(i, prec, zu, bu)
-
-    def _emit(self, i: int, xprec: Optional[int], z: int, base: int) -> QSeries:
-        # precision exactly as the sum over k of [k+i choose 2k] a_{-k-1}
-        # (or its back-substitution) propagates it: a truncated term moves
-        # its bound by delta([k+i choose 2k]) = -k(i-k).  The sum reads the
-        # inputs' precs, the back-substitution the earlier outputs' and
-        # its own input's (xprec); all are integers on the cascade's grid.
-        scale = self._scale
-        self._precs.append(xprec)
-        prec = min((p - k * (i - k) * scale for k, p in enumerate(self._precs)
-                    if p is not None), default=None)
-        if not self._divide:
-            self._precs[i] = prec
-        # z is normalised (see _Cascade): base is the row's offset, and the
+        if prec is not None and self._prec is None:  # the first truncation
+            self._prec = []
+        if self._prec is not None:
+            prec = self._follow(i, INF if prec is None else prec)
+            zu = zs[0] if self._divide else _cut(zu, prec - bu, width)
+            prec = None if prec == INF else prec
+        # zu is normalised (see above): bu is the row's offset, and the
         # constructor drops the top slots' zeros (a zero z unpacks to [0])
-        return QSeries(_unpack(z, self._width), base, scale, prec)
+        return QSeries(_unpack(zu, width), bu, scale, prec)
+
+    def _follow(self, i: int, p):
+        """Row i's state precisions from its input's, p (inf if exact),
+        each state cut to its own as it is set; returns the row's."""
+        ps, zs, bs = self._prec, self._z, self._base
+        ps += [INF] * (len(zs) - len(ps))  # every state exact until now
+        scale, width = self._scale, self._width
+        if self._divide:  # state t becomes u + q^c_t v, the row's output
+            for t in range(2 * i, -1, -1):
+                q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                if q < p:
+                    p = q
+                ps[t] = p
+                z = zs[t]
+                if z and z.bit_length() >= (p - bs[t]) * width:
+                    zs[t] = _cut(z, p - bs[t], width)
+        else:  # state t becomes u, and u - q^c_t v runs on
+            for t in range(2 * i + 1):
+                q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                ps[t] = p
+                z = zs[t]
+                if z and z.bit_length() >= (p - bs[t]) * width:
+                    zs[t] = _cut(z, p - bs[t], width)
+                if q < p:
+                    p = q
+        return p
+
+
+def _cut(z: int, n, width: int) -> int:
+    """z without its slots from n on (n an int or inf): the balanced
+    residue ((z + h) & (M - 1)) - h, M = 2^(n*width), h = M/2, is the
+    low slots' value, as their sum lies in [-h, h)."""
+    if n <= 0:
+        return 0
+    if z.bit_length() < n * width:  # |z| < M/2: no slot from n on is set
+        return z
+    h = 1 << (n * width - 1)
+    return ((z + h) & ((h << 1) - 1)) - h
 
 
 def f_from_a(a: CoeffSeq) -> CoeffSeq:

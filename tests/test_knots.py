@@ -14,6 +14,7 @@ from qhabiro import (
     KnotError,
     KnotFileError,
     KnotSpec,
+    LbcError,
     PrecisionError,
     QSeries,
     UnknownKnotError,
@@ -228,6 +229,38 @@ class TestLoadKnots:
         }]
         with pytest.raises(ExponentIntegralityError):
             load_knots(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("exponent", [
+        # a_{-k-1} = (-1)^(k+1) q^(-k^2 + 30k): over k <= 24 the audit gave
+        # C = -1, over k <= 100 -2051; its margin is -k^2/2 + 29.5k - 1
+        {"c2": -1, "c1": 30, "c0": 0},
+        # margin -k + 2, falling linearly
+        {"c2": "-1/2", "c1": "-1/2", "c0": 3},
+    ], ids=["quadratic", "linear"])
+    def test_unbounded_lbc_margin_rejected(self, tmp_path, exponent):
+        doc = [{"name": "test_no_lbc",
+                "generator": monomial_generator({"alpha": 1, "beta": 1},
+                                                exponent)}]
+        with pytest.raises(LbcError, match="'test_no_lbc' has no LBC"):
+            load_knots(write_doc(tmp_path, doc))
+        assert "test_no_lbc" not in knot_names()
+
+    def test_trefoils_load_through_the_file_format(self, tmp_path):
+        # 3_1r's margin is constant, c0 - 1 = 0: the bounded edge
+        exponents = {"3_1l": {"c2": "1/2", "c1": "-1/2", "c0": -1},
+                     "3_1r": {"c2": "-1/2", "c1": "1/2", "c0": 1}}
+        doc = [{"name": "test_file_" + name,
+                "generator": monomial_generator({"alpha": 1, "beta": 1}, e)}
+               for name, e in exponents.items()]
+        specs = load_knots(write_doc(tmp_path, doc))
+        for spec, name in zip(specs, exponents):
+            ref = get_knot(name)
+            assert spec.a.prefix(30) == ref.a.prefix(30), name
+            assert spec.lbc_constant == ref.lbc_constant, name
+
+    def test_builtin_lbc_constants(self):
+        want = {"unknot": -1, "3_1l": -2, "3_1r": 0, "4_1": -1}
+        assert {name: get_knot(name).lbc_constant for name in want} == want
 
     def test_composite_cycle_rejected(self, tmp_path):
         doc = [

@@ -24,6 +24,7 @@ from qhabiro import (
     residue_family,
     residues_from_f,
 )
+from qhabiro import series
 from qhabiro.omega import _gamma_valuation2
 from qhabiro.series import ExpLike
 
@@ -277,6 +278,39 @@ class TestFrozenProducts:
                    for left, right in self.PAIRS]
         blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+class TestChainedProduct:
+    """A product of a truncated product multiplies only the terms its
+    cuts keep: the f-side rows and the convolution stop at the precision
+    each output row needs (ROADMAP Direction 13)."""
+
+    # product_record's sha256 before omega_mul cut its intermediates
+    DIGEST = "8cbd63d8a2b308a4a9894ab755c2c27f6c2b073b98dbc165d058e1a38526955e"
+
+    def test_products_stop_at_their_precision(self, monkeypatch):
+        done = 0
+        polymul = series._polymul
+
+        def counting(a, b, n=None):
+            """series._polymul, counting the coefficient products formed:
+            all of them, or with n the pairs below n."""
+            nonlocal done
+            if n is None:
+                done += len(a) * len(b)
+            else:
+                done += sum(min(len(b), n - i) for i in range(min(len(a), n)))
+            return polymul(a, b, n)
+
+        monkeypatch.setattr(series, "_polymul", counting)
+        inner = omega_mul(knot_element("3_1l"), knot_element("3_1r"), 32, 35)
+        x = omega_mul(inner, knot_element("4_1"), 32,
+                      lambda k: 40 + k - k * (k - 1) // 2)
+        blob = json.dumps(product_record(x), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
+        # 1,105,263 when every f-side row was exact
+        assert 0 < done < 100_000, done
 
 
 class TestFractionCount:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -752,6 +753,85 @@ class TestResidueStore:
         w = surgery._weight_monos(3, -2, 1)
         assert isinstance(w, tuple)
         assert surgery._weight_monos(3, -2, 1) is w
+
+
+class TestResidueStoreFromF:
+    """TestResidueStore's twins for a knot given only its f-side (the
+    unknot): _residue computes r_j by residues_from_f over knot.f, and
+    residue_series, which would read the cascade's dense a-side, never
+    runs on it."""
+
+    @staticmethod
+    def theta_only(monkeypatch):
+        """Wrap residues_from_f, and make residue_series fail: the list
+        gets each computed r_j's j."""
+        calls = []
+        theta = surgery.residues_from_f
+
+        def traced(f, j, prec, C):
+            calls.append(j)
+            return theta(f, j, prec, C)
+
+        def a_side(*args):
+            raise AssertionError("residue_series ran on an f-given knot")
+
+        monkeypatch.setattr(surgery, "residues_from_f", traced)
+        monkeypatch.setattr(surgery, "residue_series", a_side)
+        return calls
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    def test_every_answer_equals_a_fresh_computation(self, monkeypatch, order):
+        precs = TestResidueStore.PRECS
+        precs = {"increasing": precs, "decreasing": precs[::-1],
+                 "shuffled": [precs[i] for i in (3, 0, 5, 2, 4, 1)]}[order]
+        theta = surgery.residues_from_f
+        calls = self.theta_only(monkeypatch)
+        knot = fresh_knot("unknot")
+        C = knot.lbc_constant
+        for j in range(-4, 7):
+            for prec in precs:
+                got = surgery._residue(knot, j, prec.numerator,
+                                       prec.denominator)
+                want = theta(knot.f, j, prec, C)
+                assert got.to_json() == want.to_json(), (j, prec)
+        assert calls
+
+    def test_second_pass_computes_no_residue(self, monkeypatch):
+        knot = fresh_knot("unknot")
+        cases = [(p, a) for p in (-1, -2, -3, -4, -8) for a in range(abs(p))]
+        routes = (zhat_via_fk, zhat_via_residues, zhat_via_ih)
+
+        def run():
+            return [route(knot, SurgeryParams(p, a, 6))
+                    for p, a in cases for route in routes]
+
+        calls = self.theta_only(monkeypatch)
+        first = run()
+        assert calls
+        del calls[:]
+        assert run() == first
+        assert calls == []
+
+    def test_store_holds_at_most_cache_size_entries(self, monkeypatch):
+        monkeypatch.setattr(surgery, "CACHE_SIZE", 4)
+        theta = surgery.residues_from_f
+        self.theta_only(monkeypatch)
+        knot = fresh_knot("unknot")
+        C = knot.lbc_constant
+        for j in range(10):
+            got = surgery._residue(knot, j, 12, 1)
+            assert got == theta(knot.f, j, 12, C), j
+            assert len(knot.residues) <= 4
+        assert sorted(knot.residues) == list(range(6, 10))
+
+    def test_residue_route_at_p_minus_eight(self):
+        # its fallback asks for r_j up to j = 20 at O(q^506): from the dense
+        # a-side that took about 35 s and over 1 GB
+        start = time.perf_counter()
+        res = zhat_via_residues(fresh_knot("unknot"), SurgeryParams(-8, 0, 6))
+        assert time.perf_counter() - start < 5
+        assert "diverges" in res.sign_convention
+        assert res.series == QSeries.one().truncate(6)
 
 
 class TestFiniteData:

@@ -28,6 +28,7 @@ from qhabiro import (
     omega_from_a,
     residue_family,
     residue_series,
+    series,
     transform,
 )
 
@@ -342,6 +343,109 @@ class TestLiveSlots:
         run = f_from_a if side == "P" else a_from_f
         assert run(seq_from_list(side, data))[1].is_zero
         self.check(seq_from_list(side, data))
+
+
+def _known(s):
+    """s's known terms as an exact polynomial."""
+    return QSeries(s.coeffs, s.offset, s.scale)
+
+
+def _closed_prec(data, i, divide):
+    """Row i's precision by the defining sums: min_k p_k - k(i-k) for
+    f_from_a, min_k p_k + binom(k,2) - binom(i,2) for a_from_f, over the
+    truncated inputs k <= i; None if there is none."""
+    return min((d.prec_q - (k * (i - k) if divide
+                            else comb(i, 2) - comb(k, 2))
+                for k, d in enumerate(data[:i + 1]) if d.prec is not None),
+               default=None)
+
+
+@st.composite
+def cascade_inputs(draw):
+    """(side, inputs, the indices read one after another): inputs on the
+    grids 1/1-1/3, exact, truncated or zero to their precision, some with
+    coefficients past the slots' headroom."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        scale = draw(st.sampled_from((1, 2, 3)))
+        size = draw(st.sampled_from((5, 5, 2 ** 70)))
+        terms = draw(st.dictionaries(st.integers(-9, 9),
+                                     st.integers(-size, size), max_size=4))
+        s = QSeries.from_terms({Fraction(e, scale): c
+                                for e, c in terms.items()})
+        kind = draw(st.sampled_from(("exact", "cut", "cut", "zero")))
+        if kind != "exact":
+            prec = Fraction(draw(st.integers(-6, 12)), scale)
+            s = s.truncate(prec) if kind == "cut" else QSeries.zero(prec)
+        rows.append(s)
+    top = len(rows) + 1
+    reads = sorted(draw(st.lists(st.integers(0, top), max_size=3))) + [top]
+    return draw(st.sampled_from("PF")), rows, reads
+
+
+class TestPrecisionRule:
+    """A cascade's row precision, followed state by state, is the defining
+    sums' rule, and its cut states give the rows of an uncut cascade (the
+    same inputs' known terms, exact) truncated there."""
+
+    @given(cascade_inputs())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_rows_against_the_rule_and_the_uncut_cascade(self, case):
+        side, data, reads = case
+        run = f_from_a if side == "P" else a_from_f
+        seq = run(seq_from_list(side, data))
+        for k in reads:  # one batch, or several
+            seq[k]
+        uncut = run(seq_from_list(side, [_known(d) for d in data]))
+        for i in range(reads[-1] + 1):
+            p = _closed_prec(data, i, side == "P")
+            assert seq[i].prec_q == p, i
+            want = uncut[i] if p is None else uncut[i].truncate(p)
+            assert seq[i] == want, i
+        g = seq._gen
+        if all(d.is_exact for d in data):
+            assert g._prec is None  # an exact cascade follows no precision
+        else:
+            for z, b, p in zip(g._z, g._base, g._prec):
+                assert z == transform._cut(z, p - b, g._width)
+
+    def test_exact_knots_follow_no_precision(self):
+        for name in ("3_1l", "3_1r", "4_1", "unknot"):
+            for seq in (f_from_a(get_knot(name).a), a_from_f(get_knot(name).f)):
+                seq.prefix(20)
+                assert seq._gen._prec is None, name
+
+
+class TestCut:
+    """transform._cut keeps a packed state's slots below n."""
+
+    @given(st.sampled_from((8, 16)), st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_against_the_slots(self, width, data):
+        half = 2 ** (width - 1) - 1  # |c_i| < 2^(width-1), as in a cascade
+        coeffs = data.draw(st.lists(st.one_of(st.integers(-half, half),
+                                              st.sampled_from((-half, half))),
+                                    max_size=8))
+        z = series._pack(coeffs, width) if coeffs else 0
+        n = data.draw(st.integers(-2, len(coeffs) + 2))
+        want = series._pack(coeffs[:n], width) if n > 0 and coeffs else 0
+        assert transform._cut(z, n, width) == want
+        assert transform._cut(z, inf, width) == z
+
+    def test_edges(self):
+        w = 8
+        top = 127  # the largest slot a cascade holds
+        for c in (-top, -1, 1, top):
+            z = series._pack([c, -c, c], w)
+            assert transform._cut(z, 0, w) == 0
+            assert transform._cut(z, -3, w) == 0
+            assert transform._cut(z, 3, w) == z  # exactly the slots held
+            assert transform._cut(z, 2, w) == series._pack([c, -c], w)
+            assert transform._cut(z, 1, w) == c
+        # a low part at the edge of [-h, h), under a high slot of 1
+        low = series._pack([-top, -top], w)
+        assert transform._cut(low + (1 << 2 * w), 2, w) == low
+        assert transform._cut(-low - (1 << 2 * w), 2, w) == -low
 
 
 class TestMirror:
