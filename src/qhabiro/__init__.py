@@ -47,6 +47,7 @@ from .omega import (
     omega_mul,
 )
 from .knots import (
+    ClosedForm,
     CompositeCycleError,
     ExponentIntegralityError,
     KnotError,

@@ -3,9 +3,11 @@ from JSON files, mirrors, and composite (coefficientwise sum) entries.
 
 A knot is given by its inverted Habiro coefficients a_{-k-1} (the
 figure-eight knot and every file knot), by its GM coefficients f_k (the
-unknot, f_k = delta_{k,0}), or by both (the trefoils, whose f_k are
-monomials).  A side not given is the transform of the other.  A file
-knot's ``f_closed_form: builtin:X`` is checked against X's f when the file
+unknot, f_k = delta_{k,0}), or by both (the trefoils).  A side not given
+is the transform of the other.  Every closed form is one ClosedForm, a
+sign table periodic in k times q^{c2 k^2 + c1 k + c0}; a ClosedForm
+a-side gives its knot's LBC constant exactly.  A file knot's
+``f_closed_form: builtin:X`` is checked against X's f when the file
 loads; it never replaces the transform.
 """
 
@@ -13,12 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from math import lcm
 from typing import Callable, Optional
 
-from .series import ExactnessError, QAlgebraError, QSeries, series_sum
+from .series import QAlgebraError, QSeries, series_sum
 from .transform import CoeffSeq, LbcError, a_from_f, f_from_a, lbc_check
 
-INTEGRALITY_WINDOW = 64
 LBC_WINDOW = 24  # lbc_constant audits the a-side over indices 0..LBC_WINDOW at most
 
 
@@ -35,11 +37,58 @@ class KnotFileError(KnotError):
 
 
 class ExponentIntegralityError(KnotError):
-    """A monomial generator's exponent is non-integral at some index."""
+    """A closed form's exponent is non-integral at some index."""
 
 
 class CompositeCycleError(KnotError):
     """Composite knot references form a cycle."""
+
+
+class ClosedForm:
+    """k -> signs[k mod P] q^{c2 k^2 + c1 k + c0}, P = len(signs), with the
+    exponent as integers over one denominator.  On a nonzero class
+    k = r + P j it is quadratic in j, so the constructor proves it integral
+    from j = 0, 1, 2 (Newton form), else ExponentIntegralityError; a class
+    of sign 0 is exact zeros."""
+
+    def __init__(self, signs, c2, c1, c0):
+        self.signs, self.c = tuple(signs), tuple(map(Fraction, (c2, c1, c0)))
+        self._d = d = lcm(*(c.denominator for c in self.c))
+        self._n = [c.numerator * (d // c.denominator) for c in self.c]
+        self._classes = [r for r, s in enumerate(self.signs) if s]
+        P = len(self.signs)
+        for k in sorted(r + P * j for r in self._classes for j in (0, 1, 2)):
+            if self._num(k) % d:
+                raise ExponentIntegralityError(
+                    "exponent %s is non-integral at k=%d"
+                    % (Fraction(self._num(k), d), k))
+
+    def _num(self, k: int) -> int:
+        return (self._n[0] * k + self._n[1]) * k + self._n[2]
+
+    def __call__(self, k: int) -> QSeries:
+        s = self.signs[k % len(self.signs)]
+        return QSeries.monomial(self._num(k) // self._d, s) if s else QSeries.zero()
+
+    def mirror(self) -> "ClosedForm":
+        """q -> q^{-1}: the quadratic negated."""
+        return ClosedForm(self.signs, *(-c for c in self.c))
+
+    def lbc_constant(self) -> Fraction:
+        """The least margin delta(a_{-k-1}) - lbc_margin(k) = A k^2 + B k +
+        c0 - 1 (A = c2 + 1/2, B = c1 - 1/2) over the k >= 0 of nonzero
+        classes, 0 if none: on class r at k = r or at its integers on each
+        side of the vertex.  LbcError when the margin falls without bound."""
+        half = Fraction(1, 2)
+        A, B, c0 = self.c[0] + half, self.c[1] - half, self.c[2] - 1
+        if self._classes and (A < 0 or (A == 0 and B < 0)):
+            raise LbcError("no LBC constant: its margin (c2 + 1/2)k^2 + "
+                           "(c1 - 1/2)k + c0 - 1 falls without bound")
+        P, ks = len(self.signs), set(self._classes)
+        for r in self._classes if A > 0 else ():
+            below = r + P * ((-B / (2 * A) - r) // P)
+            ks.update(k for k in (below, below + P) if k >= r)
+        return min((A * k * k + B * k + c0 for k in ks), default=Fraction(0))
 
 
 class KnotSpec:
@@ -81,9 +130,16 @@ class KnotSpec:
 
     @cached_property
     def lbc_constant(self) -> Fraction:
-        """The knot's LBC constant: that of its a-side over indices
+        """The knot's LBC constant: exact for a ClosedForm a-side (LbcError
+        if it has none); list and composite knots, and the cascaded a-side
+        of an f-given knot such as the unknot, are audited over indices
         0..LBC_WINDOW, or up to the last index a finite a-side provides."""
-        top = self.a.max_index
+        gen, top = self.a._gen, self.a.max_index
+        if isinstance(gen, ClosedForm):
+            try:
+                return gen.lbc_constant()
+            except LbcError as e:
+                raise LbcError("knot %r has %s" % (self.name, e)) from None
         return lbc_check(self.a, LBC_WINDOW if top is None
                          else min(LBC_WINDOW, top)).constant
 
@@ -93,41 +149,6 @@ class KnotSpec:
     def f_coeff(self, k: int) -> QSeries:
         return self.f[k]
 
-
-def _monomial_gen(alpha: int, beta: int, c2: Fraction, c1: Fraction, c0: Fraction):
-    # the exponent c2 k^2 + c1 k + c0 as e/d on the common denominator d
-    d = c2.denominator * c1.denominator * c0.denominator
-    n2, n1, n0 = (c.numerator * (d // c.denominator) for c in (c2, c1, c0))
-
-    def gen(k: int) -> QSeries:
-        e = n2 * k * k + n1 * k + n0
-        if e % d:
-            raise ExponentIntegralityError(
-                "monomial exponent %s is non-integral at k=%d"
-                % (Fraction(e, d), k))
-        sign = -1 if (alpha * k + beta) % 2 else 1
-        return QSeries.monomial(e // d, sign)
-
-    return gen
-
-
-def _f_trefoil(sgn: int) -> Callable[[int], QSeries]:
-    """f_k = eps_{2k+1} q^{sgn (k(k+1)/6 + 1)}; sgn = +1 for 3_1r.
-
-    eps_m = -(3|m) is Gukov-Manolescu's sign for T(2,3) (arXiv:1904.06057):
-    -1 at m = +-1, +1 at m = +-5 and 0 where 3 divides m, all mod 12."""
-    eps = {1: -1, 5: 1, 7: 1, 11: -1}
-
-    def gen(k: int) -> QSeries:
-        e = eps.get((2 * k + 1) % 12)
-        if e is None:
-            return QSeries.zero()
-        return QSeries.monomial(sgn * (Fraction(k * (k + 1), 6) + 1), e)
-
-    return gen
-
-
-_HALF = Fraction(1, 2)
 
 _REGISTRY: dict = {}
 
@@ -140,21 +161,16 @@ def _register(spec: KnotSpec):
 
 
 def _install_builtins():
-    _register(KnotSpec(
-        "unknot",
-        f_gen=lambda i: QSeries.one() if i == 0 else QSeries.zero(),
-    ))
-    _register(KnotSpec(
-        "3_1l",
-        _monomial_gen(1, 1, _HALF, -_HALF, Fraction(-1)),
-        _f_trefoil(-1),
-    ))
-    _register(KnotSpec(
-        "3_1r",
-        _monomial_gen(1, 1, -_HALF, _HALF, Fraction(1)),
-        _f_trefoil(1),
-    ))
-    _register(KnotSpec("4_1", lambda k: QSeries.one()))
+    # the a-sides are Habiro's cyclotomic coefficients at n = -k-1: 3_1l's
+    # a_{-k-1} = (-1)^{k+1} q^{k(k-1)/2 - 1}; 3_1r's f_k = eps_{2k+1}
+    # q^{k(k+1)/6 + 1}, eps_m = -(3|m) for T(2,3) (arXiv:1904.06057)
+    a_left = ClosedForm((-1, 1), Fraction(1, 2), Fraction(-1, 2), -1)
+    f_right = ClosedForm((-1, 0, 1, 1, 0, -1), Fraction(1, 6), Fraction(1, 6), 1)
+    for spec in (KnotSpec("unknot", f_gen=lambda k: QSeries((int(k == 0),))),
+                 KnotSpec("3_1l", a_left, f_right.mirror()),
+                 KnotSpec("3_1r", a_left.mirror(), f_right),
+                 KnotSpec("4_1", ClosedForm((1,), 0, 0, 0))):
+        _register(spec)
 
 
 _install_builtins()
@@ -176,16 +192,17 @@ def knot_names() -> list:
 
 def mirror(knot) -> KnotSpec:
     """q -> q^{-1} on every coefficient of each side the knot was given on
-    (both transforms commute with it); requires exact coefficients."""
+    (both transforms commute with it): a ClosedForm side's mirror(), or
+    each coefficient's, which must be exact."""
     knot = get_knot(knot)
 
     def gen(seq: CoeffSeq, k: int) -> QSeries:
-        if not seq[k].is_exact:
-            raise ExactnessError("mirror requires exact coefficients")
-        return seq[k].mirror()
+        return seq[k].mirror()  # ExactnessError unless seq[k] is exact
 
-    sides = [partial(gen, getattr(knot, s)) if s in knot.given else None
-             for s in "af"]
+    sides = [None if s not in knot.given
+             else seq._gen.mirror() if isinstance(seq._gen, ClosedForm)
+             else partial(gen, seq)
+             for s, seq in (("a", knot.a), ("f", knot.f))]
     return KnotSpec(knot.name + "!", *sides, max_index=knot.a.max_index)
 
 
@@ -224,19 +241,9 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
         beta = sign.get("beta", 0)
         if type(alpha) is not int or type(beta) is not int:  # no bools
             raise KnotFileError("sign exponents must be integers")
-        c2 = _parse_fraction(exp.get("c2", 0))
-        c1 = _parse_fraction(exp.get("c1", 0))
-        c0 = _parse_fraction(exp.get("c0", 0))
-        gen = _monomial_gen(alpha, beta, c2, c1, c0)
-        for k in range(INTEGRALITY_WINDOW + 1):
-            gen(k)  # raises on a non-integral exponent
-        # the LBC margin delta(a_{-k-1}) + (k+1)(k-2)/2 of every index is
-        # (c2 + 1/2)k^2 + (c1 - 1/2)k + c0 - 1: no constant bounds it from
-        # below when it falls without bound
-        if c2 < -_HALF or (c2 == -_HALF and c1 < _HALF):
-            raise LbcError("knot %r has no LBC constant: its margin "
-                           "(c2 + 1/2)k^2 + (c1 - 1/2)k + c0 - 1 falls "
-                           "without bound" % name)
+        gen = ClosedForm((-1 if (alpha * k + beta) % 2 else 1 for k in (0, 1)),
+                         *(_parse_fraction(exp.get(c, 0))
+                           for c in ("c2", "c1", "c0")))
     elif kind == "list":
         coeffs = gen_spec.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
@@ -268,7 +275,10 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
     if handle is not None and not (
             isinstance(handle, str) and handle.startswith("builtin:")):
         raise KnotFileError("f_closed_form must be a builtin: handle")
-    return KnotSpec(name, gen, max_index=max_index)
+    spec = KnotSpec(name, gen, max_index=max_index)
+    if kind == "monomial":
+        spec.lbc_constant  # LbcError for a margin that falls without bound
+    return spec
 
 
 def _check_closed_form(spec: KnotSpec, handle: str):
@@ -304,11 +314,12 @@ def _check_acyclic(entries: list, local: dict):
 def load_knots(path) -> list:
     """Register knots from a JSON file; returns the new KnotSpecs.
 
-    An entry's generator gives a_{-k-1} by its kind: ``monomial`` (a sign
-    and an exponent quadratic in k; LbcError when the LBC margin that the
-    quadratic gives falls without bound), ``list`` (one serialized QSeries per
-    index) or ``composite`` (the coefficientwise sum of its summands'
-    a-sides; their connected sum is omega_mul, ``qhabiro connect-sum``)."""
+    An entry's generator gives a_{-k-1} by its kind: ``monomial`` (the
+    ClosedForm of sign (-1)^{alpha k + beta} and exponent c2 k^2 + c1 k +
+    c0, whose exact LBC constant is read here: LbcError if it has none),
+    ``list`` (one serialized QSeries per index) or ``composite`` (the
+    coefficientwise sum of its summands' a-sides; their connected sum is
+    omega_mul, ``qhabiro connect-sum``)."""
     import json  # here, as graphlib: only knot files need it
     with open(path) as fh:
         try:

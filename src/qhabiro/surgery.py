@@ -88,13 +88,6 @@ class ZhatResult(namedtuple("ZhatResult", "delta series sign_convention")):
     __slots__ = ()
 
 
-def _divide_content(s: QSeries):
-    g = gcd(*s.coeffs)
-    if g <= 1:
-        return s, 1
-    return QSeries([c // g for c in s.coeffs], s.offset, s.scale, s.prec), g
-
-
 def _normalize(s: QSeries, p: int) -> ZhatResult:
     if not s.coeffs:
         return ZhatResult(Fraction(0), s, "zero to precision")
@@ -102,11 +95,11 @@ def _normalize(s: QSeries, p: int) -> ZhatResult:
     if (2 * abs(p)) % delta.denominator:
         raise FractionalExponentError(
             "leading exponent %s is off the 1/(2p) grid" % delta)
-    s = s._shift(-s.offset, s.scale)
-    s, content = _divide_content(s)
-    flipped = s.coeffs[0] < 0
-    if flipped:
-        s = -s
+    # q^-delta s over its content, with a positive leading coefficient
+    content, flipped = gcd(*s.coeffs), s.coeffs[0] < 0
+    unit = -content if flipped else content
+    s = QSeries([c // unit for c in s.coeffs], 0, s.scale,
+                None if s.prec is None else s.prec - s.offset)
     notes = ["equality holds up to sign and rational q-power"]
     if content > 1:
         notes.append("content %d divided out" % content)
@@ -206,29 +199,23 @@ def _weight_label(p: int, a: int) -> int:
     return a + p if p < 0 else a
 
 
-def _boundary_term(knot: KnotSpec, p: int, a: int) -> QSeries:
-    """Correction restoring the k=0 term of the k-sum when 0 is in the
-    congruence class (a = 0).
-
-    The k=0 summand is f_{-1} - f_0 = -f_0, but the residue expression
-    for f_{k-1} - f_k vanishes at k = 0 (the symmetric extension of the
-    residue formula has F(-1) = F(0) = f_0), so the telescoped j-sum
-    drops the boundary; f_0 = a_{-1}."""
-    if a != 0:
-        return QSeries.zero()
-    f0 = knot.a[0]
-    return f0 if p < 0 else -f0
-
-
 def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
             note: str) -> ZhatResult:
     """A swapped route's result from its trend-stopped sum acc: acc plus
     the k=0 boundary term, or, when acc is None (the sum diverged), the GM
     k-sum over the differences fallback() builds, with note appended to
-    the sign convention."""
+    the sign convention.
+
+    The boundary term restores the k=0 summand f_{-1} - f_0 = -f_0 when
+    0 is in the congruence class (a = 0): the residue expression for
+    f_{k-1} - f_k vanishes at k = 0 (the symmetric extension of the
+    residue formula has F(-1) = F(0) = f_0), so the telescoped sum drops
+    it; f_0 = a_{-1}."""
     p, a, prec = params.p, params.a, params.prec
     if acc is not None:
-        return _normalize((acc + _boundary_term(knot, p, a)).truncate(prec), p)
+        if a == 0:
+            acc = acc + (knot.a[0] if p < 0 else -knot.a[0])
+        return _normalize(acc.truncate(prec), p)
     out = _normalize(_fk_sum(fallback(), p, a, prec)[0], p)
     return out._replace(sign_convention=out.sign_convention + note)
 

@@ -1,13 +1,17 @@
 """Knot registry, mirrors, and JSON-defined knots."""
 
 import json
+import random
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
 from qhabiro import (
+    ClosedForm,
+    CoeffSeq,
     CompositeCycleError,
     ExactnessError,
     ExponentIntegralityError,
@@ -20,8 +24,10 @@ from qhabiro import (
     UnknownKnotError,
     get_knot,
     knot_names,
+    lbc_check,
     load_knots,
     mirror,
+    residue_series,
 )
 
 from qhabiro import knots
@@ -167,6 +173,84 @@ class TestClosedForms:
             assert a[k] == a_unknot_closed(k), k
 
 
+class TestClosedForm:
+    def test_builtin_sides(self):
+        forms = {name: [getattr(get_knot(name), s)._gen.c
+                        for s in get_knot(name).given]
+                 for name in ("3_1l", "3_1r", "4_1")}
+        half, sixth = Fraction(1, 2), Fraction(1, 6)
+        assert forms == {"3_1l": [(half, -half, -1), (-sixth, -sixth, -1)],
+                         "3_1r": [(-half, half, 1), (sixth, sixth, 1)],
+                         "4_1": [(0, 0, 0)]}
+
+    def test_mirror_negates_the_quadratic(self):
+        form = ClosedForm((1, -2, 0), 2, -1, 3)
+        m = form.mirror()
+        assert (m.signs, m.c) == ((1, -2, 0), (-2, 1, -3))
+        for k in range(9):
+            assert m(k) == form(k).mirror(), k
+        assert m(2).is_zero
+
+    def test_integrality_on_the_nonzero_classes(self):
+        # the trefoil's f-side: k(k+1)/6 is non-integral exactly where
+        # eps_{2k+1} = 0, at k = 1 and 4 mod 6
+        form = ClosedForm((-1, 0, 1, 1, 0, -1), Fraction(1, 6),
+                          Fraction(1, 6), 1)
+        assert [form(k) for k in range(7)] == [
+            QSeries.monomial(e, s) if s else QSeries.zero()
+            for e, s in ((1, -1), (0, 0), (2, 1), (3, 1), (0, 0), (6, -1),
+                         (8, -1))]
+        assert ClosedForm((1, 0), 0, Fraction(1, 2), 0)(2) == \
+            QSeries.monomial(1)
+        with pytest.raises(ExponentIntegralityError, match="at k=1"):
+            ClosedForm((1,), Fraction(1, 6), Fraction(1, 6), 1)
+        # (k^2 - k)/3 is integral at k = 0 and 1: the third point decides
+        with pytest.raises(ExponentIntegralityError, match="at k=2"):
+            ClosedForm((1,), Fraction(1, 3), Fraction(-1, 3), 0)
+
+    def test_mirror_without_lbc_constant(self, tmp_path):
+        # a_{-k-1} = (-1)^{k+1} q^{k^2} has margin 3k^2/2 - k/2 - 1; its
+        # mirror's, -k^2/2 - k/2 - 1, falls without bound (the audit over
+        # k <= 24 gave C = -301)
+        doc = [{"name": "test_mirror_no_lbc",
+                "generator": monomial_generator({"alpha": 1, "beta": 1},
+                                                {"c2": 1})}]
+        (knot,) = load_knots(write_doc(tmp_path, doc))
+        assert knot.lbc_constant == -1
+        m = mirror(knot)
+        with pytest.raises(LbcError, match="'test_mirror_no_lbc!' has no LBC"):
+            m.lbc_constant
+        assert m.a[3] == QSeries.monomial(-9)
+
+    def test_builtin_mirrors_keep_their_lbc_constants(self):
+        want = {"unknot": -1, "3_1l": 0, "3_1r": -2, "4_1": -1}
+        assert {name: mirror(name).lbc_constant for name in want} == want
+
+    def test_exact_constant_against_the_audit(self):
+        # random period <= 4 tables with exponents integral by construction
+        # (c2 = n/2, c1 = m + n/2); the exact C is the audit's over 400
+        # indices, and LbcError comes exactly when that audit still falls
+        # between 200 and 400 indices
+        rng = random.Random(20250926)
+        raised = 0
+        for _ in range(400):
+            signs = [rng.choice((-2, -1, 0, 0, 1, 1, 3))
+                     for _ in range(rng.randint(1, 4))]
+            half = Fraction(rng.randint(-3, 3), 2)
+            form = ClosedForm(signs, half, rng.randint(-40, 40) + half,
+                              rng.randint(-20, 20))
+            a = CoeffSeq("P", form)
+            audit = lbc_check(a, 400).constant
+            try:
+                exact = form.lbc_constant()
+            except LbcError:
+                raised += 1
+                assert audit < lbc_check(a, 200).constant, (signs, form.c)
+            else:
+                assert exact == audit, (signs, form.c)
+        assert 100 < raised < 300  # both branches run
+
+
 def write_doc(tmp_path, doc, fname="knots.json"):
     p = tmp_path / fname
     p.write_text(json.dumps(doc))
@@ -219,16 +303,20 @@ class TestLoadKnots:
             assert spec.a_coeff(k) == expected
 
     def test_nonintegral_exponent_rejected(self, tmp_path):
-        doc = [{
-            "name": "test_bad_exponent",
-            "generator": {
-                "kind": "monomial",
-                "sign": {"alpha": 0, "beta": 0},
-                "exponent": {"c2": "1/5", "c1": 0, "c0": 0},
-            },
-        }]
-        with pytest.raises(ExponentIntegralityError):
-            load_knots(write_doc(tmp_path, doc))
+        # k^2/5 is first non-integral at k = 1, (k^2 - k)/3 at k = 2
+        for exponent, k in (({"c2": "1/5", "c1": 0, "c0": 0}, 1),
+                            ({"c2": "1/3", "c1": "-1/3", "c0": 0}, 2)):
+            doc = [{
+                "name": "test_bad_exponent",
+                "generator": {
+                    "kind": "monomial",
+                    "sign": {"alpha": 0, "beta": 0},
+                    "exponent": exponent,
+                },
+            }]
+            with pytest.raises(ExponentIntegralityError, match="at k=%d" % k):
+                load_knots(write_doc(tmp_path, doc))
+            assert "test_bad_exponent" not in knot_names()
 
     @pytest.mark.parametrize("exponent", [
         # a_{-k-1} = (-1)^(k+1) q^(-k^2 + 30k): over k <= 24 the audit gave
@@ -257,6 +345,17 @@ class TestLoadKnots:
             ref = get_knot(name)
             assert spec.a.prefix(30) == ref.a.prefix(30), name
             assert spec.lbc_constant == ref.lbc_constant, name
+
+    def test_lbc_constant_past_the_window(self, tmp_path):
+        # margin k^2/2 - 30.5k - 1, least at k = 30 and 31: the audit over
+        # k <= 24 gave C = -445, and residue_series then raised
+        # DegreeBoundError at k = 25
+        doc = [{"name": "test_late_minimum",
+                "generator": monomial_generator(exponent={"c1": -30})}]
+        (knot,) = load_knots(write_doc(tmp_path, doc))
+        assert knot.lbc_constant == lbc_check(knot.a, 100).constant == -466
+        assert residue_series(knot.a, 0, 10, knot.lbc_constant) == \
+            QSeries.zero(10)
 
     def test_builtin_lbc_constants(self):
         want = {"unknot": -1, "3_1l": -2, "3_1r": 0, "4_1": -1}

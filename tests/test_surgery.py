@@ -181,6 +181,19 @@ class TestRouteAgreement:
         res = zhat_via_residues("3_1l", params)
         assert (fk.delta, fk.series) == (res.delta, res.series)
 
+    @pytest.mark.xfail(strict=True,
+                       reason="at p > 0 route equivalence needs a hypothesis "
+                              "beyond the LBC, or a route is wrong; ROADMAP "
+                              "Direction 11")
+    def test_routes_agree_on_the_unknot_at_a_positive_slope(self):
+        # fk gives 1 + O(q^12) (f_k is an exact zero past k = 0); the
+        # residue and ih routes give 1 + q + q^2 + 2q^3 + ...
+        params = SurgeryParams(2, 0, 12)
+        out = {(r.delta, r.series) for r in
+               (route(fresh_knot("unknot"), params)
+                for route in (zhat_via_fk, zhat_via_residues, zhat_via_ih))}
+        assert len(out) == 1, out
+
     @pytest.mark.parametrize("name,p", [("3_1r", 3), ("4_1", 5)])
     def test_positive_surgery_divergence_detected(self, name, p):
         with pytest.raises(ConvergenceError):
@@ -832,6 +845,15 @@ class TestResidueStoreFromF:
         assert time.perf_counter() - start < 5
         assert "diverges" in res.sign_convention
         assert res.series == QSeries.one().truncate(6)
+
+    def test_r20_at_o_q506(self):
+        # the p = -8 fallback's deepest read: from the dense a-side it took
+        # 53 s and about 2 GB
+        knot = fresh_knot("unknot")
+        start = time.perf_counter()
+        r = surgery._residue(knot, 20, 506, 1)
+        assert time.perf_counter() - start < 1
+        assert (r.delta(), r.prec_q) == (230, 506)
 
 
 class TestFiniteData:
