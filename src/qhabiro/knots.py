@@ -91,6 +91,16 @@ class ClosedForm:
         return min((A * k * k + B * k + c0 for k in ks), default=Fraction(0))
 
 
+class _Composite:
+    """k -> the summands' a_{-k-1} summed, names resolved on use (file first)."""
+
+    def __init__(self, names: tuple, local: dict):
+        self.specs = lambda: [local.get(s) or get_knot(s) for s in names]
+
+    def __call__(self, k: int) -> QSeries:
+        return series_sum(s.a_coeff(k) for s in self.specs())
+
+
 class KnotSpec:
     """A named knot with its two lazy, memoised coefficient sequences.
 
@@ -131,17 +141,23 @@ class KnotSpec:
     @cached_property
     def lbc_constant(self) -> Fraction:
         """The knot's LBC constant: exact for a ClosedForm a-side (LbcError
-        if it has none); list and composite knots, and the cascaded a-side
-        of an f-given knot such as the unknot, are audited over indices
-        0..LBC_WINDOW, or up to the last index a finite a-side provides."""
-        gen, top = self.a._gen, self.a.max_index
-        if isinstance(gen, ClosedForm):
-            try:
-                return gen.lbc_constant()
-            except LbcError as e:
-                raise LbcError("knot %r has %s" % (self.name, e)) from None
-        return lbc_check(self.a, LBC_WINDOW if top is None
-                         else min(LBC_WINDOW, top)).constant
+        if it has none), the least of the summands' if they are all exact
+        (delta(sum a_i) >= min delta(a_i)); other a-sides, the unknot's
+        cascade too, are audited over indices 0..LBC_WINDOW, or up to the
+        last index a finite a-side provides."""
+        C, top = self._exact_lbc(), self.a.max_index
+        return C if C is not None else lbc_check(
+            self.a, LBC_WINDOW if top is None else min(LBC_WINDOW, top)).constant
+
+    def _exact_lbc(self) -> Optional[Fraction]:
+        gen = self.a._gen
+        if isinstance(gen, _Composite):
+            cs = [s._exact_lbc() for s in gen.specs()]
+            return None if None in cs else min(cs)
+        try:
+            return gen.lbc_constant() if isinstance(gen, ClosedForm) else None
+        except LbcError as e:
+            raise LbcError("knot %r has %s" % (self.name, e)) from None
 
     def a_coeff(self, k: int) -> QSeries:
         return self.a[k]
@@ -264,10 +280,7 @@ def _build_from_entry(entry: dict, local: dict) -> KnotSpec:
         for s in summands:
             if not isinstance(s, str):
                 raise KnotFileError("composite summands must be knot names")
-
-        def gen(k: int, _names=tuple(summands)) -> QSeries:
-            return series_sum((local.get(s) or get_knot(s)).a_coeff(k)
-                              for s in _names)
+        gen = _Composite(tuple(summands), local)
     else:
         raise KnotFileError("unknown generator kind %r" % (kind,))
 

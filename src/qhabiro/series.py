@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import count
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterator, Optional, Union
 
 try:
@@ -71,17 +71,17 @@ class PrecisionError(QAlgebraError):
 #
 # Small products are one scaled slice-add per nonzero coefficient of the
 # shorter factor (_add_scaled, also the residue and surgery sums' kernel
-# and series_invert_unit's convolution).
+# and series_invert_unit's convolution); a +-1 is one map(add | sub).
 # _products adds r_i P_i, each P_i given by its monomials, into one list
 # by one _add_scaled per pair (surgery's residue route and the theta
 # route); _dot adds _polymul products into one list, exact or only
 # below a precision (series_dot is its exact case, omega_mul's
 # convolution the cut one).
 # Series add through one list adder, _sum_lists: QSeries.__add__ is its
-# two-term case, _dot's products go through it, and series_sum is
-# every running sum in the package (sum_until, the one engine that stops
-# a term-by-term sum, the residue-theorem defect, the theta sums, the
-# explicit Park polynomial, composite knots), each added once.
+# two-term case, _dot's products go through it, and series_sum is every
+# running sum in the package, each term added once.
+# Kernels read operands' own coefficient tuples (_rescaled copies only onto
+# a finer grid), write only lists they made, and QSeries keeps a given tuple.
 # Large products are folded into one big-integer multiplication (Kronecker
 # substitution on _pack/_unpack); with gmpy2 that one multiplication runs
 # on GMP's mpz.  Swap `_polymul` to change the kernel.
@@ -104,7 +104,8 @@ def _add_scaled(acc: list, lo: int, top: int, g: int, monos, e: int,
             break
         s = slice(x - lo, x - lo + (count - 1) * g + 1, g)
         k = sign * c
-        acc[s] = [y + k * z for y, z in zip(acc[s], u)]
+        acc[s] = (map(add if k == 1 else sub, acc[s], u) if k in (1, -1)
+                  else [y + k * z for y, z in zip(acc[s], u)])
 
 
 def _products(pairs, g: int, prec=None) -> QSeries:
@@ -270,37 +271,34 @@ class QSeries:
         """
         if scale < 1:
             raise ValueError("scale must be a positive integer")
-        coeffs = list(coeffs)
-        if prec is not None:
-            # drop unauthoritative coefficients at/above prec
-            keep = prec - offset
-            if keep < len(coeffs):
-                coeffs = coeffs[: max(keep, 0)]
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
+        coeffs = tuple(coeffs)  # a tuple is kept as it is: it is shared
         hi = len(coeffs)
+        if prec is not None and prec - offset < hi:
+            hi = max(prec - offset, 0)  # drop the terms at/above prec
+        lo = 0
+        while lo < hi and coeffs[lo] == 0:
+            lo += 1
         while hi > lo and coeffs[hi - 1] == 0:
             hi -= 1
-        coeffs = coeffs[lo:hi]
+        coeffs = coeffs[lo:hi] if lo or hi < len(coeffs) else coeffs
         offset = offset + lo if coeffs else 0
-        # normalize the exponent grid
-        g = scale
-        for i, c in enumerate(coeffs):
-            if c:
-                g = gcd(g, offset + i)
-                if g == 1:
-                    break
-        if prec is not None:
-            g = gcd(g, prec)
-        if g > 1:  # offset and every nonzero exponent are multiples of g
-            coeffs, offset, scale = coeffs[::g], offset // g, scale // g
+        if scale > 1:  # normalize the exponent grid
+            g = scale
+            for i, c in enumerate(coeffs):
+                if c:
+                    g = gcd(g, offset + i)
+                    if g == 1:
+                        break
             if prec is not None:
-                prec //= g
+                g = gcd(g, prec)
+            if g > 1:  # offset and every nonzero exponent are multiples of g
+                coeffs, offset, scale = coeffs[::g], offset // g, scale // g
+                if prec is not None:
+                    prec //= g
         self_set = super().__setattr__
         self_set("scale", scale)
         self_set("offset", offset)
-        self_set("coeffs", tuple(coeffs))
+        self_set("coeffs", coeffs)
         self_set("prec", prec)
 
     def __setattr__(self, *a):  # immutability
@@ -411,10 +409,11 @@ class QSeries:
     # -- arithmetic --------------------------------------------------------
 
     def _rescaled(self, scale: int) -> tuple:
-        """(offset, coeffs list, prec) on the finer grid `scale`."""
+        """(offset, coeffs, prec) on the finer grid `scale`; coeffs is the
+        series' own tuple on its own grid (a writer copies it), else a list."""
         f = scale // self.scale
         if f == 1:
-            return self.offset, list(self.coeffs), self.prec
+            return self.offset, self.coeffs, self.prec
         coeffs = [0] * (len(self.coeffs) * f - (f - 1)) if self.coeffs else []
         coeffs[::f] = self.coeffs
         prec = None if self.prec is None else self.prec * f
@@ -510,7 +509,7 @@ class QSeries:
         if self.prec is not None:
             raise ExactnessError("mirror requires exact polynomial")
         return QSeries(
-            list(reversed(self.coeffs)),
+            self.coeffs[::-1],
             -(self.offset + len(self.coeffs) - 1) if self.coeffs else 0,
             self.scale,
         )

@@ -126,9 +126,11 @@ _HEADROOM = 32  # spare slot bits on a one-row call, as more rows follow
 def _strip(z: int, base: int, width: int, mask: int) -> tuple:
     """(z, base) without its zero low slots.  As |c_i| < 2^(width-1), slot
     0 is zero iff z = 0 mod 2^width; abs spares & the two's complement."""
-    if abs(z) & mask or not z:
+    a = abs(z)
+    if a & mask or not z:
         return z, base
-    n = ((z & -z).bit_length() - 1) // width
+    low = a & ((1 << 16 * width) - 1) or a  # most strips end in 16 slots
+    n = ((low & -low).bit_length() - 1) // width
     return z >> n * width, base + n
 
 
@@ -172,9 +174,6 @@ class _Cascade:
     reads their inputs top index first (so a cascade feeding this one gets
     one call too), and runs the shadow over them all before sizing the
     slots to the largest bound and the grids' lcm, repacking at most once.
-    Each input is packed once and each row read back once, by the
-    byte-column codec of series.py: whole slot columns move in strided
-    slices, and slots that fit int64 cross in one struct call.
 
     Precision follows the states as QSeries arithmetic would: once an
     input is truncated, every filter state carries the exponent below
@@ -185,10 +184,11 @@ class _Cascade:
     as every path from input k to row i adds and the least shift along
     them is delta([k+i choose 2k]) = -k(i-k); min_k p_k + binom(k,2) -
     binom(i,2) for a_from_f, which solves the back-substitution's
-    P_i = min(p_i, min_{k<i} P_k - k(i-k)).  After each row every state
-    is cut to its slots below its precision (_cut), so a truncated
-    cascade carries only the slots its rows can still be known at.  A
-    cascade whose inputs are all exact keeps no precisions and cuts
+    P_i = min(p_i, min_{k<i} P_k - k(i-k)).  The row pass cuts each state
+    to its slots below its precision (_cut) as it sets both, and carries
+    the cut state on, as no later state's precision is higher: a truncated
+    cascade adds and keeps only the slots its rows can still be known at.
+    A cascade whose inputs are all exact keeps no precisions and cuts
     nothing.
     """
 
@@ -254,7 +254,13 @@ class _Cascade:
         # a single coefficient is its own packing (every built-in knot's
         # a-side); each factor is u +- q^c v, aligned by one left shift
         zu = coeffs[0] if len(coeffs) == 1 else _pack(coeffs, width)
-        if self._divide:
+        if prec is not None and self._prec is None:  # the first truncation
+            self._prec = []
+        ps = self._prec
+        if ps is not None:  # p: the precision of u, inf while exact
+            ps += [INF] * (len(zs) - len(ps))  # every state exact until now
+            p = INF if prec is None else prec
+        if self._divide:  # state t becomes u + q^c_t v, the row's output
             for t in range(2 * i, -1, -1):
                 zv = zs[t]
                 if zv:
@@ -268,10 +274,20 @@ class _Cascade:
                     else:
                         zu = (zu << (bu - bv) * width) + zv
                         bu = bv
+                if ps is not None:
+                    q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    p = ps[t] = q if q < p else p
+                    if zu and zu.bit_length() >= (p - bu) * width:
+                        zu = _cut(zu, p - bu, width)
                 zs[t], bs[t] = zu, bu
-        else:
+        else:  # state t becomes u, and u - q^c_t v runs on
             for t in range(2 * i + 1):
                 zv, bv = zs[t], bs[t]
+                if ps is not None:
+                    if zu and zu.bit_length() >= (p - bu) * width:
+                        zu = _cut(zu, p - bu, width)
+                    q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    ps[t], p = p, (q if q < p else p)
                 zs[t], bs[t] = zu, bu
                 if zv:
                     bv += (t + 1 >> 1) * (-scale if t & 1 else scale)
@@ -284,41 +300,12 @@ class _Cascade:
                     else:
                         zu = (zu << (bu - bv) * width) - zv
                         bu = bv
-        if prec is not None and self._prec is None:  # the first truncation
-            self._prec = []
-        if self._prec is not None:
-            prec = self._follow(i, INF if prec is None else prec)
-            zu = zs[0] if self._divide else _cut(zu, prec - bu, width)
-            prec = None if prec == INF else prec
+        if ps is not None:  # a dividing row's output, state 0, is cut
+            zu = zu if self._divide else _cut(zu, p - bu, width)
+            prec = None if p == INF else p
         # zu is normalised (see above): bu is the row's offset, and the
         # constructor drops the top slots' zeros (a zero z unpacks to [0])
         return QSeries(_unpack(zu, width), bu, scale, prec)
-
-    def _follow(self, i: int, p):
-        """Row i's state precisions from its input's, p (inf if exact),
-        each state cut to its own as it is set; returns the row's."""
-        ps, zs, bs = self._prec, self._z, self._base
-        ps += [INF] * (len(zs) - len(ps))  # every state exact until now
-        scale, width = self._scale, self._width
-        if self._divide:  # state t becomes u + q^c_t v, the row's output
-            for t in range(2 * i, -1, -1):
-                q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
-                if q < p:
-                    p = q
-                ps[t] = p
-                z = zs[t]
-                if z and z.bit_length() >= (p - bs[t]) * width:
-                    zs[t] = _cut(z, p - bs[t], width)
-        else:  # state t becomes u, and u - q^c_t v runs on
-            for t in range(2 * i + 1):
-                q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
-                ps[t] = p
-                z = zs[t]
-                if z and z.bit_length() >= (p - bs[t]) * width:
-                    zs[t] = _cut(z, p - bs[t], width)
-                if q < p:
-                    p = q
-        return p
 
 
 def _cut(z: int, n, width: int) -> int:

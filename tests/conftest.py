@@ -79,7 +79,8 @@ def exact_div(a: QSeries, b: QSeries) -> QSeries:
     if a.is_zero:
         return QSeries()
     s = lcm(a.scale, b.scale)
-    ao, rem, _ = a._rescaled(s)  # a fresh list: the remainder in place
+    ao, rem, _ = a._rescaled(s)
+    rem = list(rem)  # a copy: the remainder is worked in place
     bo, bc, _ = b._rescaled(s)
     lead = bc[0]
     n = len(rem) - len(bc) + 1

@@ -357,6 +357,31 @@ class TestLoadKnots:
         assert residue_series(knot.a, 0, 10, knot.lbc_constant) == \
             QSeries.zero(10)
 
+    def test_composite_lbc_constant_past_the_window(self, tmp_path):
+        # every summand's C is exact, so the composite's is the least of
+        # them: the audit over k <= 24 gave -445
+        doc = [{"name": "test_late_summand",
+                "generator": monomial_generator(exponent={"c1": -30})},
+               {"name": "test_late_composite",
+                "generator": {"kind": "composite",
+                              "summands": ["test_late_summand", "4_1"]}},
+               {"name": "test_late_nested",
+                "generator": {"kind": "composite",
+                              "summands": ["3_1l", "test_late_composite"]}}]
+        summand, composite, nested = load_knots(write_doc(tmp_path, doc))
+        assert composite.lbc_constant == summand.lbc_constant == -466
+        assert lbc_check(composite.a, 100).constant == -466
+        assert nested.lbc_constant == lbc_check(nested.a, 100).constant \
+            == -466
+
+    def test_windowed_composite_lbc_constant(self, tmp_path):
+        # the unknot's a-side is a cascade: the composite is still audited
+        doc = [{"name": "test_windowed_composite",
+                "generator": {"kind": "composite",
+                              "summands": ["unknot", "4_1"]}}]
+        (knot,) = load_knots(write_doc(tmp_path, doc))
+        assert knot.lbc_constant == lbc_check(knot.a, 24).constant
+
     def test_builtin_lbc_constants(self):
         want = {"unknot": -1, "3_1l": -2, "3_1r": 0, "4_1": -1}
         assert {name: get_knot(name).lbc_constant for name in want} == want

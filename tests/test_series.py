@@ -142,6 +142,23 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.offset = 3
 
+    def test_a_canonical_tuple_is_shared(self):
+        t = (1, 0, -2)
+        for offset, scale, prec in ((3, 1, None), (3, 2, None), (-1, 1, 2),
+                                    (1, 3, 9)):
+            s = QSeries(t, offset, scale, prec)
+            assert s.coeffs is t, (offset, scale, prec)
+            assert s._rescaled(s.scale)[1] is s.coeffs
+            assert type(s._rescaled(2 * s.scale)[1]) is list
+        # a list or a generator is stored as a tuple, trimmed
+        assert QSeries([0, 1, 0, -2, 0], 3).coeffs == (1, 0, -2)
+        assert type(QSeries([1, 2]).coeffs) is tuple
+        g = QSeries((c for c in (0, 5, 7)), 0, 1, 2)
+        assert type(g.coeffs) is tuple and g.coeffs == (5,)
+        # a trimmed or coarsened tuple is a new one
+        assert QSeries((0,) + t, 2).coeffs == t
+        assert QSeries((1, 0, 1), 0, 2).coeffs == (1, 1)
+
 
 class TestArithmetic:
     @given(terms, terms)
@@ -675,6 +692,48 @@ class TestSeriesDot:
         for pairs in ([(x, x), (x, cut)], [(cut, x)]):
             with pytest.raises(ExactnessError):
                 series.series_dot(pairs)
+
+
+BIG = st.integers(1 << 64, 1 << 70)
+KERNEL_COEFF = st.one_of(st.sampled_from((1, -1)), st.integers(-9, 9), BIG,
+                         BIG.map(lambda c: -c))
+
+
+class TestAddScaled:
+    """series._add_scaled against a naive double loop."""
+
+    @staticmethod
+    def naive(acc, lo, top, g, monos, e, u, n, sign):
+        for x, c in monos:
+            for i in range(n):
+                if x + e + i * g < top:
+                    acc[x + e + i * g - lo] += sign * c * u[i]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(g=st.sampled_from((1, 2, 3)), sign=st.sampled_from((1, -1)),
+           lo=st.integers(-6, 6), e=st.integers(0, 4),
+           xs=st.lists(st.integers(0, 15), min_size=1, max_size=6,
+                       unique=True),
+           cs=st.lists(KERNEL_COEFF, min_size=6, max_size=6),
+           u=st.lists(KERNEL_COEFF, min_size=1, max_size=10),
+           spare=st.integers(0, 3), size=st.integers(0, 40),
+           acc=st.lists(KERNEL_COEFF, min_size=40, max_size=40))
+    def test_against_a_double_loop(self, g, sign, lo, e, xs, cs, u, spare,
+                                   size, acc):
+        # monomials ascending at or above lo - e; top cuts the counts
+        monos = [(lo + x, c) for x, c in zip(sorted(xs), cs)]
+        n = max(len(u) - spare, 0)  # u may hold more than n coefficients
+        top = lo + size
+        got, want = acc[:size], acc[:size]
+        series._add_scaled(got, lo, top, g, monos, e, u, n, sign)
+        self.naive(want, lo, top, g, monos, e, u, n, sign)
+        assert got == want
+
+    def test_unit_coefficients_add_and_subtract(self):
+        acc = [10, 20, 30, 40, 50]
+        series._add_scaled(acc, 0, 5, 2, [(0, 1), (1, -1)], 0, [1, 2, 3], 3,
+                           -1)
+        assert acc == [9, 21, 28, 42, 47]
 
 
 class TestProducts:

@@ -416,6 +416,25 @@ class TestPrecisionRule:
                 assert seq._gen._prec is None, name
 
 
+class TestStrip:
+    """transform._strip drops a packed state's zero low slots, within the
+    low 16 slots and past them."""
+
+    @given(st.sampled_from((8, 16, 64)), st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_against_the_slots(self, width, data):
+        half = 2 ** (width - 1) - 1
+        zeros = data.draw(st.sampled_from((0, 1, 15, 16, 17, 40)))
+        coeffs = [0] * zeros + data.draw(st.lists(
+            st.integers(-half, half), max_size=6))
+        z = series._pack(coeffs, width) if coeffs else 0
+        base = data.draw(st.integers(-5, 5))
+        k = next((i for i, c in enumerate(coeffs) if c), None)
+        want = (0, base) if k is None else (
+            series._pack(coeffs[k:], width), base + k)
+        assert transform._strip(z, base, width, (1 << width) - 1) == want
+
+
 class TestCut:
     """transform._cut keeps a packed state's slots below n."""
 
