@@ -35,8 +35,6 @@ from .transform import (
     LbcReport,
     a_from_f,
     f_from_a,
-    fk_degree_bound,
-    fk_degree_check,
     lbc_check,
     lbc_margin,
 )

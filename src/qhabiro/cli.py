@@ -137,9 +137,7 @@ def _cmd_residues(args) -> int:
     spec = knots.get_knot(args.knot)
     w = args.window
     js = [args.j] if args.j is not None else range(-w, w + 1)
-    results = {j: residues.residue_series(spec.a, j, args.prec,
-                                          spec.lbc_constant)
-               for j in sorted(js)}
+    results = {j: surgery._residue(spec, j, args.prec, 1) for j in sorted(js)}
     return _emit(args, {"knot": spec.name, "prec": args.prec,
                         "residues": {str(j): r.to_json()
                                      for j, r in results.items()}},

@@ -6,7 +6,7 @@ figure-eight knot and every file knot), by its GM coefficients f_k (the
 unknot, f_k = delta_{k,0}), or by both (the trefoils).  A side not given
 is the transform of the other.  Every closed form is one ClosedForm, a
 sign table periodic in k times q^{c2 k^2 + c1 k + c0}; a ClosedForm
-a-side gives its knot's LBC constant exactly.  A file knot's
+side gives its knot's LBC constant exactly.  A file knot's
 ``f_closed_form: builtin:X`` is checked against X's f when the file
 loads; it never replaces the transform.
 """
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from .series import QAlgebraError, QSeries, series_sum
 from .transform import CoeffSeq, LbcError, a_from_f, f_from_a, lbc_check
 
-LBC_WINDOW = 24  # lbc_constant audits the a-side over indices 0..LBC_WINDOW at most
+LBC_WINDOW = 24  # lbc_constant audits an unbounded side over 0..LBC_WINDOW
 
 
 class KnotError(QAlgebraError):
@@ -75,10 +75,10 @@ class ClosedForm:
         return ClosedForm(self.signs, *(-c for c in self.c))
 
     def lbc_constant(self) -> Fraction:
-        """The least margin delta(a_{-k-1}) - lbc_margin(k) = A k^2 + B k +
-        c0 - 1 (A = c2 + 1/2, B = c1 - 1/2) over the k >= 0 of nonzero
-        classes, 0 if none: on class r at k = r or at its integers on each
-        side of the vertex.  LbcError when the margin falls without bound."""
+        """The least margin delta(s_k) - lbc_margin(k) = A k^2 + B k + c0 - 1
+        (s_k = a_{-k-1} or f_k; A = c2 + 1/2, B = c1 - 1/2) over the k >= 0
+        of nonzero classes, 0 if none: on class r at k = r or at its
+        integers on each side of the vertex.  LbcError if unbounded below."""
         half = Fraction(1, 2)
         A, B, c0 = self.c[0] + half, self.c[1] - half, self.c[2] - 1
         if self._classes and (A < 0 or (A == 0 and B < 0)):
@@ -140,22 +140,19 @@ class KnotSpec:
 
     @cached_property
     def lbc_constant(self) -> Fraction:
-        """The knot's LBC constant: exact for a ClosedForm a-side (LbcError
-        if it has none), the least of the summands' if they are all exact
-        (delta(sum a_i) >= min delta(a_i)); other a-sides, the unknot's
-        cascade too, are audited over indices 0..LBC_WINDOW, or up to the
-        last index a finite a-side provides."""
-        C, top = self._exact_lbc(), self.a.max_index
-        return C if C is not None else lbc_check(
-            self.a, LBC_WINDOW if top is None else min(LBC_WINDOW, top)).constant
-
-    def _exact_lbc(self) -> Optional[Fraction]:
-        gen = self.a._gen
+        """The knot's LBC constant, read on the side it was given on (a
+        before f; lbc_check says why both give one C): exact for a
+        ClosedForm (LbcError if it has none); for a composite the least of
+        its summands', as delta(sum a_i) >= min delta(a_i); else lbc_check
+        over every index of a finite side, or over 0..LBC_WINDOW."""
+        side = self.a if "a" in self._given else self.f
+        gen, top = side._gen, side.max_index
         if isinstance(gen, _Composite):
-            cs = [s._exact_lbc() for s in gen.specs()]
-            return None if None in cs else min(cs)
+            return min(s.lbc_constant for s in gen.specs())
+        if not isinstance(gen, ClosedForm):
+            return lbc_check(side, LBC_WINDOW if top is None else top).constant
         try:
-            return gen.lbc_constant() if isinstance(gen, ClosedForm) else None
+            return gen.lbc_constant()
         except LbcError as e:
             raise LbcError("knot %r has %s" % (self.name, e)) from None
 

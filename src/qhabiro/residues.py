@@ -47,7 +47,7 @@ from .series import (
     series_sum_bounded,
 )
 from .qcomb import _div_one_minus_qm
-from .transform import CoeffSeq, LbcError, LbcReport, fk_degree_check
+from .transform import CoeffSeq, LbcError, LbcReport, lbc_check
 from .knots import get_knot
 
 
@@ -259,7 +259,8 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
               q^{binom(k+1,2)} (1 + sum_{n>=1} (-1)^n
               q^{binom(n+1,2)+nk}(q^{nj} + q^{-nj})).
 
-    Requires the f-side degree bound inherited from an LBC constant C.
+    Requires delta(f_k) >= lbc_margin(k) + C on the f_k the window reads
+    (lbc_check on the f-side), which a prefix with no terms meets for any C.
 
     The k-sum runs on series._products: each f_k but an exact zero pairs
     with the merged monomials of (-1)^{k+j} q^{binom(k+1,2)} theta_k,
@@ -272,9 +273,7 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     target = Fraction(prec)
     tn, td = target.numerator, target.denominator
     K_max = max(abs(j), int(math.ceil(target - C - 1)))
-    fs = f.prefix(K_max)  # one batch before the degree check reads f
-    if not fk_degree_check(f, C, K_max):
-        raise LbcError("theta route requires LBC-grade input")
+    fs = f.prefix(K_max)  # one batch before the audit reads f
     pairs = []
     for k, fk in enumerate(fs):
         # delta(f_k) >= low/g; QSeries.low is None for the exact zero
@@ -296,6 +295,8 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
             n += 1
         # nonzero: the top monomial of the last n (or q^b) is unique
         pairs.append((fk, sorted((x * td, c) for x, c in monos.items() if c)))
+    if pairs and lbc_check(f, K_max).constant < C:  # no pairs: no terms
+        raise LbcError("theta route requires LBC-grade input")
     acc = _products(pairs, td, tn)._shift(j * (j + 1) // 2, 1)
     # acc is truncated; 1/(q)_inf^3 to n >= 1 terms and to prec - delta(acc)
     # keeps the product known as far as acc is

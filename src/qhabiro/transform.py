@@ -84,37 +84,44 @@ class CoeffSeq:
 
 class LbcReport(namedtuple("LbcReport", "checked_range constant indeterminate",
                            defaults=((),))):
-    """Result of checking delta(a_{-k-1}) >= -(k+1)(k-2)/2 + C on indices
-    0..``checked_range`` (an int): ``constant`` is the largest C (a
-    Fraction) for which the inequality holds for all checked indices;
-    ``indeterminate`` (a tuple, default ()) lists indices whose coefficient
-    vanishes up to its precision, where only a lower bound on delta is
-    known (the reported constant is then itself only a lower bound)."""
+    """Result of checking delta(s_k) >= lbc_margin(k) + C, s_k = a_{-k-1}
+    or f_k, on indices 0..``checked_range`` (an int): ``constant`` is the
+    largest C (a Fraction) for which it holds on all of them, 0 if none has
+    a term; ``indeterminate`` (a tuple, default ()) lists indices whose
+    coefficient vanishes up to its precision, where only a lower bound on
+    delta is known (the reported constant is then only a lower bound)."""
     __slots__ = ()
 
 
 def lbc_margin(k: int) -> Fraction:
-    """-n(n+3)/2 at n = -k-1: the LBC reference degree for a_{-k-1}."""
+    """-n(n+3)/2 at n = -k-1, that is 1 - binom(k,2): the LBC reference
+    degree of a_{-k-1} and of f_k alike (see ``lbc_check``)."""
     return Fraction(-(k + 1) * (k - 2), 2)
 
 
-def lbc_check(a: CoeffSeq, K: int) -> LbcReport:
-    """Best lower-bound-condition constant over indices 0..K."""
-    if a.side != "P":
-        raise ValueError("lbc_check applies to P-side sequences")
+def lbc_check(s: CoeffSeq, K: int) -> LbcReport:
+    """Best lower-bound-condition constant over indices 0..K of a P-side
+    (a_{-k-1}) or an F-side (f_k) sequence: the LBC and Gukov-Manolescu's
+    f-side bound delta(f_i) >= 1 - binom(i,2) + C are one inequality, as
+    lbc_margin(k) = -(k+1)(k-2)/2 = 1 - binom(k,2).  With f_i = sum_k
+    [k+i choose 2k] a_{-k-1}, delta([k+i choose 2k]) = -k(i-k) and
+    lbc_margin(k) - k(i-k) - lbc_margin(i) = binom(i-k, 2) >= 0, so the
+    bound with C on a_{-1}..a_{-K-1} gives it on f_0..f_K, and
+    back-substitution the converse: a sequence and its transform have one
+    best constant over 0..K."""
     # delta - lbc_margin(k) is m/(2 s) for delta = d/s: the least margin
     # is found by cross-multiplying, and made a Fraction once
     best = None
     indeterminate = []
-    for k, s in enumerate(a.prefix(K)):
-        d = s.low
+    for k, x in enumerate(s.prefix(K)):
+        d = x.low
         if d is None:
             continue
-        if not s.coeffs:
+        if not x.coeffs:
             indeterminate.append(k)
-        m = 2 * d + (k + 1) * (k - 2) * s.scale
-        if best is None or m * best[1] < best[0] * s.scale:
-            best = m, s.scale, d, k
+        m = 2 * d + (k + 1) * (k - 2) * x.scale
+        if best is None or m * best[1] < best[0] * x.scale:
+            best = m, x.scale, d, k
     C = Fraction(0) if best is None else (Fraction(best[2], best[1])
                                           - lbc_margin(best[3]))
     return LbcReport(K, C, tuple(indeterminate))
@@ -349,25 +356,3 @@ def a_from_f(f: CoeffSeq) -> CoeffSeq:
         raise ValueError("a_from_f expects an F-side sequence")
     return CoeffSeq("P", _Cascade(f, divide=False), f.max_index)
 
-
-def fk_degree_bound(i: int, C) -> Fraction:
-    """Lower bound on delta(f_i) inherited from an LBC constant C.
-
-    In v-degrees the bound is -i(i-1) + 2C + 2; stated here in q-units:
-    -binom(i,2) + C + 1.
-    """
-    return Fraction(-(i * (i - 1)), 2) + Fraction(C) + 1
-
-
-def fk_degree_check(f: CoeffSeq, C, K: int) -> bool:
-    """True iff delta(f_i) >= -binom(i,2) + C + 1 for all i <= K."""
-    # the bound is n/d - i(i-1)/2, compared with delta(f_i) = x/s by
-    # cross-multiplying; an exact zero (x None) meets every bound
-    b = fk_degree_bound(0, C)
-    n, d = b.numerator, b.denominator
-    for i in range(K + 1):
-        fi = f[i]
-        x = fi.low
-        if x is not None and 2 * x * d < (2 * n - i * (i - 1) * d) * fi.scale:
-            return False
-    return True

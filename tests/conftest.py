@@ -1,3 +1,6 @@
+import ast
+import math
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -5,6 +8,7 @@ from typing import Optional
 
 import pytest
 
+import qhabiro
 from qhabiro import (
     CoeffSeq,
     ExactnessError,
@@ -17,11 +21,28 @@ from qhabiro import (
     get_knot,
     lbc_margin,
     omega_mul,
+    poch,
     qbinom,
     qfact,
     qint,
+    series_invert_unit,
 )
 from qhabiro.series import ExpLike, _add_scaled
+
+PACKAGE = os.path.dirname(os.path.abspath(qhabiro.__file__))
+
+
+def package_trees():
+    """(file name, ast) of every module of src/qhabiro."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def inv_qpoch_inf(prec):
+    """1/(q)_inf to O(q^prec), by inverting the product."""
+    return series_invert_unit(poch(1, math.inf, prec), prec)
 
 
 def seq_from_list(side, items):

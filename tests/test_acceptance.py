@@ -35,17 +35,15 @@ from qhabiro import (
     residue_family,
     residue_theorem_check,
     residues_from_f,
-    series_invert_unit,
     tail_check,
     trefoil_recurrence_check,
     zhat_via_fk,
     zhat_via_ih,
     zhat_via_residues,
 )
-from qhabiro.qcomb import poch
 from qhabiro.transform import CoeffSeq
 
-from conftest import lbc_product_bound, verify_sigma_product
+from conftest import inv_qpoch_inf, lbc_product_bound, verify_sigma_product
 
 # Certified lower-bound-condition constants of the builtin knots.
 LBC = {"3_1l": Fraction(-2), "3_1r": Fraction(0), "4_1": Fraction(-1)}
@@ -57,10 +55,6 @@ def budget(seconds):
     yield
     elapsed = time.monotonic() - t0
     assert elapsed < seconds, "budget exceeded: %.1fs > %ds" % (elapsed, seconds)
-
-
-def inv_qpoch_inf(prec):
-    return series_invert_unit(poch(1, math.inf, prec), prec)
 
 
 # -- frozen residue tables (right-handed trefoil and figure-eight) ----------

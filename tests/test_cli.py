@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import qhabiro
-from qhabiro import QSeries, residues
+from qhabiro import QSeries, get_knot, residues
 from qhabiro.cli import VERIFY_SUITES, main
 
 from conftest import residue_plus_q_at
@@ -268,6 +269,27 @@ class TestResidues:
                            "--window", "1", "--prec", "10")
         assert code == 0
         assert "r_-1" in out and "r_0" in out and "r_1" in out
+
+    def test_json_is_the_a_side_sum(self, capsys):
+        # r_j is read as the surgery routes read it: for the f-given
+        # unknot by the theta route, yet byte for byte the a-side's sum
+        code, out, _ = run(capsys, "residues", "--knot", "unknot",
+                           "--window", "3", "--prec", "12", "--json")
+        assert code == 0
+        spec = get_knot("unknot")
+        want = {str(j): residues.residue_series(spec.a, j, 12,
+                                                spec.lbc_constant).to_json()
+                for j in range(-3, 4)}
+        assert json.loads(out)["residues"] == want
+
+    def test_unknot_at_o_q200(self, capsys, monkeypatch):
+        # the a-side sum took about 6.5 s and 450 MB; from an empty store
+        monkeypatch.setattr(get_knot("unknot"), "residues", {})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "residues", "--knot", "unknot",
+                           "--prec", "200")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and len(out.splitlines()) == 5
 
 
 class TestOtherCommands:

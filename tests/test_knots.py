@@ -21,13 +21,17 @@ from qhabiro import (
     LbcError,
     PrecisionError,
     QSeries,
+    SurgeryParams,
     UnknownKnotError,
     get_knot,
     knot_names,
     lbc_check,
+    lbc_margin,
     load_knots,
     mirror,
     residue_series,
+    zhat_via_ih,
+    zhat_via_residues,
 )
 
 from qhabiro import knots
@@ -374,8 +378,31 @@ class TestLoadKnots:
         assert nested.lbc_constant == lbc_check(nested.a, 100).constant \
             == -466
 
+    def test_list_knot_audited_over_every_entry(self, tmp_path):
+        # margin floor((k-30)^2/8) - 20, least at k = 30: the audit over
+        # k <= 24 gave C = -16, and residue_series then raised
+        # DegreeBoundError at k = 25
+        coeffs = [QSeries.monomial(lbc_margin(k) + (k - 30) ** 2 // 8 - 20)
+                  for k in range(45)]
+        doc = [{"name": "test_late_list",
+                "generator": {"kind": "list",
+                              "coeffs": [c.to_json() for c in coeffs]}}]
+        (knot,) = load_knots(write_doc(tmp_path, doc))
+        assert knot.lbc_constant == lbc_check(knot.a, 44).constant == -20
+        want = QSeries.from_terms(
+            {9: -1, 11: -3, 12: -2, 13: -8, 14: -10, 15: -21, 16: -28,
+             17: -55, 18: -76, 19: -129}, prec=20)
+        assert residue_series(knot.a, 0, 20, knot.lbc_constant) == want
+        # a lower C widens the window, and the sum does not change
+        assert residue_series(knot.a, 0, 20, -24) == want
+        params = SurgeryParams(-1, 0, 12)
+        got = zhat_via_residues(knot, params)
+        assert got == zhat_via_ih(knot, params)
+        assert got.series == QSeries.zero(12)
+
     def test_windowed_composite_lbc_constant(self, tmp_path):
-        # the unknot's a-side is a cascade: the composite is still audited
+        # the unknot's a-side is a cascade: the composite takes the least of
+        # its summands' constants, the unknot's read on its f-side
         doc = [{"name": "test_windowed_composite",
                 "generator": {"kind": "composite",
                               "summands": ["unknot", "4_1"]}}]
@@ -385,6 +412,21 @@ class TestLoadKnots:
     def test_builtin_lbc_constants(self):
         want = {"unknot": -1, "3_1l": -2, "3_1r": 0, "4_1": -1}
         assert {name: get_knot(name).lbc_constant for name in want} == want
+
+    def test_trefoil_f_side_closed_forms_give_their_constants(self):
+        for name, C in (("3_1l", -2), ("3_1r", 0)):
+            f = get_knot(name).f._gen
+            assert isinstance(f, ClosedForm)
+            assert f.lbc_constant() == C == lbc_check(get_knot(name).f,
+                                                       60).constant, name
+
+    @pytest.mark.parametrize("name,C", [("unknot", -1), ("3_1r", 0)])
+    def test_f_only_knot_builds_no_a_side_row(self, name, C):
+        # the unknot's f is audited, the trefoil's f-side ClosedForm is
+        # read; neither reads the a-side cascade
+        knot = KnotSpec("test_f_only_" + name, f_gen=get_knot(name).f._gen)
+        assert knot.lbc_constant == C
+        assert knot.a._gen._rows == []
 
     def test_composite_cycle_rejected(self, tmp_path):
         doc = [

@@ -9,11 +9,8 @@ puts its inputs on its grid through ``QSeries._rescaled``, with no spread
 of its own."""
 
 import ast
-import os
 
-import qhabiro
-
-PACKAGE = os.path.dirname(os.path.abspath(qhabiro.__file__))
+from conftest import package_trees
 
 
 def attr_of(node, attr: str):
@@ -48,13 +45,6 @@ def strided_stores(fn) -> list:
                   if isinstance(t, ast.Subscript)
                   and isinstance(t.slice, ast.Slice)
                   and t.slice.step is not None)
-
-
-def package_trees():
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE, name)) as fh:
-                yield name, ast.parse(fh.read(), name)
 
 
 def test_only_series_spells_the_rule():

@@ -36,7 +36,7 @@ from qhabiro.residues import (ResidueFamily, _binom2, _inv_poch_product,
                               _j_window)
 from qhabiro.series import ExpLike, PrecisionError
 
-from conftest import residue_plus_q_at, seq_from_list
+from conftest import inv_qpoch_inf, residue_plus_q_at, seq_from_list
 
 
 def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
@@ -112,10 +112,6 @@ def branch_residue_by_family(branch: str, j: int, prec: ExpLike) -> QSeries:
     rj = residue_series(branch_coeffs_41(branch, target + j * j), j,
                         target - shift, Fraction(-1))
     return rj.shift(shift).truncate(target)
-
-
-def inv_qpoch_inf(prec):
-    return series_invert_unit(poch(1, math.inf, prec), prec)
 
 
 def atom_sum(a, j, prec, C):
@@ -305,6 +301,15 @@ class TestRoundTrips:
         bad = seq_from_list("F", [QSeries.monomial(-40)])
         with pytest.raises(LbcError):
             residues_from_f(bad, 0, 10, Fraction(0))
+
+    def test_theta_route_on_a_prefix_with_no_terms(self):
+        # an f-prefix of exact zeros meets every C, so C = 3 passes the
+        # audit, whose constant for it is 0; one term brings the audit back
+        for j in (0, 2):
+            got = residues_from_f(seq_from_list("F", []), j, 8, Fraction(3))
+            assert got == QSeries.zero(8), j
+        with pytest.raises(LbcError):
+            residues_from_f(seq_from_list("F", [QSeries.one()]), 0, 8, 3)
 
     def test_missing_constant_rejected(self):
         with pytest.raises(LbcError):

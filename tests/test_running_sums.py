@@ -10,11 +10,8 @@ QSeries per term.  Such sums collect their terms and add them once through
 breaks or returns."""
 
 import ast
-import os
 
-import qhabiro
-
-PACKAGE = os.path.dirname(os.path.abspath(qhabiro.__file__))
+from conftest import package_trees
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While)
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -98,13 +95,6 @@ def stop_loops(tree) -> list:
                             for n in body)):
                 found.add((loop.lineno, fn.name))
     return sorted(found)
-
-
-def package_trees():
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE, name)) as fh:
-                yield name, ast.parse(fh.read(), name)
 
 
 def test_no_running_sum_in_the_package():

@@ -20,8 +20,6 @@ from qhabiro import (
     QSeries,
     a_from_f,
     f_from_a,
-    fk_degree_bound,
-    fk_degree_check,
     get_knot,
     lbc_check,
     lbc_margin,
@@ -558,8 +556,6 @@ class TestFrozenRows:
 
 def lbc_check_by_fractions(a: CoeffSeq, K: int) -> LbcReport:
     """lbc_check as it ran on Fraction margins: the reference for it."""
-    if a.side != "P":
-        raise ValueError("lbc_check applies to P-side sequences")
     best = inf
     indeterminate = []
     for k, s in enumerate(a.prefix(K)):
@@ -577,25 +573,28 @@ def lbc_check_by_fractions(a: CoeffSeq, K: int) -> LbcReport:
     return LbcReport(K, Fraction(best), tuple(indeterminate))
 
 
-def fk_degree_check_by_fractions(f: CoeffSeq, C, K: int) -> bool:
-    """fk_degree_check as it ran on Fraction bounds: the reference for it."""
+def f_bound_by_fractions(f: CoeffSeq, C, K: int) -> bool:
+    """Gukov-Manolescu's f-side bound delta(f_i) >= lbc_margin(i) + C for
+    all i <= K, on Fraction bounds: the reference for lbc_check on an
+    F-side."""
     for i in range(K + 1):
-        if f[i].delta_lb() < fk_degree_bound(i, C):
+        if f[i].delta_lb() < lbc_margin(i) + C:
             return False
     return True
 
 
 @st.composite
-def rows_near_the_bounds(draw):
+def rows_near_the_bounds(draw, kinds=("poly", "cut", "zero", "exact")):
     """Coefficients whose degrees sit within a few steps of -binom(k,2),
     near both the LBC margin and the f-side bound, on the grids 1/1, 1/2
-    and 1/3: polynomials, truncated ones, truncated zeros and exact zeros."""
+    and 1/3: polynomials, truncated ones, truncated zeros and exact zeros
+    (``kinds`` picks among them)."""
     rows = []
     for k in range(draw(st.integers(0, 10))):
         scale = draw(st.sampled_from((1, 2, 3)))
         d = Fraction(-k * (k - 1), 2) + Fraction(draw(st.integers(-8, 8)),
                                                   scale)
-        kind = draw(st.sampled_from(("poly", "cut", "zero", "exact")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "exact":
             rows.append(QSeries.zero())
         elif kind == "zero":
@@ -610,7 +609,7 @@ def rows_near_the_bounds(draw):
 
 
 class TestFractionRules:
-    """lbc_check and fk_degree_check against their Fraction references."""
+    """lbc_check on both sides against its Fraction references."""
 
     @given(rows_near_the_bounds(),
            st.one_of(st.integers(-6, 4),
@@ -623,11 +622,13 @@ class TestFractionRules:
             got, want = lbc_check(a, K), lbc_check_by_fractions(a, K)
             assert repr(got) == repr(want), K
         f = seq_from_list("F", rows)
-        # C given, and C read off an LbcReport of the same rows
+        # C given, and C read off an LbcReport of the same rows; a prefix
+        # with no terms meets every C
         for c in (C, want.constant):
             for K in range(len(rows) + 1):
-                assert fk_degree_check(f, c, K) == \
-                    fk_degree_check_by_fractions(f, c, K), (c, K)
+                meets = lbc_check(f, K).constant >= c or \
+                    all(x.low is None for x in f.prefix(K))
+                assert meets == f_bound_by_fractions(f, c, K), (c, K)
 
 
 class TestConcurrentAccess:
@@ -659,18 +660,37 @@ class TestConcurrentAccess:
 
 
 class TestDegreeBound:
+    """Gukov-Manolescu's f-side bound delta(f_i) >= 1 - binom(i,2) + C is
+    the LBC on the f-side: lbc_check of an F-side sequence."""
+
     def test_bound_values(self):
-        assert fk_degree_bound(0, 0) == 1
-        assert fk_degree_bound(2, -1) == -1
+        assert lbc_margin(0) + 0 == 1
+        assert lbc_margin(2) - 1 == -1
+        assert all(lbc_margin(i) == 1 - comb(i, 2) for i in range(200))
 
     def test_builtin_degree_checks(self):
-        assert fk_degree_check(get_knot("3_1r").f, 0, 15)
-        assert fk_degree_check(get_knot("4_1").f, -1, 15)
-        assert fk_degree_check(get_knot("3_1l").f, -2, 15)
+        assert lbc_check(get_knot("3_1r").f, 15).constant >= 0
+        assert lbc_check(get_knot("4_1").f, 15).constant >= -1
+        assert lbc_check(get_knot("3_1l").f, 15).constant >= -2
 
     def test_violation_detected(self):
         bad = seq_from_list("F", [QSeries.monomial(-50)])
-        assert not fk_degree_check(bad, 0, 3)
+        assert lbc_check(bad, 3).constant < 0
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
+    def test_builtin_sides_agree(self, name):
+        knot = get_knot(name)
+        for K in range(61):
+            assert lbc_check(knot.a, K) == lbc_check(knot.f, K), K
+
+    @given(rows_near_the_bounds(kinds=("poly", "exact")),
+           st.sampled_from(("P", "F")))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_a_sequence_and_its_transform_agree(self, rows, side):
+        s = seq_from_list(side, rows)
+        t = (f_from_a if side == "P" else a_from_f)(s)
+        for K in range(len(rows) + 1):
+            assert lbc_check(s, K).constant == lbc_check(t, K).constant, K
 
 
 class TestCoeffSeq:
