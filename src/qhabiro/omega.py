@@ -54,12 +54,49 @@ def omega_from_a(a: CoeffSeq, K: int) -> OmegaElement:
     return OmegaElement(a, QSeries.zero(), lbc_check(a, K))
 
 
-def _gamma_valuation2(m: int, n: int, i: int) -> Optional[int]:
-    """Twice the valuation of gamma^i_{m,n} for m, n <= 0, None where it
-    vanishes: {m}_i gives im - i(i-1)/2, [m+n+1 choose i] i(m+n+2)."""
-    if i and not (m and n):
-        return None
-    return i * (2 * (m + n) + 3 - i)
+def _cut_plan(ta: list, tb: list, prec, unit: int) -> list:
+    """omega_mul's cuts, (P, p_k) or None where c_l is exact zero, for
+    l = -k-1, k < L; P is inf where c_l is exact.  ta[j], tb[j] are a's
+    and b's coefficients of sigma_{-j}, j <= L, as (delta, prec) in units
+    of 1/unit (prec inf where exact), None where they have no terms.
+
+    For m, n < 0, gamma^i_{m,n} has valuation i(2s + 3 - i)/2, s = m + n,
+    which is W(-s) - W(-l) at l = s - i, W(S) = binom(S-1, 2).  So one
+    pass over the pairs gives D[S] and E[S], the least delta(a_m) +
+    delta(b_n) and prec(a_m) + delta(b_n) or prec(b_n) + delta(a_m) over
+    m + n = -S, and c_l reads the running minima of W(S) + D[S] and W(S)
+    + E[S] over S <= -l, less W(-l), and its sigma0 pairs (0, l) and
+    (l, 0), gamma = 1: it is a hit where a D lies below p_l, and P is the
+    least of p_l and the E's.  A pair that is no hit has prec + delta + v
+    >= p_l too, as prec >= delta, so the E's need no hit filter."""
+    L = len(ta) - 1
+    D, E = [INF] * (L + 1), [INF] * (L + 1)
+    for j, x in enumerate(ta[1:L], 1):
+        if x:
+            da, pa = x
+            for S, y in enumerate(tb[1:L + 1 - j], j + 1):
+                if y:
+                    db, pb = y
+                    if da + db < D[S]:
+                        D[S] = da + db
+                    if pa + db < E[S] or pb + da < E[S]:
+                        E[S] = min(pa + db, pb + da)
+    cuts, d, e = [], INF, INF
+    for kk in range(L):
+        p_k = prec(kk) if callable(prec) else prec
+        cap = INF
+        if p_k is not None:
+            num, den = _as_ratio(p_k)
+            cap = -(-num * unit // den)
+        w = unit * (kk * (kk - 1) // 2)  # W(-l) = W(kk + 1)
+        d, e = min(d, D[kk + 1] + w), min(e, E[kk + 1] + w)
+        hit, P = d - w < cap, min(cap, e - w)
+        for x, y in ((ta[0], tb[kk + 1]), (tb[0], ta[kk + 1])):
+            if x and y:
+                hit = hit or x[0] + y[0] < cap
+                P = min(P, x[1] + y[0], y[1] + x[0])
+        cuts.append((P, p_k) if hit else None)
+    return cuts
 
 
 def omega_mul(
@@ -90,14 +127,15 @@ def omega_mul(
     gives it.  With no such pair c_l is exact zero; a coefficient that is
     zero only to its precision has no terms.
 
-    Those cuts P_k are known before any row is computed, so every stage
-    computes only below what they need, each transform's precision rule
-    inverted (see transform._Cascade): f^c_i is needed below pi_i =
-    max_{read k>=i} P_k + binom(k,2), minus binom(i,2); f^a_t below
-    pi_t - delta(s_b) and below pi_{j+1} - lb(f^b_{j-t}) for j >= t, the
-    dot j being cut at pi_{j+1}, where lb(f_n) = min_k delta(b_k) - k(n-k)
-    is the valuation the partner's own terms allow; and the known a_k is
-    fed in truncated at max_{t>=k} of f^a_t's need + k(t-k).  The
+    Those cuts P_k are known before any row is computed (_cut_plan, one
+    O(L^2) pass over the pairs), so every stage computes only below what
+    they need, each transform's precision rule inverted (see
+    transform._Cascade): f^c_i is needed below pi_i = max_{read k>=i} P_k
+    + binom(k,2), minus binom(i,2); f^a_t below pi_t - delta(s_b) and
+    below pi_{j+1} - lb(f^b_{j-t}) for j >= t, the dot j being cut at
+    pi_{j+1}, where lb(f_n) = min_k delta(b_k) - k(n-k) is the valuation
+    the partner's own terms allow; and the known a_k is fed in truncated
+    at max_{t>=k} of f^a_t's need + k(t-k).  The
     cascades then cut their states, the dots multiply only below their
     precision (series._dot), and c_l comes out exactly as the exact
     computation cut at P_k.  All of it runs on integers in units of
@@ -114,48 +152,15 @@ def omega_mul(
     unit = 2 * lcm(*(s.scale for row in rows for s in row))
 
     def units(s: QSeries):
-        """(delta, prec) of s in units of 1/unit, None if s has no terms."""
+        """(delta, prec) of s in units of 1/unit, prec inf where exact; None
+        if s has no terms."""
         # unlike QSeries.low, a truncated zero is absent, else products change
         if not s.is_zero:
             u = unit // s.scale
-            return s.offset * u, None if s.prec is None else s.prec * u
+            return s.offset * u, INF if s.prec is None else s.prec * u
 
     ta, tb = ([units(s) for s in row] for row in rows)
-    # with no truncated coefficient no pair lowers P: the first hit settles
-    settled = all(t is None or t[1] is None for t in ta + tb)
-
-    def cut(kk: int):
-        """(P, p_k) for c_l, l = -kk-1; None if c_l is exact zero."""
-        l = -kk - 1
-        p_k = prec(kk) if callable(prec) else prec
-        P = cap = None
-        if p_k is not None:
-            num, den = _as_ratio(p_k)
-            P = cap = -(-num * unit // den)
-        hit = False
-        # once m, n < 0 the valuation depends on s = m + n <= -2 only
-        vs = [_gamma_valuation2(-1, s + 1, s - l) for s in range(l, -1)]
-        for m in range(l, 1):
-            am = ta[-m]
-            if am is None:
-                continue
-            for n in range(l - m, 1):
-                bn, s = tb[-n], m + n
-                v = vs[s - l] if m and n else _gamma_valuation2(m, n, s - l)
-                if bn is None or v is None:
-                    continue
-                v *= unit // 2
-                if cap is not None and v + am[0] + bn[0] >= cap:
-                    continue
-                hit = True
-                if settled:
-                    return P, p_k
-                for p, d in ((am[1], bn[0]), (bn[1], am[0])):
-                    if p is not None and (P is None or p + d + v < P):
-                        P = p + d + v
-        return (P, p_k) if hit else None
-
-    cuts = [cut(kk) for kk in range(L)]
+    cuts = _cut_plan(ta, tb, prec, unit)
     hits = [kk for kk, ct in enumerate(cuts) if ct]
     top = hits[-1] if hits else -1
     # what each stage needs (docstring), in units of 1/unit, inf when
@@ -166,7 +171,7 @@ def omega_mul(
     for i in range(top, -1, -1):
         b2 = unit * (i * (i - 1) // 2)
         if cuts[i]:
-            most = max(most, INF if cuts[i][0] is None else cuts[i][0] + b2)
+            most = max(most, cuts[i][0] + b2)
         pi[i] = most - b2
 
     def over(p, d):  # what a factor of valuation d needs for p; -inf: none
@@ -217,7 +222,7 @@ def omega_mul(
         if ct is None:
             return QSeries.zero()
         P, p_k = ct
-        out = prod[kk] if P is None else prod[kk]._truncate(P, unit)
+        out = prod[kk] if P == INF else prod[kk]._truncate(P, unit)
         return out if p_k is None else out.truncate(p_k)
 
     if hits:

@@ -22,7 +22,8 @@ results across slopes and spin^c labels through the knot's residue store
 (surgery._residue).  The
 theta route (residues_from_f) adds each f_k times the monomials of its
 theta term into one list too (series._products), known to the least of
-prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k.
+prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k,
+and divides by (q)_inf^3 through Jacobi's sparse series for it.
 Both routes bound a term's degree below by QSeries.low (a truncated
 zero's precision) and skip the exact zero, whose low is None.
 """
@@ -43,6 +44,7 @@ from .series import (
     _add_scaled,
     _as_ratio,
     _products,
+    series_invert_unit,
     series_sum,
     series_sum_bounded,
 )
@@ -302,7 +304,11 @@ def residues_from_f(f: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     # keeps the product known as far as acc is
     low = acc.low
     n = max(-((low * td - tn * acc.scale) // (td * acc.scale)), 1)
-    inv3 = QSeries(_inv_poch_list((INF, INF, INF), n), 0, 1, n)
+    cube = [0] * n  # Jacobi: (q)_inf^3 = sum_m (-1)^m (2m+1) q^binom(m+1,2)
+    for m in range(math.isqrt(2 * n) + 1):
+        if m * (m + 1) // 2 < n:
+            cube[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+    inv3 = series_invert_unit(QSeries(cube, 0, 1, n), n)
     return (-(acc * inv3))._truncate(tn, td)
 
 

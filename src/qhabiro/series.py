@@ -139,7 +139,8 @@ def _products(pairs, g: int, prec=None) -> QSeries:
 # two's-complement bytes of c_i with the top byte's high bit flipped, so
 # the codec moves whole byte columns (one strided slice each, the flip one
 # bytes.translate) between width-bit slots and the 8-byte cells of one
-# struct call.  Only lists with a value outside int64 take a per-slot path.
+# struct call.  Only lists with a value outside int64 take a per-slot path;
+# an empty list packs to 0 and a one-slot z unpacks to [z] without either.
 
 _FLIP = bytes(b ^ 0x80 for b in range(256))  # offset <-> two's complement
 _SIGN = bytes(255 if b & 0x80 else 0 for b in range(256))  # sign extension
@@ -173,6 +174,8 @@ def _pack(coeffs: list, width: int) -> int:
     every -2^(width-1) <= c_i < 2^(width-1)."""
     nb = width // 8
     n = len(coeffs)
+    if not n:
+        return 0
     half = 1 << (width - 1)
     try:
         data = _columns(struct.pack("<%dq" % n, *coeffs), 8, nb, n)
@@ -196,6 +199,8 @@ def _slots(z: int, width: int) -> tuple:
 
 def _unpack(z: int, width: int) -> list:
     """Inverse of _pack; trailing zero slots may remain."""
+    if -(1 << (width - 1)) <= z < 1 << (width - 1):
+        return [z]
     nb = width // 8
     n, data = _slots(z, width)
     data = bytearray(data)

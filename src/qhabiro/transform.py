@@ -162,9 +162,9 @@ class _Cascade:
     The filters lie flat: filter t = 0, 1, 2, ... carries c_t = 0, -1, +1,
     -2, +2, ... (times the scale), so stage m is filters 2m-1 and 2m and
     row i adds filters 2i-1 and 2i.  Their states are two lists, packed z
-    and base.  The two factors of a stage commute (both are filters along
-    x), so row i runs t = 2i down to 0 when dividing, 0 up to 2i when
-    multiplying.
+    and base, next to a list of the c_t.  The two factors of a stage
+    commute (both are filters along x), so row i runs t = 2i down to 0
+    when dividing, 0 up to 2i when multiplying.
 
     Laurent polynomials on the grid (1/scale)Z are packed as (z, base):
     z = sum c_i 2^(width*i), base the exponent of slot 0.  An input comes
@@ -175,12 +175,13 @@ class _Cascade:
     unshifted operand's, so only the aligned add (equal bases) can cancel
     it, and only it strips zero low slots.  z is exact whatever its slots
     hold, but reading slots back needs |c_i| < 2^(width-1).  A scalar
-    shadow of the cascade on l1 norms (the same filters with every sign +,
-    on the same layout) bounds every state's l1 norm, hence every |c_i|.
-    A call computes the rows up to k not yet computed as one batch: it
-    reads their inputs top index first (so a cascade feeding this one gets
-    one call too), and runs the shadow over them all before sizing the
-    slots to the largest bound and the grids' lcm, repacking at most once.
+    shadow of the cascade on sup norms (the same filters with every sign +,
+    on the same layout) bounds every |c_i| of every state, as
+    ||u +- q^c v|| <= ||u|| + ||v||.  A call computes the rows up to k not
+    yet computed as one batch: it reads their inputs top index first (so a
+    cascade feeding this one gets one call too), and runs the shadow over
+    them all before sizing the slots to the largest bound and the grids'
+    lcm, repacking at most once.
 
     Precision follows the states as QSeries arithmetic would: once an
     input is truncated, every filter state carries the exponent below
@@ -206,10 +207,11 @@ class _Cascade:
         self._width = 8
         self._z: list = []  # filter t -> packed state
         self._base: list = []  # filter t -> exponent of its slot 0
-        self._shadow: list = []  # filter t -> l1 bound of its state
+        self._cs: list = []  # filter t -> its shift c_t, in units of 1/scale
+        self._shadow: list = []  # filter t -> sup bound of its state
         self._prec = None  # filter t -> precision of its state, once truncated
         self._rows: list = []
-        # a batch updates _rows, _z, _base, _shadow and _prec over many
+        # a batch updates _rows, _z, _base, _cs, _shadow and _prec over many
         # bytecodes, which the GIL does not make atomic: threads that read
         # one cascade take turns (TestConcurrentAccess)
         self._lock = threading.Lock()
@@ -231,7 +233,7 @@ class _Cascade:
         sh = self._shadow
         for x in xs:
             sh += (0, 0) if sh else (0,)
-            b = sum(map(abs, x.coeffs))
+            b = max(map(abs, x.coeffs), default=0)
             if self._divide:  # t = 2i..0, each state the running sum
                 acc = list(accumulate(reversed(sh), initial=b))
                 sh[:] = acc[:0:-1]
@@ -247,15 +249,17 @@ class _Cascade:
             stride = scale // self._scale
             self._z = [_repack(z, self._width, width, stride) for z in self._z]
             self._base = [b * stride for b in self._base]
+            self._cs = [c * stride for c in self._cs]
             if self._prec is not None:
                 self._prec = [p * stride for p in self._prec]
             self._scale, self._width = scale, width
 
     def _row(self, i: int, x: QSeries) -> QSeries:
-        zs, bs = self._z, self._base
+        zs, bs, cs = self._z, self._base, self._cs
         zs += (0, 0) if i else (0,)
         bs += (0, 0) if i else (0,)
         scale, width = self._scale, self._width
+        cs += (-i * scale, i * scale) if i else (0,)
         mask = (1 << width) - 1
         bu, coeffs, prec = x._rescaled(scale)
         # a single coefficient is its own packing (every built-in knot's
@@ -271,7 +275,7 @@ class _Cascade:
             for t in range(2 * i, -1, -1):
                 zv = zs[t]
                 if zv:
-                    bv = bs[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    bv = bs[t] + cs[t]
                     if not zu:
                         zu, bu = zv, bv
                     elif bu < bv:
@@ -282,7 +286,7 @@ class _Cascade:
                         zu = (zu << (bu - bv) * width) + zv
                         bu = bv
                 if ps is not None:
-                    q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    q = ps[t] + cs[t]
                     p = ps[t] = q if q < p else p
                     if zu and zu.bit_length() >= (p - bu) * width:
                         zu = _cut(zu, p - bu, width)
@@ -293,11 +297,11 @@ class _Cascade:
                 if ps is not None:
                     if zu and zu.bit_length() >= (p - bu) * width:
                         zu = _cut(zu, p - bu, width)
-                    q = ps[t] + (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    q = ps[t] + cs[t]
                     ps[t], p = p, (q if q < p else p)
                 zs[t], bs[t] = zu, bu
                 if zv:
-                    bv += (t + 1 >> 1) * (-scale if t & 1 else scale)
+                    bv += cs[t]
                     if not zu:
                         zu, bu = -zv, bv
                     elif bu < bv:

@@ -309,6 +309,21 @@ class TestOtherCommands:
         assert code == 0
         assert "a_-1" in out
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="omega_from_a embeds a knot as sigma0 + "
+                              "x/(1-x) F, so the product's f-side is "
+                              "x/(1-x) F1 F2 and the unknot is not the "
+                              "unit of the connected sum; ROADMAP "
+                              "Direction 6")
+    def test_connect_sum_with_the_unknot(self, capsys):
+        # unknot # 3_1r gives a_-1 = O(q^5), a_-2 = -q + O(q^5), ...;
+        # 3_1r alone gives -q, q, -1, ...
+        outs = [run(capsys, "connect-sum", "--knots", *names, "--depth", "5",
+                    "--prec", "5", "--json")[1]
+                for names in (("unknot", "3_1r"), ("3_1r",))]
+        got, want = (json.loads(out)["coeffs"] for out in outs)
+        assert got == want
+
     def test_transform(self, capsys):
         code, out, _ = run(capsys, "transform", "--knot", "4_1",
                            "--direction", "a-from-f", "--index", "3")

@@ -24,9 +24,9 @@ from qhabiro import (
     residue_family,
     residues_from_f,
 )
-from qhabiro import series
-from qhabiro.omega import _gamma_valuation2
-from qhabiro.series import ExpLike
+from qhabiro import omega, series
+from qhabiro.omega import _cut_plan
+from qhabiro.series import INF, ExpLike, _as_ratio
 
 from conftest import (fresh_knot, lbc_product_bound, sigma0_x_expansion,
                       verify_sigma_product)
@@ -63,6 +63,14 @@ def x_expansion(el: OmegaElement, x_order: int, prec: Optional[ExpLike] = None) 
     if prec is not None:
         out = [c.truncate(prec) for c in out]
     return out
+
+
+def _gamma_valuation2(m: int, n: int, i: int) -> Optional[int]:
+    """Twice the valuation of gamma^i_{m,n} for m, n <= 0, None where it
+    vanishes."""
+    if i and not (m and n):
+        return None
+    return i * (2 * (m + n) + 3 - i)
 
 
 def gamma_omega_mul(a, b, L, prec=None):
@@ -241,11 +249,131 @@ class TestGammaOracle:
                         assert Fraction(v2, 2) == g.delta(), (m, n, i)
 
     def test_gamma_valuation_depends_on_the_sum(self):
-        # omega_mul's cut scan reads it once per s = m + n when m, n < 0
+        # omega_mul's cut plan reads it once per s = m + n when m, n < 0,
+        # as W(-s) - W(-l), l = s - i, W(S) = binom(S-1, 2)
         for s in range(-12, -1):
             for i in range(14):
                 vs = {_gamma_valuation2(m, s - m, i) for m in range(s + 1, 0)}
                 assert vs == {_gamma_valuation2(-1, s + 1, i)}, (s, i)
+                S, ll = -s, i - s
+                assert vs == {(S - 1) * (S - 2) - (ll - 1) * (ll - 2)}, (s, i)
+
+
+def cut_plan_cubic(ta: list, tb: list, prec, unit: int) -> list:
+    """The oracle for _cut_plan: omega_mul's cut scan before it, which
+    visits every pair (m, n) with m + n >= l for each index l, O(L^3) pair
+    visits, and stops at the first hit when no factor is truncated.  It
+    takes _cut_plan's tables and gives its cuts, prec None where exact."""
+    ta, tb = ([t and (t[0], None if t[1] == INF else t[1]) for t in tab]
+              for tab in (ta, tb))
+    settled = all(t is None or t[1] is None for t in ta + tb)
+
+    def cut(kk: int):
+        l = -kk - 1
+        p_k = prec(kk) if callable(prec) else prec
+        P = cap = None
+        if p_k is not None:
+            num, den = _as_ratio(p_k)
+            P = cap = -(-num * unit // den)
+        hit = False
+        vs = [_gamma_valuation2(-1, s + 1, s - l) for s in range(l, -1)]
+        for m in range(l, 1):
+            am = ta[-m]
+            if am is None:
+                continue
+            for n in range(l - m, 1):
+                bn, s = tb[-n], m + n
+                v = vs[s - l] if m and n else _gamma_valuation2(m, n, s - l)
+                if bn is None or v is None:
+                    continue
+                v *= unit // 2
+                if cap is not None and v + am[0] + bn[0] >= cap:
+                    continue
+                hit = True
+                if settled:
+                    return P, p_k
+                for p, d in ((am[1], bn[0]), (bn[1], am[0])):
+                    if p is not None and (P is None or p + d + v < P):
+                        P = p + d + v
+        return (P, p_k) if hit else None
+
+    return [cut(kk) for kk in range(len(ta) - 1)]
+
+
+def as_cubic(cuts: list) -> list:
+    """_cut_plan's cuts with inf written None, as the oracle writes them."""
+    return [ct and (None if ct[0] == INF else ct[0], ct[1]) for ct in cuts]
+
+
+class TestCutPlan:
+    """_cut_plan's one pass over the pairs against the O(L^3) scan, on the
+    tables of the products omega_mul forms and on random tables: truncated
+    inputs and zeros, sigma0 parts, and prec None, flat or decaying."""
+
+    PROFILES = (None, 12, Fraction(25, 2), decaying(20),
+                lambda k: Fraction(40 - 3 * k, 2 + k % 3))
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """(ta, tb, prec, unit, cuts) of each _cut_plan call."""
+        calls = []
+
+        def spy(ta, tb, prec, unit):
+            calls.append((ta, tb, prec, unit, _cut_plan(ta, tb, prec, unit)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(omega, "_cut_plan", spy)
+        return calls
+
+    @staticmethod
+    def with_zeros(rng, el: OmegaElement) -> OmegaElement:
+        """el with some coefficients replaced by truncated zeros."""
+        zeros = {k: QSeries.zero(rng.randint(-4, 6)) for k in range(8)
+                 if rng.random() < 0.3}
+        seq = CoeffSeq("P", lambda k: zeros.get(k, el.a[k]))
+        return OmegaElement(seq, el.sigma0, lbc_check(seq, 10))
+
+    def test_products(self, rng, plans):
+        sigmas = (None, QSeries.from_terms({0: 1, 1: -2}),
+                  QSeries.from_terms({Fraction(1, 2): 3}, prec=5),
+                  QSeries.zero(3))
+        for trial in range(12):
+            x = random_element(rng, grid=rng.choice((1, 2, 3)),
+                               sigma0=rng.choice(sigmas),
+                               cut=rng.choice((None, 1, Fraction(5, 2))))
+            y = random_element(rng, grid=2, sigma0=rng.choice(sigmas),
+                               cut=rng.choice((None, 2)))
+            if trial % 2:
+                x = self.with_zeros(rng, x)
+            if trial % 3 == 0:  # a truncated product as a factor
+                x = omega_mul(x, y, 8, rng.choice((15, 30)))
+            for p in self.PROFILES:
+                omega_mul(x, y, 8, p)
+                omega_mul(y, x, 8, p)
+        chain = omega_mul(knot_element("3_1l"), knot_element("3_1r"), 24, 24)
+        omega_mul(chain, knot_element("4_1"), 24, 24)
+        omega_mul(knot_element("unknot"), knot_element("3_1r"), 12, 8)
+        assert len(plans) > 100
+        for ta, tb, p, unit, cuts in plans:
+            assert as_cubic(cuts) == cut_plan_cubic(ta, tb, p, unit)
+
+    @pytest.mark.parametrize("L", [1, 2, 5, 12])
+    def test_random_tables(self, rng, L):
+        # deltas about the LBC margin and caps about the gamma valuations,
+        # so that hits and misses both occur, on grids unit = 2 and 6
+        def entry(j):
+            if rng.random() < 0.25:
+                return None
+            d = rng.randint(-3, 3) - (j * (j - 3) // 2 if j else 0)
+            d = d * unit + rng.randrange(unit)
+            return d, rng.choice((INF, d + rng.randint(1, 6 * unit)))
+
+        for _ in range(60):
+            unit = rng.choice((2, 6))
+            ta, tb = ([entry(j) for j in range(L + 1)] for _ in "ab")
+            for p in self.PROFILES + (-5, lambda k: -k * k // 3):
+                assert as_cubic(_cut_plan(ta, tb, p, unit)) == \
+                    cut_plan_cubic(ta, tb, p, unit)
 
 
 def product_record(x: OmegaElement) -> dict:
@@ -311,6 +439,22 @@ class TestChainedProduct:
         assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
         # 1,105,263 when every f-side row was exact
         assert 0 < done < 100_000, done
+
+
+    # product_record's sha256 of the chain 3_1l, 3_1r, 4_1 at depth 40 and
+    # O(q^40), as `qhabiro connect-sum` forms it, before omega_mul's cut
+    # plan took one pass over the pairs
+    FLAT_DIGEST = \
+        "5e0adc8a055020b9c971e4b9b1e44ea6310a7ed3083cfccdc5c72b7efd78adae"
+
+    def test_flat_chain(self):
+        x = None
+        for name in ("3_1l", "3_1r", "4_1"):
+            cur = omega_from_a(get_knot(name).a, 40)
+            x = cur if x is None else omega_mul(x, cur, 40, prec=40)
+        blob = json.dumps(product_record(x), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.FLAT_DIGEST
 
 
 class TestFractionCount:

@@ -308,6 +308,22 @@ class TestSlotCodec:
         assert series._pack([], 64) == 0
         assert series._unpack(0, 72) == [0]
 
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_one_slot_boundaries(self, width):
+        # z in [-2^(w-1), 2^(w-1)) is one slot and unpacks to [z]; one
+        # past either end takes two slots
+        half = 1 << (width - 1)
+        assert series._pack([], width) == 0
+        for z in (-half, -half + 1, -1, 0, 1, half - 1):
+            assert series._unpack(z, width) == [z] == series._unpack(
+                series._pack([z], width), width)
+        for z, cs in ((half, [-half, 1]), (-half - 1, [half - 1, -1])):
+            assert trimmed(series._unpack(z, width)) == cs
+            assert ref_unpack(z, width) == cs
+            assert series._pack(cs, width) == z
+            with pytest.raises(OverflowError):
+                series._pack([z], width)
+
     @pytest.mark.parametrize("old,new", [(8, 8), (8, 48), (48, 72), (56, 64),
                                          (64, 64), (64, 136), (72, 160),
                                          (128, 128)])

@@ -193,8 +193,8 @@ class TestShiftAddRoute:
         assert max(read) == 5
 
 
-def _l1(s):
-    return sum(map(abs, s.coeffs))
+def _sup(s):
+    return max(map(abs, s.coeffs), default=0)
 
 
 def _mixed_grid_data(rng, n, prec_prob):
@@ -274,20 +274,20 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("K", [0, 5, 20, 51])
     def test_width_fits_the_batch_bound(self, rng, K):
-        # the l1 shadow of the dividing cascade is f_i at q = 1 with every
-        # a_{-k-1} replaced by its l1 norm; of the multiplying one, the
+        # the sup shadow of the dividing cascade is f_i at q = 1 with every
+        # a_{-k-1} replaced by its sup norm; of the multiplying one, the
         # closed inverse at q = 1 with every sign + (ballot numbers)
         a = get_knot("3_1r").a
         f = f_from_a(a)
         f.prefix(K)
-        b = max(sum(comb(k + i, 2 * k) * _l1(a[k]) for k in range(i + 1))
+        b = max(sum(comb(k + i, 2 * k) * _sup(a[k]) for k in range(i + 1))
                 for i in range(K + 1))
         assert f._gen._width == 8 * -(-(b.bit_length() + 1) // 8)
         data = seq_from_list("F", [random_laurent(rng) for _ in range(K + 1)])
         back = a_from_f(data)
         back.prefix(K)
         b = max(sum(comb(2 * k, k - i) * (2 * i + 1) // (k + i + 1)
-                    * _l1(data[i]) for i in range(k + 1))
+                    * _sup(data[i]) for i in range(k + 1))
                 for k in range(K + 1))
         assert back._gen._width == 8 * -(-(b.bit_length() + 1) // 8)
 
