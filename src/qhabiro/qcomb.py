@@ -9,8 +9,9 @@ coefficient list c_0 + c_1 q + ..., truncated at its length: multiplying
 by (1 - q^m) is one shifted subtraction, dividing by it is a prefix sum
 along each residue class mod m.  Gaussian binomials, [k]!, poch (and
 through it the curly brackets {n}_k and {k}!), the inverse Pochhammer
-products of residues.py and the Park quotient num / (q)_k^2 of surgery.py
-are chains of these two steps.
+products of residues.py, the rows of its shared table (each row
+1/((q)_{k-j}(q)_{k+j}) two divisions of the row at k - 1) and the Park
+quotient num / (q)_k^2 of surgery.py are chains of these two steps.
 """
 
 from __future__ import annotations

@@ -9,29 +9,31 @@ are derived from the LBC constant so reported coefficients are certified.
 
 Inverse q-Pochhammer symbols come from qcomb's in-place kernel, division
 by (1 - q^m) as strided prefix sums.  residue_series runs on plain integer
-lists: it carries 1/((q)_{k-j}(q)_{k+j}) from term to term with that
-kernel and adds each term into one coefficient list by slice-adds
-(series._add_scaled, the schoolbook product's kernel, which surgery's
-residue and ih routes share too), with the checks of the certified
-summation (stop rule, per-term degree bound, result precision) and no
-QSeries per term.  Its stop, degree bounds and cut, like _j_window's
-test, are integer floor and ceiling divisions on the numerators and
-denominators of prec and C: no Fraction.  It computes afresh on every
-call: residue_family calls it directly, and the surgery routes share its
-results across slopes and spin^c labels through the knot's residue store
-(surgery._residue).  The
-theta route (residues_from_f) adds each f_k times the monomials of its
-theta term into one list too (series._products), known to the least of
-prec and prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k,
-and divides by (q)_inf^3 through Jacobi's sparse series for it.
-Both routes bound a term's degree below by QSeries.low (a truncated
-zero's precision) and skip the exact zero, whose low is None.
+lists: it reads the rows 1/((q)_{k-j}(q)_{k+j}) from one bounded table
+that surgery's ih route shares (_inv_poch_pair; a missing row is two
+divisions of the row at k - 1) and adds each term into one coefficient
+list by slice-adds (series._add_scaled, the schoolbook product's kernel,
+which surgery's residue and ih routes share too), with the checks of the
+certified summation (stop rule, per-term degree bound, result precision)
+and no QSeries per term.  Its stop, degree bounds and cut, like
+_j_window's test, are integer floor and ceiling divisions on the
+numerators and denominators of prec and C: no Fraction.  It sums afresh
+on every call: residue_family calls it directly, and the surgery routes
+share its results across slopes and spin^c labels through the knot's
+residue store (surgery._residue).  The theta route (residues_from_f) adds
+each f_k times the monomials of its theta term into one list too
+(series._products), known to the least of prec and
+prec(f_k) + delta(q^{binom(k+1,2)} theta_k) over the truncated f_k, and
+divides by (q)_inf^3 through Jacobi's sparse series for it.  Both routes
+bound a term's degree below by QSeries.low (a truncated zero's precision)
+and skip the exact zero, whose low is None.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -77,16 +79,52 @@ def _inv_poch_product(indices: tuple, prec: ExpLike) -> QSeries:
     return QSeries(_inv_poch_list(indices, n), 0, 1, n).truncate(prec)
 
 
+# The rows 1/((q)_{k-j}(q)_{k+j}) that residue_series and surgery.zhat_via_ih
+# read, keyed by (k, |j|): they depend on neither the knot, p nor a.  At most
+# ROW_BUDGET coefficients, the oldest dropped first (unbounded, 4_1's residue
+# route at p = -1, O(q^800) peaked at 73 MB, not 20), and no row longer than
+# ROW_CAP: deep sums read no row twice (that route at O(q^400) reads 8,671
+# rows), and copying and keeping their rows cost it 12-20%.
+ROW_BUDGET = 1 << 13
+ROW_CAP = 64
+_rows: OrderedDict = OrderedDict()
+_rows_size = 0  # the sum of the rows' lengths
+_rows_lock = threading.Lock()
+
+
 def _inv_poch_pair(u, k: int, j: int, n: int) -> list:
-    """1/((q)_{k-j}(q)_{k+j}) as its first n coefficients.  u is the same
-    at k - 1, at least n long, and is advanced in place by dividing by
-    (1 - q^{k-j})(1 - q^{k+j}); None builds it anew."""
-    if u is None:
-        return _inv_poch_list((k - j, k + j), n)
-    del u[n:]
-    _div_one_minus_qm(u, k - j)
-    _div_one_minus_qm(u, k + j)
-    return u
+    """1/((q)_{k-j}(q)_{k+j}) as a row of at least n coefficients; u is
+    the caller's row at k - 1, or None.  A row at most ROW_CAP long is kept
+    and read-only; a longer one is the caller's, handed over when passed
+    back as u.  A stored row at least n long is returned as it is; else the
+    first n long of u, the stored rows at (k - 1, |j|) and (k - 1, |j| - 1)
+    (a chain's start) is cut to n and divided twice, in place if it is the
+    caller's, or the row is built anew."""
+    global _rows_size
+    m = abs(j)
+    row = _rows.get((k, m)) if n <= ROW_CAP else None
+    if row is not None and len(row) >= n:
+        return row
+    d = k - m  # the row at k - 1 lacks (1 - q^d)(1 - q^{k+|j|})
+    if u is None or len(u) < n:
+        u = _rows.get((k - 1, m))
+    if u is None or len(u) < n:
+        u, d = _rows.get((k - 1, m - 1)), k + m - 1
+    if u is not None and len(u) >= n:
+        row = u if len(u) > ROW_CAP else u[:n]
+        del row[n:]
+        _div_one_minus_qm(row, d)
+        _div_one_minus_qm(row, k + m)
+    else:
+        row = _inv_poch_list((k - m, k + m), n)
+    if n > ROW_CAP:
+        return row
+    with _rows_lock:
+        _rows_size += len(row) - len(_rows.pop((k, m), ()))
+        _rows[k, m] = row
+        while _rows_size > ROW_BUDGET:
+            _rows_size -= len(_rows.popitem(last=False)[1])
+    return row
 
 
 def _j_window(k: int, n: int, d: int, C) -> int:
@@ -173,11 +211,12 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     """r_j = -sum_{k>=|j|} a_{-k-1} (-1)^{k+j}
     q^{binom(k+1,2)+binom(j+1,2)} / ((q)_{k+j}(q)_{k-j}), to O(q^prec).
 
-    The sum builds up in one integer coefficient list.  Term k's state
-    u_k = 1/((q)_{k-j}(q)_{k+j}) = u_{k-1}/((1 - q^{k-j})(1 - q^{k+j})) is
-    carried from term to term at the length ceil(prec - bound(k)) that the
-    LBC certifies: delta(a_{-k-1}) >= -(k+1)(k-2)/2 + C and the term's
-    q^{e_k} give bound(k) = binom(j+1,2) + k + 1 + C.  Each coefficient
+    The sum builds up in one integer coefficient list.  Term k reads the
+    row u_k = 1/((q)_{k-j}(q)_{k+j}) from the shared table
+    (_inv_poch_pair), which derives it from u_{k-1} when it does not hold
+    it, to the length ceil(prec - bound(k)) that the LBC certifies:
+    delta(a_{-k-1}) >= -(k+1)(k-2)/2 + C and the term's q^{e_k} give
+    bound(k) = binom(j+1,2) + k + 1 + C.  Each coefficient
     c q^x of a_{-k-1} adds c (-1)^{k+j+1} q^{x+e_k} u_k, with
     e_k = binom(k+1,2) + binom(j+1,2), as one slice-add into the list, on
     the finest exponent grid of the a_{-k-1} summed.

@@ -15,10 +15,11 @@ the GM k-sum instead.  park_poly_residue declares its bound.
 The residue and inverted-coefficient routes run on plain integer lists:
 each weight polynomial comes from its integer exponents, turns into the
 monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
-product with a residue or a carried 1/((q)_{k-j}(q)_{k+j}) is slice-adds
-into one coefficient list (series._add_scaled), with one QSeries per
-term.  The residue products go through series._products, which the
-theta route (residues.residues_from_f) shares.  The bookkeeping is
+product with a residue or a row 1/((q)_{k-j}(q)_{k+j}) of residues'
+shared table (_inv_poch_pair) is slice-adds into one coefficient list
+(series._add_scaled), with one QSeries per term.  The residue products
+go through series._products, which the theta route
+(residues.residues_from_f) shares.  The bookkeeping is
 integer too: precisions, degree bounds, windows and store keys are
 numerators on a known grid or (num, den) pairs compared by
 cross-multiplication.  Fraction is met only at the edges: SurgeryParams.prec
@@ -345,11 +346,11 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     / ((q)_{k+j}(q)_{k-j}), plus the k=0 boundary term.
 
     Each inner j-sum builds up in one coefficient list on the 1/|p| grid
-    of the weight polynomials.  Per j, u = 1/((q)_{k-j}(q)_{k+j}) is
-    carried from k-1 to k by dividing by (1 - q^{k-j})(1 - q^{k+j}), cut to
-    the length term k needs (rebuilt only if a later k needs more), and
-    w_j = (1 - q^{-j}) weight_poly(j), built once, adds into the list
-    through series._add_scaled.
+    of the weight polynomials.  Per j, u = 1/((q)_{k-j}(q)_{k+j}) comes
+    from residues' shared table (_inv_poch_pair) at the length term k
+    needs, handed the row read at k - 1 so that a row the table does not
+    hold is two divisions away, and w_j = (1 - q^{-j}) weight_poly(j),
+    built once, adds into the list through series._add_scaled.
 
     Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the
@@ -360,9 +361,11 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     g = abs(p)
     pn, pd = prec.numerator, prec.denominator
     w = [None]  # w[j]: (exponent * g, coefficient) of w_j, ascending
-    us: dict = {}  # j -> (k, u) with u = 1/((q)_{k-j}(q)_{k+j}) truncated
+    prev: dict = {}  # j -> the row u_{k,j} read by the last term k
 
     def term(k: int) -> QSeries:
+        nonlocal prev
+        rows, prev = prev, {}
         ak = knot.a[k]
         x, s = ak.low, ak.scale  # delta >= x/s
         if x is None:  # the exact zero
@@ -383,10 +386,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
             lo = min(e + w[j][0][0] for j, e, _ in live)
             coeffs = [0] * (top - lo)
             for j, e, n in live:
-                kj, u = us.get(j, (None, None))
-                u = _inv_poch_pair(
-                    u if kj == k - 1 and len(u) >= n else None, k, j, n)
-                us[j] = (k, u)
+                u = prev[j] = _inv_poch_pair(rows.pop(j, None), k, j, n)
                 _add_scaled(coeffs, lo, top, g, w[j], e, u, n,
                             1 if (k + j) % 2 else -1)
             inner = QSeries(coeffs, lo, g)._truncate(tn, td)

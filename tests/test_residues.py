@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import random
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ from qhabiro import (
     DegreeBoundError,
     LbcError,
     QSeries,
+    SurgeryParams,
     branch_residue_41,
     descendant,
     f_from_a,
@@ -29,14 +34,18 @@ from qhabiro import (
     series_sum_bounded,
     tail_check,
     trefoil_recurrence_check,
+    zhat_via_fk,
+    zhat_via_ih,
+    zhat_via_residues,
 )
 
 from qhabiro import residues
-from qhabiro.residues import (ResidueFamily, _binom2, _inv_poch_product,
-                              _j_window)
+from qhabiro.residues import (ResidueFamily, _binom2, _inv_poch_pair,
+                              _inv_poch_product, _j_window)
 from qhabiro.series import ExpLike, PrecisionError
 
-from conftest import inv_qpoch_inf, residue_plus_q_at, seq_from_list
+from conftest import (fresh_knot, inv_qpoch_inf, residue_plus_q_at,
+                      seq_from_list)
 
 
 def f_from_residues(rf: ResidueFamily, k: int, prec: ExpLike) -> QSeries:
@@ -555,3 +564,188 @@ class TestInversePochhammer:
     def test_nonpositive_precision(self, prec):
         for indices in ((), (3,), (math.inf,), (math.inf,) * 3):
             assert _inv_poch_product(indices, prec) == QSeries.zero(prec)
+
+
+def row_oracle(k: int, j: int, n: int) -> QSeries:
+    """1/((q)_{k-j}(q)_{k+j}) to O(q^n), by series inversion of the exact
+    product: no division by (1 - q^m) on the way."""
+    den = poch(1, k - j).truncate(n) * poch(1, k + j).truncate(n)
+    return series_invert_unit(den, n)
+
+
+def row_series(row: list, n: int) -> QSeries:
+    return QSeries(row[:n], 0, 1, n)
+
+
+def assert_tracked():
+    size = sum(map(len, residues._rows.values()))
+    assert residues._rows_size == size <= residues.ROW_BUDGET
+
+
+@pytest.fixture
+def empty_rows(monkeypatch):
+    """The shared row table, emptied for the test and restored after it."""
+    def empty():
+        monkeypatch.setattr(residues, "_rows", OrderedDict())
+        monkeypatch.setattr(residues, "_rows_size", 0)
+    empty()
+    return empty
+
+
+class TestRowTable:
+    """The rows 1/((q)_{k-j}(q)_{k+j}) that residue_series and the ih
+    route read come from one table keyed by (k, |j|), bounded by
+    ROW_BUDGET coefficients.  A kept row, at most ROW_CAP long, is
+    read-only; a longer one is its caller's, divided in place when handed
+    back."""
+
+    @pytest.mark.parametrize("budget, cap", [(None, None), (60, None),
+                                             (0, None), (None, 8)])
+    def test_random_requests(self, empty_rows, monkeypatch, budget, cap):
+        if budget is not None:
+            monkeypatch.setattr(residues, "ROW_BUDGET", budget)
+        if cap is not None:
+            monkeypatch.setattr(residues, "ROW_CAP", cap)
+        rng = random.Random(36)
+        oracle = {}
+        kept = []  # (k, j, n, row, its coefficients when served)
+
+        def serve(u, k, j, n):
+            row = _inv_poch_pair(u, k, j, n)
+            if (k, abs(j)) not in oracle:
+                oracle[k, abs(j)] = row_oracle(k, j, 30)
+            assert len(row) >= n, (k, j, n)
+            assert row_series(row, n) == oracle[k, abs(j)].truncate(n), \
+                (k, j, n)
+            if len(row) <= residues.ROW_CAP:
+                kept.append((k, j, n, row, list(row)))
+            return row
+
+        for _ in range(80):
+            j = rng.randint(-5, 5)
+            if rng.random() < 0.3:  # a lone request, anywhere in the chain
+                serve(None, rng.randint(abs(j), abs(j) + 8), j,
+                      rng.randint(1, 30))
+                continue
+            u = None  # a chain from k = |j|, shorter or longer per step
+            for k in range(abs(j), abs(j) + rng.randint(1, 10)):
+                u = serve(u if rng.random() < 0.8 else None, k, j,
+                          rng.randint(1, 30))
+        assert_tracked()
+        assert len(kept) > 50
+        for k, j, n, row, coeffs in kept:
+            assert row == coeffs, (k, j, n)
+
+    def test_plus_and_minus_j_share_rows(self, empty_rows):
+        row = _inv_poch_pair(None, 4, 3, 12)
+        assert _inv_poch_pair(None, 4, -3, 12) is row
+        assert _inv_poch_pair(None, 4, -3, 5) is row
+        longer = _inv_poch_pair(row, 5, -3, 12)
+        assert _inv_poch_pair(None, 5, 3, 10) is longer
+        assert list(residues._rows) == [(4, 3), (5, 3)]
+        assert_tracked()
+
+    def test_a_long_row_stays_the_callers(self, empty_rows):
+        n = residues.ROW_CAP + 2
+        row = _inv_poch_pair(None, 5, -2, n)
+        assert not residues._rows
+        assert row_series(row, n) == row_oracle(5, 2, n)
+        # handed back, it is divided in place, and kept once short enough
+        assert _inv_poch_pair(row, 6, 2, n - 1) is row
+        assert row_series(row, n - 1) == row_oracle(6, 2, n - 1)
+        assert _inv_poch_pair(row, 7, 2, n - 2) is row
+        assert list(residues._rows) == [(7, 2)] and len(row) == n - 2
+        # a kept row is copied, not divided, to derive the next
+        nxt = _inv_poch_pair(row, 8, 2, 10)
+        assert nxt is not row and len(row) == n - 2
+        assert row_series(row, n - 2) == row_oracle(7, 2, n - 2)
+        assert row_series(nxt, 10) == row_oracle(8, 2, 10)
+        assert_tracked()
+
+    def test_deep_sums_evict_within_the_budget(self, empty_rows,
+                                               monkeypatch):
+        # r_0..r_4 of 4_1 to O(q^200): each chain keeps its ROW_CAP
+        # shortest rows, 2,080 coefficients, and the five pass the budget
+        knot = get_knot("4_1")
+        C = knot.lbc_constant
+        built = []
+        build = residues._inv_poch_list
+        monkeypatch.setattr(residues, "_inv_poch_list",
+                            lambda idx, n: built.append(idx) or build(idx, n))
+        want = {j: residue_series(knot.a, j, 200, C) for j in range(5)}
+        # one row per chain is built; every other is two divisions
+        assert built == [(0, 2 * j) for j in range(5)]
+        assert residues._rows_size > residues.ROW_BUDGET - residues.ROW_CAP
+        assert not any(m == 0 for _, m in residues._rows)
+        assert max(map(len, residues._rows.values())) == residues.ROW_CAP
+        assert_tracked()
+        for (k, m), row in list(residues._rows.items())[::25]:
+            assert row_series(row, len(row)) == row_oracle(k, m, len(row))
+        assert {j: residue_series(knot.a, j, 200, C)
+                for j in range(5)} == want
+        assert_tracked()
+        # with nothing kept, the caller's own rows carry the chain
+        monkeypatch.setattr(residues, "ROW_BUDGET", 0)
+        empty_rows()
+        built.clear()
+        assert residue_series(knot.a, 0, 200, C) == want[0]
+        assert built == [(0, 0)] and not residues._rows
+        assert_tracked()
+
+    def test_no_reader_writes_a_row(self, empty_rows):
+        # the 18 surgery cases of the benchmark by all three routes, plus
+        # residue_family(J=2), twice on fresh knots: the second pass
+        # reads only stored rows and leaves each as the first pass left it
+        cases = [(name, p, a) for name in ("3_1l", "3_1r", "4_1")
+                 for p in (-1, -2, -3) for a in range(abs(p))]
+
+        def run():
+            knots = {name: fresh_knot(name) for name in ("3_1l", "3_1r", "4_1")}
+            for name, p, a in cases:
+                for route in (zhat_via_fk, zhat_via_residues, zhat_via_ih):
+                    route(knots[name], SurgeryParams(p, a, 12))
+            for knot in knots.values():
+                residue_family(knot.a, 2, 12, knot.lbc_constant)
+
+        run()
+        snapshot = {key: (row, list(row)) for key, row in residues._rows.items()}
+        assert len(snapshot) > 100
+        run()
+        assert list(residues._rows) == list(snapshot)
+        for (k, j), (row, coeffs) in snapshot.items():
+            assert residues._rows[k, j] is row and row == coeffs, (k, j)
+            assert row_series(row, len(row)) == row_oracle(k, j, len(row)), \
+                (k, j)
+        assert_tracked()
+
+    def test_threads_share_the_table(self, empty_rows):
+        # six threads over overlapping j, on a table that starts empty and
+        # evicts as they go (4_1's rows for |j| <= 6 to O(q^60) hold 9,828
+        # coefficients)
+        knot = get_knot("4_1")
+        C = knot.lbc_constant
+        want = {j: residue_series(knot.a, j, 60, C) for j in range(-6, 6)}
+        empty_rows()
+        rng = random.Random(6)
+        jobs = [rng.sample(range(t - 6, t), 6) for t in range(6)]
+        got = [dict() for _ in jobs]
+
+        def work(js, out):
+            for j in js:
+                out[j] = residue_series(knot.a, j, 60, C)
+
+        threads = [threading.Thread(target=work, args=job)
+                   for job in zip(jobs, got)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for js, out in zip(jobs, got):
+            assert out == {j: want[j] for j in js}
+        assert_tracked()
