@@ -117,9 +117,9 @@ def _emit_coeffs(args, label: str, seq, **obj) -> int:
 
 def _cmd_knot(args) -> int:
     spec = knots.get_knot(args.name)
-    seq = spec.f if args.side == "f" else spec.a
-    out = [seq[k] if args.prec is None else seq[k].truncate(args.prec)
-           for k in range(args.index + 1)]
+    out = (spec.f if args.side == "f" else spec.a).prefix(args.index)
+    if args.prec is not None:
+        out = [s.truncate(args.prec) for s in out]
     return _emit_coeffs(args, args.side, out, knot=spec.name, side=args.side)
 
 
@@ -129,7 +129,7 @@ def _cmd_transform(args) -> int:
         seq, label = transform.f_from_a(spec.a), "f"
     else:
         seq, label = transform.a_from_f(spec.f), "a"
-    return _emit_coeffs(args, label, [seq[k] for k in range(args.index + 1)],
+    return _emit_coeffs(args, label, seq.prefix(args.index),
                         knot=spec.name, direction=args.direction)
 
 

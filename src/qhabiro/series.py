@@ -329,27 +329,11 @@ class QSeries:
 
     @staticmethod
     def from_terms(terms, prec: Optional[ExpLike] = None) -> "QSeries":
-        """terms: mapping or iterable of (exponent, coefficient) pairs."""
-        items = list(terms.items()) if hasattr(terms, "items") else list(terms)
-        den = 1
-        for e, _ in items:
-            den = lcm(den, _as_ratio(e)[1])
-        if prec is not None:
-            den = lcm(den, _as_ratio(prec)[1])
-        acc = {}
-        for e, c in items:
-            n, d = _as_ratio(e)
-            acc[n * (den // d)] = acc.get(n * (den // d), 0) + c
-        if not acc:
-            return QSeries.zero(prec)
-        lo = min(acc)
-        hi = max(acc)
-        coeffs = [acc.get(i, 0) for i in range(lo, hi + 1)]
-        p = None
-        if prec is not None:
-            n, d = _as_ratio(prec)
-            p = n * (den // d)
-        return QSeries(coeffs, lo, den, p)
+        """terms: mapping or iterable of (exponent, coefficient) pairs,
+        added by series_sum as monomials; cut to O(q^prec) when given."""
+        items = terms.items() if hasattr(terms, "items") else terms
+        out = series_sum(QSeries.monomial(e, c) for e, c in items)
+        return out if prec is None else out.truncate(prec)
 
     # -- basic queries -----------------------------------------------------
 

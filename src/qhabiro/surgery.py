@@ -8,9 +8,10 @@ and indices, capped by _k_cap, to series.sum_until with no degree bound,
 whose degree trend returns the sum once it settles the tail, None once
 it diverges, and raises ConvergenceError when the indices run out.  The
 GM k-sum is _fk_sum, which returns the sum and the last k it read, and
-raises on divergence; the residue and inverted-coefficient routes end in
-_finish, which adds the k=0 boundary term or, on divergence, evaluates
-the GM k-sum instead.  park_poly_residue declares its bound.
+raises on divergence.  The residue and inverted-coefficient routes
+define only their term and fallback; _swapped sums the term, adds the
+k=0 boundary term or, on divergence, evaluates the GM k-sum over the
+fallback's differences.  park_poly_residue declares its bound.
 
 The residue and inverted-coefficient routes run on plain integer lists:
 each weight polynomial comes from its integer exponents, turns into the
@@ -173,9 +174,18 @@ def surgery_weight_poly(j: int, p: int, a: int) -> QSeries:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _weight_monos(j: int, p: int, a: int) -> tuple:
-    """w_j = (1 - q^{-j}) weight_poly(j) as its monomials
-    (exponent * |p|, coefficient), ascending; memoised, so a tuple."""
-    wp = surgery_weight_poly(j, p, a)
+    """w_j = (1 - q^{-j}) weight_poly(j) of the spin^c label a as its
+    monomials (exponent * |p|, coefficient), ascending; memoised, so a
+    tuple.
+
+    The weight polynomial arises from telescoping the k-sum over the class
+    k >= 0, k == +-a (mod p).  Enumerating that class as k = np + a with
+    n >= 0 is only possible for p > 0; for p < 0 the class is a + p*n with
+    n <= 0, the telescoping runs in the opposite direction, and the
+    remainder window is n = 1..j, i.e. the same polynomial with the
+    representative a replaced by a + p (up to a global sign absorbed by
+    the normalization)."""
+    wp = surgery_weight_poly(j, p, a + p if p < 0 else a)
     f = abs(p) // wp.scale
     shift = j * abs(p)
     acc = {}
@@ -187,25 +197,12 @@ def _weight_monos(j: int, p: int, a: int) -> tuple:
     return tuple(sorted((x, c) for x, c in acc.items() if c))
 
 
-def _weight_label(p: int, a: int) -> int:
-    """Congruence-class representative for the telescoped weight window.
-
-    The weight polynomial arises from telescoping the k-sum over the class
-    k >= 0, k == +-a (mod p).  Enumerating that class as k = np + a with
-    n >= 0 is only possible for p > 0; for p < 0 the class is a + p*n with
-    n <= 0, the telescoping runs in the opposite direction, and the
-    remainder window is n = 1..j, i.e. the same polynomial with the
-    representative a replaced by a + p (up to a global sign absorbed by
-    the normalization)."""
-    return a + p if p < 0 else a
-
-
-def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
-            note: str) -> ZhatResult:
-    """A swapped route's result from its trend-stopped sum acc: acc plus
-    the k=0 boundary term, or, when acc is None (the sum diverged), the GM
-    k-sum over the differences fallback() builds, with note appended to
-    the sign convention.
+def _swapped(knot: KnotSpec, params: SurgeryParams, term, fallback,
+             note: str) -> ZhatResult:
+    """A swapped route's result: term(n) summed over n = 1.._k_cap by
+    sum_until, plus the k=0 boundary term, or, when that sum diverges,
+    the GM k-sum over the differences fallback() builds, with note
+    appended to the sign convention.
 
     The boundary term restores the k=0 summand f_{-1} - f_0 = -f_0 when
     0 is in the congruence class (a = 0): the residue expression for
@@ -213,12 +210,13 @@ def _finish(acc, knot: KnotSpec, params: SurgeryParams, fallback,
     residue formula has F(-1) = F(0) = f_0), so the telescoped sum drops
     it; f_0 = a_{-1}."""
     p, a, prec = params.p, params.a, params.prec
+    acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
     if acc is not None:
         if a == 0:
             acc = acc + (knot.a[0] if p < 0 else -knot.a[0])
         return _normalize(acc.truncate(prec), p)
     out = _normalize(_fk_sum(fallback(), p, a, prec)[0], p)
-    return out._replace(sign_convention=out.sign_convention + note)
+    return out._replace(sign_convention=out.sign_convention + "; " + note)
 
 
 def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
@@ -264,20 +262,17 @@ def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
     difference reconstructed from the residues (_residue_diffs)."""
     knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
-    a_w = _weight_label(p, a)
     g = abs(p)
     pn, pd = prec.numerator, prec.denominator
 
     def term(j: int) -> QSeries:
-        w = _weight_monos(j, p, a_w)
+        w = _weight_monos(j, p, a)
         rj = _residue(knot, j, pn * g - min(0, w[0][0]) * pd, pd * g)
         return _products([(rj, w)], g)
 
-    acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
-    return _finish(acc, knot, params,
-                   lambda: _residue_diffs(knot, params),
-                   "; termwise j-sum diverges, evaluated as the iterated "
-                   "k-sum over residue-reconstructed coefficients")
+    return _swapped(knot, params, term, lambda: _residue_diffs(knot, params),
+                    "termwise j-sum diverges, evaluated as the iterated "
+                    "k-sum over residue-reconstructed coefficients")
 
 
 def _plan_k(knot: KnotSpec, p: int, a: int, prec: Fraction) -> int:
@@ -357,7 +352,6 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     inverted Habiro coefficients through the transform."""
     knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
-    a_w = _weight_label(p, a)
     g = abs(p)
     pn, pd = prec.numerator, prec.denominator
     w = [None]  # w[j]: (exponent * g, coefficient) of w_j, ascending
@@ -374,7 +368,7 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
         inner = QSeries((), 0, td, max(tn, pn * s))  # O(q^max(prec, target))
         top = -(-tn * g // td)
         while len(w) <= k:
-            w.append(_weight_monos(len(w), p, a_w))
+            w.append(_weight_monos(len(w), p, a))
         # (j, e_{k,j} * g, number of coefficients of u below target)
         live = []
         for j in range(1, k + 1):
@@ -392,10 +386,9 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
             inner = QSeries(coeffs, lo, g)._truncate(tn, td)
         return ak * inner
 
-    acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
-    return _finish(acc, knot, params, lambda: _f_diffs(f_from_a(knot.a)),
-                   "; termwise k-sum diverges, evaluated as the iterated "
-                   "k-sum over transformed coefficients")
+    return _swapped(knot, params, term, lambda: _f_diffs(f_from_a(knot.a)),
+                    "termwise k-sum diverges, evaluated as the iterated "
+                    "k-sum over transformed coefficients")
 
 
 def zhat(knot, params: SurgeryParams) -> ZhatResult:

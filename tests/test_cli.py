@@ -11,10 +11,10 @@ import time
 import pytest
 
 import qhabiro
-from qhabiro import QSeries, get_knot, residues
+from qhabiro import QSeries, a_from_f, f_from_a, get_knot, load_knots, residues
 from qhabiro.cli import VERIFY_SUITES, main
 
-from conftest import residue_plus_q_at
+from conftest import fresh_knot, residue_plus_q_at
 
 
 def run(capsys, *argv):
@@ -392,6 +392,49 @@ class TestJsonContract:
         code, out, err = run(capsys, "connect-sum", "--knots", "3_1l",
                              "3_1r", "--depth", "0")
         assert code == 0 and out == "" and err == ""
+
+
+class TestBatchedRows:
+    """knot and transform read their rows in one batch (CoeffSeq.prefix);
+    the output is what reading one index at a time gives."""
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1l", "3_1r", "4_1"])
+    def test_json_matches_reads_one_index_at_a_time(self, capsys, name):
+        knot = fresh_knot(name)
+        cases = [(("knot", "--name", name, "--side", "a"), knot.a, None),
+                 (("knot", "--name", name, "--side", "f"), knot.f, None),
+                 (("knot", "--name", name, "--prec", "20"), knot.a, 20),
+                 (("transform", "--knot", name), f_from_a(knot.a), None),
+                 (("transform", "--knot", name, "--direction", "a-from-f"),
+                  a_from_f(knot.f), None)]
+        for argv, seq, prec in cases:
+            code, out, _ = run(capsys, *argv, "--index", "30", "--json")
+            want = [seq[k] if prec is None else seq[k].truncate(prec)
+                    for k in range(31)]
+            assert code == 0, argv
+            assert json.loads(out)["coeffs"] == [s.to_json() for s in want], \
+                argv
+
+    def test_list_knot_read_past_its_end(self, capsys, tmp_path):
+        path = tmp_path / "knots.json"
+        path.write_text(json.dumps([{
+            "name": "test_cli_list_knot",
+            "generator": {"kind": "list",
+                          "coeffs": [QSeries.one().to_json(),
+                                     QSeries.monomial(2, -1).to_json()]}}]))
+        load_knots(path)
+        message = "coefficients provided up to index 1 only; index 2 was read"
+        for argv in (("knot", "--name", "test_cli_list_knot"),
+                     ("knot", "--name", "test_cli_list_knot", "--side", "f"),
+                     ("transform", "--knot", "test_cli_list_knot"),
+                     ("transform", "--knot", "test_cli_list_knot",
+                      "--direction", "a-from-f")):
+            code, out, _ = run(capsys, *argv, "--index", "5", "--json")
+            assert code == 2, argv
+            assert json.loads(out) == {"error": "PrecisionError",
+                                       "message": message}, argv
+            code, _, err = run(capsys, *argv, "--index", "5")
+            assert (code, err) == (2, "error: %s\n" % message), argv
 
 
 class TestEnvironment:

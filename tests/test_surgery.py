@@ -33,14 +33,7 @@ from qhabiro import (
 from qhabiro import surgery
 from qhabiro.residues import _j_window
 from qhabiro.series import DIV_RUN_LENGTH, RUN_LENGTH, series_sum, sum_until
-from qhabiro.surgery import (
-    _f_diffs,
-    _finish,
-    _fk_sum,
-    _in_class,
-    _k_cap,
-    _weight_label,
-)
+from qhabiro.surgery import _f_diffs, _fk_sum, _in_class, _k_cap, _normalize
 
 from conftest import fresh_knot
 
@@ -229,10 +222,13 @@ class TestRouteAgreement:
 def zhat_via_ih_by_atoms(knot, params):
     """The ih route atom by atom: every 1/((q)_{k+j}(q)_{k-j}) from
     ResidueAtom.to_series and every weight polynomial rebuilt per (k, j).
-    Oracle for zhat_via_ih's running per-j state."""
+    Oracle for zhat_via_ih's running per-j state, with its own spin^c
+    label, k=0 boundary term and fallback."""
     knot = get_knot(knot)
     p, a, prec = params.p, params.a, params.prec
-    a_w = _weight_label(p, a)
+    # for p < 0 the class a + p*n runs over n <= 0, so the telescoped
+    # weight window takes the representative a + p
+    a_w = a + p if p < 0 else a
 
     def term(k):
         ak = knot.a[k]
@@ -251,9 +247,23 @@ def zhat_via_ih_by_atoms(knot, params):
         return ak * inner
 
     acc, _ = sum_until(term, range(1, _k_cap(prec, p) + 1), prec)
-    return _finish(acc, knot, params, lambda: _f_diffs(f_from_a(knot.a)),
-                   "; termwise k-sum diverges, evaluated as the iterated "
-                   "k-sum over transformed coefficients")
+    if acc is not None:
+        if a == 0:  # the k=0 summand -f_0 = -a_{-1}, up to the sign of p
+            acc = acc + (knot.a[0] if p < 0 else -knot.a[0])
+        return _normalize(acc.truncate(prec), p)
+    # the GM k-sum of q^{-k^2/p} (f_{k-1} - f_k) over the transformed f_k
+    f = f_from_a(knot.a)
+    diffs = (((f[k - 1] if k else QSeries.zero()) - f[k])
+             * QSeries.monomial(Fraction(-k * k, p))
+             for k in range(_k_cap(prec, p) + 1)
+             if (k - a) % p == 0 or (k + a) % p == 0)
+    total = trend_sum_by_fractions(diffs, prec)
+    if total is None:
+        raise ConvergenceError("the fallback's GM k-sum diverges")
+    out = _normalize(total, p)
+    return out._replace(sign_convention=out.sign_convention
+                        + "; termwise k-sum diverges, evaluated as the "
+                        "iterated k-sum over transformed coefficients")
 
 
 def trend_sum_by_fractions(terms, prec):
