@@ -219,7 +219,8 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     bound(k) = binom(j+1,2) + k + 1 + C.  Each coefficient
     c q^x of a_{-k-1} adds c (-1)^{k+j+1} q^{x+e_k} u_k, with
     e_k = binom(k+1,2) + binom(j+1,2), as one slice-add into the list, on
-    the finest exponent grid of the a_{-k-1} summed.
+    the finest exponent grid of the a_{-k-1} summed and of prec, which the
+    result is wrapped on once.
 
     The checks are those of series.sum_until's certified stop: the sum
     stops at the first k with bound(k) >= prec (the bound rises by one per
@@ -234,12 +235,13 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
     stop = max(-((bn * td - tn * bd) // (td * bd)), 0)
     terms = a.prefix(stop - 1)
     # acc[i] is the coefficient of q^((lo + i)/g), on the finest grid of the
-    # terms; bound(k) and prec are bound_g + k*g and top in units of 1/g
-    g = lcm(*(ak.scale for ak in terms[abs(j):]))
+    # terms and prec; bound(k) and prec are bound_g + k*g and top in units
+    # of 1/g
+    g = lcm(td, *(ak.scale for ak in terms[abs(j):]))
     lo, bound_g = bn * g // bd, -(-bn * g // bd)
-    top = -(-tn * g // td)
+    top = tn * (g // td)
     acc = [0] * max(top - lo, 0)
-    cut = top  # least term precision in units of 1/g; top stands for prec
+    cut = top  # least term precision in units of 1/g
     u = None
     for k in range(abs(j), stop):
         ak = terms[k]
@@ -261,7 +263,7 @@ def residue_series(a: CoeffSeq, j: int, prec: ExpLike, C) -> QSeries:
         monos = (((ak.offset + i) * f, c)
                  for i, c in enumerate(ak.coeffs) if c)
         _add_scaled(acc, lo, top, g, monos, e, u, n, 1 if (k + j) % 2 else -1)
-    return QSeries(acc, lo, g, cut)._truncate(tn, td)
+    return QSeries(acc, lo, g, cut)
 
 
 def residue_family(a: CoeffSeq, J: int, prec: ExpLike, C=None) -> ResidueFamily:

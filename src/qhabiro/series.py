@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
-from itertools import count
+from itertools import count, repeat
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -77,9 +77,9 @@ class PrecisionError(QAlgebraError):
 # route); _dot adds _polymul products into one list, exact or only
 # below a precision (series_dot is its exact case, omega_mul's
 # convolution the cut one).
-# Series add through one list adder, _sum_lists: QSeries.__add__ is its
-# two-term case, _dot's products go through it, and series_sum is every
-# running sum in the package, each term added once.
+# Series add through one list adder, _sum_lists: QSeries.__add__ and
+# __sub__ are its two-term cases, _dot's products go through it, and
+# series_sum is every running sum in the package, each term added once.
 # Kernels read operands' own coefficient tuples (_rescaled copies only onto
 # a finer grid), write only lists they made, and QSeries keeps a given tuple.
 # Large products are folded into one big-integer multiplication (Kronecker
@@ -139,8 +139,11 @@ def _products(pairs, g: int, prec=None) -> QSeries:
 # two's-complement bytes of c_i with the top byte's high bit flipped, so
 # the codec moves whole byte columns (one strided slice each, the flip one
 # bytes.translate) between width-bit slots and the 8-byte cells of one
-# struct call.  Only lists with a value outside int64 take a per-slot path;
-# an empty list packs to 0 and a one-slot z unpacks to [z] without either.
+# struct call.  Past int64, _unpack cuts the offset bytes into slots with
+# one struct call and reads them by map, which beats reading 64-bit limbs
+# and joining them; _pack writes such a list slot by slot, which splitting
+# it into limbs does not beat.  An empty list packs to 0 and a one-slot z
+# unpacks to [z].
 
 _FLIP = bytes(b ^ 0x80 for b in range(256))  # offset <-> two's complement
 _SIGN = bytes(255 if b & 0x80 else 0 for b in range(256))  # sign extension
@@ -203,13 +206,14 @@ def _unpack(z: int, width: int) -> list:
         return [z]
     nb = width // 8
     n, data = _slots(z, width)
-    data = bytearray(data)
-    data[nb - 1 :: nb] = data[nb - 1 :: nb].translate(_FLIP)
+    cells = bytearray(data)
+    cells[nb - 1 :: nb] = cells[nb - 1 :: nb].translate(_FLIP)
     try:
-        return list(struct.unpack("<%dq" % n, _columns(data, nb, 8, n)))
-    except struct.error:  # a slot past int64
-        return [int.from_bytes(data[i : i + nb], "little", signed=True)
-                for i in range(0, n * nb, nb)]
+        return list(struct.unpack("<%dq" % n, _columns(cells, nb, 8, n)))
+    except struct.error:  # a slot past int64: its offset bytes, unsigned
+        slots = struct.unpack("<" + "%ds" % nb * n, data)
+        return list(map(sub, map(int.from_bytes, slots, repeat("little")),
+                        repeat(1 << (width - 1))))
 
 
 def _repack(z: int, old: int, new: int, stride: int) -> int:
@@ -430,7 +434,8 @@ class QSeries:
             other = QSeries((other,))
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        s = lcm(self.scale, other.scale)
+        return _sum_lists((self._rescaled(s), other._rescaled(s)), s, sub)
 
     def __rsub__(self, other) -> "QSeries":
         return (-self) + other
@@ -486,12 +491,11 @@ class QSeries:
         return self._truncate(*_as_ratio(prec))
 
     def _truncate(self, n: int, d: int) -> "QSeries":  # to O(q^(n/d)), d >= 1
+        if self.prec is not None and self.prec * d <= n * self.scale:
+            return self  # known no further already; immutable: share it
         s = lcm(self.scale, d)
-        o, c, p = self._rescaled(s)
-        newp = n * (s // d)
-        if p is not None:
-            newp = min(newp, p)
-        return QSeries(c, o, s, newp)
+        o, c, _ = self._rescaled(s)
+        return QSeries(c, o, s, n * (s // d))
 
     def mirror(self) -> "QSeries":
         """q -> q^{-1}; defined only for exact Laurent polynomials."""
@@ -584,24 +588,27 @@ def _fmt_term(e: Fraction, c: int, first: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sum_lists(datas, s: int) -> QSeries:
-    """The sum of the coefficient lists c at offsets o, each known below
-    p (None: exact), (o, c, p) in the sequence datas, on the grid 1/s and
-    known to the least p: a lone nonempty list as it is, else the first
-    list copied into one accumulator and the others added to it."""
+def _sum_lists(datas, s: int, op=add) -> QSeries:
+    """The first of the coefficient lists c at offsets o, each known below
+    p (None: exact), (o, c, p) in the sequence datas, with op (add, or sub
+    for a difference) applied to it and each later list in turn, on the
+    grid 1/s and known to the least p: the first list as it is when no
+    later list is nonempty, else one accumulator, the first list copied
+    in."""
     precs = [p for _, _, p in datas if p is not None]
     prec = min(precs) if precs else None
-    datas = [(o, c) for o, c, _ in datas if c]
-    if len(datas) < 2:
-        o, c = datas[0] if datas else (0, ())
-        return QSeries(c, o, s, prec)
-    lo = min([o for o, _ in datas])
-    out = [0] * (max([o + len(c) for o, c in datas]) - lo)
-    o, c = datas[0]
-    out[o - lo : o - lo + len(c)] = c
-    for o, c in datas[1:]:
+    (o0, c0, _), *rest = datas or [(0, (), None)]
+    rest = [(o, c) for o, c, _ in rest if c]
+    if not rest:
+        return QSeries(c0, o0, s, prec)
+    if not c0:  # an empty first list adds nothing wherever it sits
+        o0 = rest[0][0]
+    lo = min(o0, *[o for o, _ in rest])
+    out = [0] * (max(o0 + len(c0), *[o + len(c) for o, c in rest]) - lo)
+    out[o0 - lo : o0 - lo + len(c0)] = c0
+    for o, c in rest:
         i = slice(o - lo, o - lo + len(c))
-        out[i] = map(add, out[i], c)
+        out[i] = map(op, out[i], c)
     return QSeries(out, lo, s, prec)
 
 

@@ -13,31 +13,31 @@ define only their term and fallback; _swapped sums the term, adds the
 k=0 boundary term or, on divergence, evaluates the GM k-sum over the
 fallback's differences.  park_poly_residue declares its bound.
 
-The residue and inverted-coefficient routes run on plain integer lists:
-each weight polynomial comes from its integer exponents, turns into the
-monomials of (1 - q^{-j}) weight_poly(j) once (_weight_monos), and every
-product with a residue or a row 1/((q)_{k-j}(q)_{k+j}) of residues'
-shared table (_inv_poch_pair) is slice-adds into one coefficient list
-(series._add_scaled), with one QSeries per term.  The residue products
-go through series._products, which the theta route
-(residues.residues_from_f) shares.  The bookkeeping is
-integer too: precisions, degree bounds, windows and store keys are
-numerators on a known grid or (num, den) pairs compared by
-cross-multiplication.  Fraction is met only at the edges: SurgeryParams.prec
-in, ZhatResult.delta out, and the precision r_j is computed at on a miss.
+Each term of the three sums is one coefficient list wrapped in one
+QSeries.  The GM k-sum's term is f_{k-1} - f_k, one list subtraction,
+shifted once.  The other two routes turn each weight polynomial into the
+monomials of w_j = (1 - q^{-j}) weight_poly(j) once (_weight_monos), and
+every product with a residue, a row 1/((q)_{k-j}(q)_{k+j}) of residues'
+shared table (_inv_poch_pair) or an a_{-k-1} is slice-adds into one list
+(series._add_scaled), cut where the QSeries product would be cut.  The
+residue products go through series._products, which the theta route
+(residues.residues_from_f) shares.  The bookkeeping is integer too:
+precisions, degree bounds, windows and store keys are numerators on a
+known grid or (num, den) pairs compared by cross-multiplication.
+Fraction is met only at the edges: SurgeryParams.prec in,
+ZhatResult.delta out, and the precision r_j is computed at on a miss.
 
 State that depends only on the knot is computed once per process and
 shared across routes, slopes and spin^c labels: the LBC constant
-(KnotSpec.lbc_constant), the residues r_j (_residue, which computes r_j
-from the side the knot was given on, keeps the most precise r_j computed
-so far in the knot's store, keyed by j, and serves lower precisions as
-its truncation), and the monomials of each weight
-polynomial (_weight_monos, memoised per (j, p, a)).  The residue route's
-fallback reads difference k of the GM k-sum only to O(q^{prec + k^2/p}),
-the precision its shifted term keeps; it asks for each r_j once, at the
-most that the differences up to the stop of the GM k-sum over the knot's
-f_k need of it, and raises at once when that k-sum diverges
-(_residue_diffs).
+(KnotSpec.lbc_constant), the residues r_j (the knot's store, keyed by j,
+keeps the most precise r_j computed so far; its reader _stored_residue
+hands a term that r_j itself, and _residue its truncation), and the
+monomials of each weight polynomial (_weight_monos, memoised per
+(j, p, a)).  The residue route's fallback reads difference k of the GM
+k-sum only to O(q^{prec + k^2/p}), the precision its shifted term keeps;
+it asks for each r_j once, at the most that the differences up to the
+stop of the GM k-sum over the knot's f_k need of it, and raises at once
+when that k-sum diverges (_residue_diffs).
 
 All routes produce results up to an overall sign and rational power of q;
 ZhatResult canonicalizes that ambiguity (extract the minimal exponent,
@@ -141,8 +141,9 @@ def _fk_sum(diff, p: int, a: int, prec: Fraction):
 
 
 def _f_diffs(f):
-    """k -> f_{k-1} - f_k over a coefficient sequence, f_{-1} = 0."""
-    return lambda k: (f[k - 1] if k else QSeries.zero()) - f[k]
+    """k -> f_{k-1} - f_k over a coefficient sequence, f_{-1} = 0: one
+    list subtraction (QSeries.__sub__), or -f_0."""
+    return lambda k: f[k - 1] - f[k] if k else -f[0]
 
 
 def zhat_via_fk(knot, params: SurgeryParams) -> ZhatResult:
@@ -214,26 +215,25 @@ def _swapped(knot: KnotSpec, params: SurgeryParams, term, fallback,
     if acc is not None:
         if a == 0:
             acc = acc + (knot.a[0] if p < 0 else -knot.a[0])
-        return _normalize(acc.truncate(prec), p)
+        return _normalize(acc, p)
     out = _normalize(_fk_sum(fallback(), p, a, prec)[0], p)
     return out._replace(sign_convention=out.sign_convention + "; " + note)
 
 
-def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
-    """r_j of the knot to O(q^prec), prec = n/d, from the knot's store.
+def _stored_residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
+    """r_j of the knot to at least O(q^prec), prec = n/d: the entry of the
+    knot's store as it is, with no copy.
 
     r_j comes from the side the knot was given on: residues_from_f over
     knot.f for a knot given only its f-side (the a-side would be the
     cascade's dense transform of it), else residue_series over knot.a;
     both are the modules' bindings, read at call time.  The store keeps,
     per j, the most precise r_j computed so far and the precision it was
-    asked at.  A request at or below that precision gets its truncation,
-    which is the computation at the lower precision exactly: QSeries is
-    canonical, and every term past the lower window lies at or above that
-    window's precision.  A request above it computes r_j at prec and
-    replaces the entry.  The store holds at most CACHE_SIZE entries and
-    drops the oldest first.  Precisions are kept as (n, d) and compared by
-    cross-multiplication; the computation is handed Fraction(n, d)."""
+    asked at.  A request at or below that precision gets that r_j; a
+    request above it computes r_j at prec and replaces the entry.  The
+    store holds at most CACHE_SIZE entries and drops the oldest first.
+    Precisions are kept as (n, d) and compared by cross-multiplication;
+    the computation is handed Fraction(n, d)."""
     store = knot.residues
     have = store.get(j)
     if have is None or have[0] * d < n * have[1]:
@@ -243,8 +243,13 @@ def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
         have = store[j] = (n, d, residues_from_f(knot.f, j, prec, C)
                            if knot.given == "f"
                            else residue_series(knot.a, j, prec, C))
-    hn, hd, r = have
-    return r if hn * d == n * hd else r._truncate(n, d)
+    return have[2]
+
+
+def _residue(knot: KnotSpec, j: int, n: int, d: int) -> QSeries:
+    """r_j of the knot to O(q^(n/d)): the stored r_j truncated, which is
+    the computation at n/d exactly, as QSeries is canonical."""
+    return _stored_residue(knot, j, n, d)._truncate(n, d)
 
 
 def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
@@ -252,9 +257,10 @@ def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
     boundary term, summed over j while the double sum converges.
 
     Term j is r_j times the monomials of w_j = (1 - q^{-j}) weight_poly(j),
-    one _add_scaled per monomial into one coefficient list on the 1/|p|
-    grid (_products); r_j is read to O(q^{prec - delta(w_j)}), which the
-    term needs to reach O(q^prec), from the knot's store (_residue).
+    one _add_scaled per monomial into one coefficient list on the grid of
+    1/|p| and prec (_products).  The term needs r_j to
+    O(q^{prec - delta(w_j)}); it reads the stored r_j (_stored_residue)
+    and is cut where r_j truncated there would cut it.
 
     When the termwise j-sum diverges (the weight polynomials' degrees
     fall faster than delta(r_j) grows), the unswapped iterated sum is
@@ -266,9 +272,10 @@ def zhat_via_residues(knot, params: SurgeryParams) -> ZhatResult:
     pn, pd = prec.numerator, prec.denominator
 
     def term(j: int) -> QSeries:
-        w = _weight_monos(j, p, a)
-        rj = _residue(knot, j, pn * g - min(0, w[0][0]) * pd, pd * g)
-        return _products([(rj, w)], g)
+        w = [(x * pd, c) for x, c in _weight_monos(j, p, a)]
+        n = pn * g - min(0, w[0][0])  # r_j's precision, in units of 1/(g pd)
+        rj = _stored_residue(knot, j, n, g * pd)
+        return _products([(rj, w)], g * pd, n + w[0][0])
 
     return _swapped(knot, params, term, lambda: _residue_diffs(knot, params),
                     "termwise j-sum diverges, evaluated as the iterated "
@@ -291,7 +298,8 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
     sum_{j>=1} (q^{-j(k+1)} + q^{jk} - q^{-jk} - q^{j(k-1)}) r_j, which
     needs each r_j to O(q^{need(k) + j(k+1)}) over the j-window of f_k at
     need(k) (it covers f_{k-1}'s); each r_j adds its four monomials into
-    one list (_products).  Each r_j comes from the knot's store (_residue).
+    one list (_products), cut at need(k), which every r_j read reaches.
+    Each r_j is the knot's stored one (_stored_residue).
 
     The precision plan: the GM k-sum over knot.f, whose terms are the same
     differences, stops at some in-class K (_plan_k) under the same rule
@@ -320,11 +328,11 @@ def _residue_diffs(knot: KnotSpec, params: SurgeryParams):
 
     def rj(k: int, j: int) -> QSeries:
         at = need(k) + j * (k + 1) * D
-        return _residue(knot, j, max(at, plan.get(j, at)), D)
+        return _stored_residue(knot, j, max(at, plan.get(j, at)), D)
 
     def diff(k: int) -> QSeries:
         if k == 0:
-            pairs = [(_residue(knot, 0, need(0), D), [(0, 1)])]
+            pairs = [(_stored_residue(knot, 0, need(0), D), [(0, 1)])]
             pairs += [(rj(0, j), [(-j * D, 1), (0, 1)]) for j in window(0)]
         else:
             pairs = [(rj(k, j), [(-j * (k + 1) * D, 1), (-j * k * D, -1),
@@ -345,7 +353,8 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
     from residues' shared table (_inv_poch_pair) at the length term k
     needs, handed the row read at k - 1 so that a row the table does not
     hold is two divisions away, and w_j = (1 - q^{-j}) weight_poly(j),
-    built once, adds into the list through series._add_scaled.
+    built once, adds into the list through series._add_scaled.  The term
+    is a_{-k-1}'s monomials times that list, one more _add_scaled pass.
 
     Falls back like the residue route: if the k-sum of inner j-sums
     diverges, the GM k-sum is evaluated with f_k obtained from the
@@ -365,7 +374,6 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
         if x is None:  # the exact zero
             return ak
         tn, td = pn * s - x * pd, pd * s  # target = prec - x/s
-        inner = QSeries((), 0, td, max(tn, pn * s))  # O(q^max(prec, target))
         top = -(-tn * g // td)
         while len(w) <= k:
             w.append(_weight_monos(len(w), p, a))
@@ -376,15 +384,32 @@ def zhat_via_ih(knot, params: SurgeryParams) -> ZhatResult:
             n = (top - e - w[j][0][0] + g - 1) // g
             if n > 0:
                 live.append((j, e, n))
+        # the inner j-sum from q^(lo/g), known to O(q^(ip/td)): the target,
+        # or max(prec, target) when no j is live
+        lo, inner, ip = top, [], max(tn, pn * s)
         if live:
             lo = min(e + w[j][0][0] for j, e, _ in live)
-            coeffs = [0] * (top - lo)
+            inner, ip = [0] * (top - lo), tn
             for j, e, n in live:
                 u = prev[j] = _inv_poch_pair(rows.pop(j, None), k, j, n)
-                _add_scaled(coeffs, lo, top, g, w[j], e, u, n,
+                _add_scaled(inner, lo, top, g, w[j], e, u, n,
                             1 if (k + j) % 2 else -1)
-            inner = QSeries(coeffs, lo, g)._truncate(tn, td)
-        return ak * inner
+        # a_k's monomials times the inner list on the grid 1/G, cut as
+        # QSeries.__mul__ cuts: at prec(inner) + delta(a_k) and at
+        # prec(a_k) + delta(inner)
+        G = lcm(g, td)
+        F, A, T = G // g, G // s, G // td
+        cut = ip * T + x * A
+        if ak.prec is not None:
+            i = next(compress(count(), inner), None)
+            low = ip * T if i is None else (lo + i) * F  # delta(inner)
+            cut = min(cut, ak.prec * A + low)
+        base = x * A + lo * F
+        acc = [0] * max(cut - base, 0)
+        monos = [((ak.offset + i) * A, c) for i, c in enumerate(ak.coeffs)
+                 if c]
+        _add_scaled(acc, base, cut, F, monos, lo * F, inner, len(inner), 1)
+        return QSeries(acc, base, G, cut)
 
     return _swapped(knot, params, term, lambda: _f_diffs(f_from_a(knot.a)),
                     "termwise k-sum diverges, evaluated as the iterated "

@@ -251,8 +251,7 @@ class TestArithmetic:
 class TestSlotCodec:
     """_pack/_unpack/_repack against the reference codec, for every slot
     width the kernels can pick up to 160 bits: the int64 fast path, the
-    per-slot path past int64 and the OverflowError for values that do not
-    fit."""
+    paths past int64 and the OverflowError for values that do not fit."""
 
     WIDTHS = range(8, 161, 8)
 
@@ -269,6 +268,26 @@ class TestSlotCodec:
             assert z == ref_pack(cs, width), cs
             back = trimmed(series._unpack(z, width))
             assert back == ref_unpack(z, width) == trimmed(cs), cs
+
+    @pytest.mark.parametrize("width", range(72, 257, 8))
+    def test_wide_slots_round_trip(self, width):
+        # every list holds a value past int64, so _unpack reads it past its
+        # int64 path; ref_unpack reads it slot by slot in integer arithmetic
+        rng = random.Random(2000 + width)
+        half = 1 << (width - 1)
+        vals = edge_values(width)
+        wide = [v for v in vals if not -(1 << 63) <= v < 1 << 63]
+        lists = [[v, w] for v in vals for w in wide]
+        lists += [[-half, half - 1] * 5, [half - 1, -half, 0, 0, -half]]
+        for _ in range(20):
+            n = rng.randrange(1, 40)
+            lists.append([rng.choice(wide)] + [
+                rng.choice(vals) >> rng.randrange(width) for _ in range(n)])
+        for cs in lists:
+            z = series._pack(cs, width)
+            assert z == ref_pack(cs, width), cs
+            back = series._unpack(z, width)
+            assert trimmed(back) == ref_unpack(z, width) == trimmed(cs), cs
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_out_of_range_raises(self, width):
